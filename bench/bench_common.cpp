@@ -133,18 +133,34 @@ bool write_flow_metrics_json(const FlowMetrics& metrics) {
 
 TelemetryCli::TelemetryCli(int& argc, char** argv) : cli_(argc, argv) {
   // The generic flags are already stripped; pick off --bench-json-dir and
-  // forward the heartbeat interval into the flow runner.
+  // --threads and forward the heartbeat interval into the flow runner.
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--bench-json-dir") == 0 && i + 1 < argc) {
       set_bench_json_dir(argv[++i]);
       continue;
     }
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+      // Hard cap far above any sane request: a typo'd or negative value
+      // must become a usage error, not 4 billion spawned threads.
+      constexpr long kMaxThreads = 1024;
+      const char* number = argv[++i];
+      char* end = nullptr;
+      const long value = std::strtol(number, &end, 10);
+      if (end == number || *end != '\0' || value < 0 || value > kMaxThreads) {
+        std::fprintf(stderr,
+                     "error: --threads expects an integer in [0, %ld] "
+                     "(0 = auto), got '%s'\n",
+                     kMaxThreads, number);
+        std::exit(2);
+      }
+      set_num_threads(static_cast<unsigned>(value));
+      continue;
+    }
     argv[out++] = argv[i];
   }
   argc = out;
   set_progress_interval(cli_.progress_interval());
-  set_num_threads(cli_.num_threads());
   set_inprocess(cli_.inprocess());
 }
 
@@ -182,8 +198,8 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
     sweep_options.conflict_limit = config.sat_conflict_limit;
     sweep_options.progress_interval = progress_interval();
     sweep_options.inprocess = inprocess();
-    // Benches parallelize across cells (see for_each_cell), so each flow
-    // keeps the sequential engine: metrics stay byte-identical to a
+    // Benches parallelize across cells (see for_each_cell); the sweep
+    // inside a cell is sequential, so metrics stay byte-identical to a
     // single-thread run and workers are never nested.
     sweep::Sweeper sweeper(network, sweep_options);
     const sweep::SweepResult sweep_result = sweeper.run(classes, simulator);

@@ -90,12 +90,12 @@ void set_progress_interval(double seconds);
 /// Worker threads for the bench drivers (same storage pattern as the
 /// progress interval): 1 = sequential, 0 = one per hardware thread. Set
 /// by TelemetryCli's --threads. Bench drivers parallelize at *cell*
-/// granularity — whole (benchmark, strategy) flows sharded across
-/// workers via for_each_cell — because a flow's wall time is dominated
-/// by word-parallel simulation, not sweeping; each flow keeps the
-/// sequential sweep engine inside, so every FlowMetrics value (and thus
-/// every table row and BENCH json count) is byte-identical to a
-/// single-thread run. Only the wall-clock fields see scheduling noise.
+/// granularity — whole benchmarks (each cell runs every strategy flow of
+/// one benchmark) sharded across workers via for_each_cell — and each
+/// flow runs the one sequential sweep engine inside, so every
+/// FlowMetrics value (and thus every table row and BENCH json count) is
+/// byte-identical to a single-thread run. Only the wall-clock fields see
+/// scheduling noise.
 void set_num_threads(unsigned num_threads);
 [[nodiscard]] unsigned num_threads();
 
@@ -148,9 +148,14 @@ bool write_flow_metrics_json(const FlowMetrics& metrics);
 /// --journal-out, --progress, --timeout; see obs/telemetry_cli.hpp) plus
 /// the bench-specific
 ///   --bench-json-dir DIR   per-run BENCH_*.json output directory
+///   --threads N            bench cell workers for for_each_cell (1 =
+///                          sequential, the default; 0 = one per hardware
+///                          thread); an integer outside [0, 1024] is a
+///                          usage error (exit 2)
 /// (SIMGEN_BENCH_JSON_DIR in the environment also sets the JSON dir.)
-/// --progress is forwarded into set_progress_interval and --threads into
-/// set_num_threads so every run_strategy_flow sweep picks them up. A driver needs only
+/// --progress is forwarded into set_progress_interval (every
+/// run_strategy_flow sweep picks it up) and --threads into set_num_threads
+/// (for_each_cell picks it up). A driver needs only
 ///   int main(int argc, char** argv) { bench::TelemetryCli telemetry(argc, argv); ... }
 class TelemetryCli {
  public:

@@ -8,9 +8,6 @@
 ///
 /// Options:
 ///   --certify            DRAT-certify every UNSAT verdict
-///   --threads N          sweep worker threads (1 = sequential engine,
-///                        0 = one per hardware thread; results are
-///                        deterministic for any N)
 ///   --output-conflict-limit N
 ///                        conflict budget per final output proof
 ///                        (0 = unlimited, the default); a proof that
@@ -30,10 +27,12 @@
 ///                        telemetry outputs, exit 124
 ///
 /// All telemetry outputs are flushed on SIGINT/SIGTERM and via atexit, so
-/// an interrupted run still leaves valid, parseable files behind.
+/// an interrupted run still leaves valid, parseable files behind. Any
+/// other argument starting with "--" is rejected as an unknown option.
 ///
 /// Exit codes: 0 = checked (equivalent or a verified counterexample),
-/// 1 = error, 2 = undecided (an output proof hit the conflict budget).
+/// 1 = error (including an unknown option), 2 = undecided (an output
+/// proof hit the conflict budget).
 ///
 /// Accepts BLIF (.blif), BENCH (.bench), and AIGER (.aig/.aag; mapped to
 /// 6-LUTs before checking), or the name of a seed benchmark — the latter
@@ -206,15 +205,23 @@ int main(int argc, char** argv) {
   sweep::CecOptions options;
   options.guided_strategy = core::Strategy::kAiDcMffc;
   options.sweep.progress_interval = telemetry.progress_interval();
-  options.num_threads = telemetry.num_threads();
   options.sweep.inprocess = telemetry.inprocess();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--certify") == 0) {
       options.certify = true;
-    } else if (std::strcmp(argv[i], "--output-conflict-limit") == 0 &&
-               i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--output-conflict-limit") == 0) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr,
+                     "error: --output-conflict-limit expects a value\n");
+        return 1;
+      }
       options.sweep.output_proof_conflict_limit =
           std::strtoull(argv[++i], nullptr, 10);
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // Exit 1, not 2: exit 2 means UNDECIDED. Without this check a
+      // mistyped flag would be read as a file name.
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
+      return 1;
     } else {
       args.emplace_back(argv[i]);
     }

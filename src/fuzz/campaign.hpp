@@ -50,10 +50,6 @@ struct CampaignOptions {
   bool all_arms = false;
   bool certify = true;
   bool shrink = true;
-  /// When > 1, cross-check every sweeping oracle against the parallel
-  /// engine with this many workers (see PairOracleOptions::num_threads);
-  /// verdict-log bytes are unchanged while the engines agree.
-  unsigned num_threads = 1;
   /// Cross-check every sweeping oracle with inprocessing toggled on/off
   /// (see PairOracleOptions::inprocess_differential).
   bool inprocess_differential = false;

@@ -61,20 +61,16 @@ const char* verdict_str(const sweep::CecResult& verdict) {
 }
 
 /// Runs one sweeping-engine oracle on the pair and scores it against the
-/// expected verdict. With \p cross_check_threads > 1 the same check is
-/// rerun on the parallel engine and the two verdicts must agree — the
-/// differential leg that pins the parallel sweeper to the sequential one.
-/// With \p cross_check_inprocess the check is also rerun with solver
-/// inprocessing disabled; the passes are equivalence-preserving, so any
-/// verdict drift (or a counterexample that stops simulating to a
-/// difference) is an inprocessing soundness bug. With
+/// expected verdict. With \p cross_check_inprocess the check is also
+/// rerun with solver inprocessing disabled; the passes are
+/// equivalence-preserving, so any verdict drift (or a counterexample that
+/// stops simulating to a difference) is an inprocessing soundness bug. With
 /// \p cross_check_kernels the check is rerun under every available SIMD
 /// kernel at block widths 1 and 8, and the rerun CecResult must be
 /// byte-identical to the default run's.
 OracleResult run_cec_oracle(std::string name, const Network& base,
                             const Mutant& mutant,
                             const sweep::CecOptions& options,
-                            unsigned cross_check_threads = 1,
                             bool cross_check_inprocess = false,
                             bool cross_check_kernels = false) {
   OracleResult result;
@@ -94,29 +90,6 @@ OracleResult run_cec_oracle(std::string name, const Network& base,
       result.pass = false;
       result.detail = "counterexample does not simulate to a difference";
       return result;
-    }
-    if (cross_check_threads > 1) {
-      sweep::CecOptions parallel_options = options;
-      parallel_options.num_threads = cross_check_threads;
-      const sweep::CecResult parallel_verdict =
-          sweep::check_equivalence(base, mutant.network, parallel_options);
-      if (parallel_verdict.equivalent != verdict.equivalent ||
-          parallel_verdict.undecided != verdict.undecided) {
-        result.pass = false;
-        result.detail = std::string("parallel engine verdict ") +
-                        verdict_str(parallel_verdict) +
-                        " disagrees with single-thread " + verdict_str(verdict) +
-                        " [" + mutant.description + "]";
-        return result;
-      }
-      if (!parallel_verdict.equivalent &&
-          !counterexample_valid(base, mutant.network,
-                                parallel_verdict.counterexample)) {
-        result.pass = false;
-        result.detail =
-            "parallel engine counterexample does not simulate to a difference";
-        return result;
-      }
     }
     if (cross_check_inprocess) {
       sweep::CecOptions plain_options = options;
@@ -310,22 +283,19 @@ std::vector<OracleResult> check_pair(const Network& base,
       results.push_back(run_cec_oracle(
           "cec[" + std::string(core::strategy_name(arm)) + "]", base, mutant,
           arm_options(arm, options.seed, options.certify),
-          options.num_threads, options.inprocess_differential,
-          options.kernel_sweep));
+          options.inprocess_differential, options.kernel_sweep));
   } else {
     results.push_back(run_cec_oracle(
         "cec[" + std::string(core::strategy_name(options.arm)) + "]", base,
         mutant, arm_options(options.arm, options.seed, options.certify),
-        options.num_threads, options.inprocess_differential,
-        options.kernel_sweep));
+        options.inprocess_differential, options.kernel_sweep));
   }
 
   // Plain SAT miter.
   results.push_back(run_cec_oracle(
       "sat-miter", base, mutant,
       sat_miter_options(options.seed, options.certify),
-      options.num_threads, options.inprocess_differential,
-      options.kernel_sweep));
+      options.inprocess_differential, options.kernel_sweep));
 
   // BDD engine. Node-limit blow-up is a pass (the engine is *allowed* to
   // give up), but a completed wrong verdict is a mismatch.

@@ -49,16 +49,11 @@ struct PairOracleOptions {
   /// BDD manager bound; blow-up is reported as a pass with detail
   /// "incomplete", never as a failure.
   std::size_t bdd_node_limit = 1u << 20;
-  /// When > 1, every sweeping oracle is run twice — single-thread, then
-  /// with this many worker threads — and any verdict disagreement is an
-  /// oracle failure. Oracle names and verdict-log bytes stay identical to
-  /// a single-thread campaign while both engines agree.
-  unsigned num_threads = 1;
   /// Rerun every sweeping oracle with solver inprocessing toggled (on vs
   /// off) and fail on any verdict disagreement or non-simulating
   /// counterexample. The inprocessing passes are equivalence-preserving,
-  /// so the two runs must agree on every pair; like num_threads, oracle
-  /// names and verdict-log bytes are unchanged while they do.
+  /// so the two runs must agree on every pair; oracle names and
+  /// verdict-log bytes are unchanged while they do.
   bool inprocess_differential = false;
   /// Width-sweep differential: rerun every sweeping oracle under every
   /// available simulation kernel (scalar/AVX2/AVX-512) at block widths 1

@@ -4,6 +4,7 @@
 #include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -522,6 +523,15 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
     return false;
   };
   std::vector<std::uint8_t> phase_stack;
+  // A pooled bench run journals several cells at once, so the phases of
+  // different workers interleave: there a phase_end closes the latest
+  // open phase of its id. A journal without pool tasks keeps strict
+  // nesting.
+  const bool pooled =
+      std::any_of(events.begin(), events.end(), [](const JournalEvent& event) {
+        return event.kind == EventKind::kTaskRun ||
+               event.kind == EventKind::kWorkerStats;
+      });
   bool run_begun = false;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const JournalEvent& event = events[i];
@@ -541,17 +551,22 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
         if (event.code >= kNumPhases) return fail(i, "phase id out of range");
         phase_stack.push_back(event.code);
         break;
-      case EventKind::kPhaseEnd:
+      case EventKind::kPhaseEnd: {
         if (event.code >= kNumPhases) return fail(i, "phase id out of range");
         if (phase_stack.empty())
           return fail(i, "phase_end without matching phase_begin");
-        if (phase_stack.back() != event.code)
+        const auto open =
+            pooled ? std::find(phase_stack.rbegin(), phase_stack.rend(),
+                               event.code)
+                   : phase_stack.rbegin();
+        if (open == phase_stack.rend() || *open != event.code)
           return fail(i, std::string("phase_end ") +
                              phase_name(static_cast<PhaseId>(event.code)) +
                              " does not match open phase " +
                              phase_name(static_cast<PhaseId>(phase_stack.back())));
-        phase_stack.pop_back();
+        phase_stack.erase(std::next(open).base());
         break;
+      }
       case EventKind::kClassCreated:
         if (event.code >= kNumPatternSources)
           return fail(i, "pattern source out of range");

@@ -210,8 +210,9 @@ struct InspectOptions {
                                          bool truncated = false);
 
 /// Structural validation: every event kind/sub-code in range, run
-/// begin/end pairing, phase nesting. Returns false and fills \p error
-/// (if non-null) on the first violation.
+/// begin/end pairing, phase nesting (per phase id when the journal holds
+/// pool tasks, whose concurrent cells interleave their phases). Returns
+/// false and fills \p error (if non-null) on the first violation.
 bool check_journal(const std::vector<JournalEvent>& events,
                    std::string* error = nullptr);
 

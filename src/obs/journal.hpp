@@ -67,11 +67,14 @@ enum class EventKind : std::uint8_t {
                       ///< dur_us=elapsed in sweep (saturating).
   kWatchdog = 12,     ///< code=1 signal / 2 timeout, a=signal number.
   kTaskRun = 13,      ///< One pool task: a=task index within the batch,
-                      ///< b=worker index, code=task kind (0 sweep pair,
-                      ///< 1 output proof, 2 bench cell), v0=round/batch
-                      ///< sequence, v1=payload id (e.g. representative
-                      ///< node), dur_us=task wall time. The lane timeline
-                      ///< in sweep_inspect is built from these.
+                      ///< b=worker index, code=task kind, v0=round/batch
+                      ///< sequence, v1=payload id (a cell's index),
+                      ///< dur_us=task wall time. Only code 2 (bench cell,
+                      ///< bench::for_each_cell) is emitted today; codes 0
+                      ///< (sweep pair) and 1 (output proof) came from the
+                      ///< removed parallel sweep engine and stay valid in
+                      ///< recorded journals. The lane timeline in
+                      ///< sweep_inspect is built from these.
   kWorkerStats = 14,  ///< Per-worker scheduler rollup at pool teardown:
                       ///< a=worker index, b=tasks run, v0=steal attempts,
                       ///< v1=steal successes, v2=busy us, v3=idle us,

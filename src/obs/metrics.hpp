@@ -7,9 +7,9 @@
 /// decision counts — as first-class, exportable instruments instead of
 /// ad-hoc per-module structs. Design constraints:
 ///
-///  * Counter increments are a single relaxed atomic 64-bit add — the
-///    parallel sweep engine bumps shared registry counters from worker
-///    threads, and relaxed ordering keeps the hot path one lock-free
+///  * Counter increments are a single relaxed atomic 64-bit add — bench
+///    cells sharded across pool workers bump shared registry counters
+///    concurrently, and relaxed ordering keeps the hot path one lock-free
 ///    instruction (registration, retirement and export are mutex-guarded
 ///    cold paths). Histograms stay non-atomic: every histogram lives in a
 ///    per-instance stats struct (one solver, one generator) that is only
@@ -70,7 +70,7 @@ class Counter {
   }
 
   /// Relaxed: counters are statistics, not synchronization. Concurrent
-  /// increments from sweep workers never lose counts; readers see some
+  /// increments from pool workers never lose counts; readers see some
   /// recent value.
   void inc(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);

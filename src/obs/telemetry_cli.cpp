@@ -33,23 +33,6 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) {
       timeout_seconds_ = std::atof(number.c_str());
       continue;
     }
-    if (take_value("--threads", number)) {
-      // Hard cap far above any sane request: a typo'd or negative value
-      // must become a usage error, not 4 billion spawned threads.
-      constexpr long kMaxThreads = 1024;
-      char* end = nullptr;
-      const long value = std::strtol(number.c_str(), &end, 10);
-      if (end == number.c_str() || *end != '\0' || value < 0 ||
-          value > kMaxThreads) {
-        std::fprintf(stderr,
-                     "error: --threads expects an integer in [0, %ld] "
-                     "(0 = auto), got '%s'\n",
-                     kMaxThreads, number.c_str());
-        std::exit(2);
-      }
-      num_threads_ = static_cast<unsigned>(value);
-      continue;
-    }
     if (std::strcmp(argv[i], "--no-inprocess") == 0) {
       inprocess_ = false;
       continue;

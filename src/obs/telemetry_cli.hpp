@@ -12,10 +12,6 @@
 ///   --progress SECONDS     heartbeat interval for sweeps (implies info
 ///                          logging); read back via progress_interval()
 ///   --timeout SECONDS      watchdog deadline; dump + flush + exit 124
-///   --threads N            sweep worker threads (1 = sequential engine,
-///                          0 = one per hardware thread); read back via
-///                          num_threads() and forwarded by the driver into
-///                          SweepOptions/CecOptions::num_threads
 ///   --no-inprocess         disable solver inprocessing (the escape hatch
 ///                          for the plain-CDCL behaviour); read back via
 ///                          inprocess() and forwarded by the driver into
@@ -25,7 +21,8 @@
 /// valid even if the run is interrupted. The destructor writes them on
 /// the normal path. A driver needs only
 ///   int main(int argc, char** argv) { obs::TelemetryCli telemetry(argc, argv); ... }
-/// Domain-specific wrappers (bench::TelemetryCli) layer extra flags on top.
+/// Domain-specific wrappers layer extra flags on top: bench::TelemetryCli
+/// adds --bench-json-dir and --threads (bench cell sharding).
 #pragma once
 
 #include <string>
@@ -50,9 +47,6 @@ class TelemetryCli {
   [[nodiscard]] double timeout_seconds() const noexcept {
     return timeout_seconds_;
   }
-  /// Value of --threads (sweep worker threads; default 1 = sequential,
-  /// 0 = auto-detect the hardware concurrency).
-  [[nodiscard]] unsigned num_threads() const noexcept { return num_threads_; }
   /// False when --no-inprocess was given (solver inprocessing disabled).
   [[nodiscard]] bool inprocess() const noexcept { return inprocess_; }
 
@@ -62,7 +56,6 @@ class TelemetryCli {
   std::string journal_out_;
   double progress_interval_ = 0.0;
   double timeout_seconds_ = 0.0;
-  unsigned num_threads_ = 1;
   bool inprocess_ = true;
 };
 

@@ -2,18 +2,14 @@
 
 #include <array>
 #include <bit>
-#include <memory>
 #include <stdexcept>
-#include <utility>
 
 #include "check/lint.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pool_obs.hpp"
 #include "obs/trace.hpp"
 #include "sim/random_sim.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace simgen::sweep {
 
@@ -184,10 +180,6 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   // fingerprint so the SAT report can slice hardness by arm.
   sweep_options.strategy_code =
       static_cast<std::uint8_t>(options.guided_strategy);
-  if (options.num_threads != 1 && sweep_options.num_threads == 1)
-    sweep_options.num_threads = options.num_threads;
-  const unsigned num_threads =
-      util::resolve_num_threads(sweep_options.num_threads);
   Sweeper sweeper(miter.network, sweep_options);
   if (options.sweep_internal_nodes) {
     obs::Span sweep_span("cec.sweep");
@@ -203,223 +195,83 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   // yields an "undecided" verdict instead of a crash.
   obs::Span outputs_span("cec.output_proofs");
   obs::PhaseScope outputs_phase(obs::PhaseId::kOutputProofs);
-  if (num_threads > 1) {
-    // Parallel output proofs: one cone-local solver per PO, proven
-    // equalities injected as clauses, outcomes reduced in PO order (the
-    // lowest-PO counterexample wins, deterministically).
-    struct OutputOutcome {
-      sat::Result verdict = sat::Result::kUnknown;
-      bool certified_ok = true;
-      double solve_seconds = 0.0;
-      std::vector<bool> counterexample;
-    };
-    const std::vector<net::NodeId> pos_list(miter.network.pos().begin(),
-                                            miter.network.pos().end());
-    const std::vector<std::pair<net::NodeId, net::NodeId>>& proven =
-        sweeper.totals().proven_pairs;
-    std::vector<OutputOutcome> outcomes(pos_list.size());
-    util::ThreadPool pool(num_threads);
-    const obs::PoolProfileScope pool_scope(pool);
-    pool.run_tasks(pos_list.size(), [&](std::size_t index, unsigned worker) {
-      const net::NodeId po = pos_list[index];
-      OutputOutcome& out = outcomes[index];
-      util::Stopwatch task_watch;
-      if (obs::journal_enabled()) task_watch.start();
-      sat::Solver solver;
-      solver.set_conflict_limit(sweep_options.output_proof_conflict_limit);
-      if (!sweep_options.inprocess) {
-        sat::InprocessConfig config = solver.inprocess_config();
-        config.enabled = false;
-        solver.set_inprocess_config(config);
-      }
-      std::unique_ptr<check::Certifier> certifier;
-      if (sweep_options.certify)
-        certifier = std::make_unique<check::Certifier>(solver);
-      sat::CnfEncoder encoder(miter.network, solver);
-      const sat::Var po_var = encoder.ensure_encoded(po);
-      if (sweep_options.add_equality_clauses) {
-        for (const auto& [x, y] : proven) {
-          if (!encoder.is_encoded(x) || !encoder.is_encoded(y)) continue;
-          const sat::Var vx = encoder.var_of(x);
-          const sat::Var vy = encoder.var_of(y);
-          solver.add_clause({sat::pos(vx), sat::neg(vy)});
-          solver.add_clause({sat::neg(vx), sat::pos(vy)});
-        }
-      }
-      emit_cone_fingerprint(miter.network, po, net::kNullNode, po, 0,
-                            sweep_options.strategy_code, /*output_proof=*/true);
-#ifndef SIMGEN_NO_TELEMETRY
-      solver.set_introspection_context(po, 0, /*output_proof=*/true);
-#endif
-      util::Stopwatch watch;
-      watch.start();
-      out.verdict = solver.solve({sat::pos(po_var)});
-      watch.stop();
-      out.solve_seconds = watch.seconds();
-#ifndef SIMGEN_NO_TELEMETRY
-      solver.clear_introspection_context();
-#endif
-      if (obs::journal_enabled()) {
-        const sat::SolverStats& stats = solver.stats();
-        const std::uint8_t code =
-            out.verdict == sat::Result::kSat
-                ? static_cast<std::uint8_t>(obs::SatVerdict::kSat)
-                : (out.verdict == sat::Result::kUnsat
-                       ? static_cast<std::uint8_t>(obs::SatVerdict::kUnsat)
-                       : static_cast<std::uint8_t>(obs::SatVerdict::kUnknown));
-        obs::journal_emit(
-            obs::EventKind::kSatCall, code, po, 0, stats.conflicts.value(),
-            stats.propagations.value(), stats.decisions.value(),
-            obs::pack_cone_learned(solver.num_vars(),
-                                   stats.learned_clauses.value()),
-            obs::saturate_us(out.solve_seconds), /*flags=*/1);
-      }
-      if (out.verdict == sat::Result::kSat) {
-        // Fill unencoded PIs deterministically from a per-PO stream.
-        util::Rng po_rng(util::splitmix64(options.seed) ^
-                         util::splitmix64(0x0c37a11edull + index));
-        out.counterexample.resize(miter.network.num_pis());
-        for (std::size_t i = 0; i < miter.network.num_pis(); ++i) {
-          const net::NodeId pi = miter.network.pis()[i];
-          out.counterexample[i] = encoder.is_encoded(pi)
-                                      ? solver.model_value(encoder.var_of(pi))
-                                      : po_rng.flip();
-        }
-      } else if (out.verdict == sat::Result::kUnsat && certifier) {
-        const sat::Lit assumption = sat::pos(po_var);
-        util::Stopwatch certify_watch;
-        certify_watch.start();
-        out.certified_ok = certifier->certify_unsat({&assumption, 1});
-        certify_watch.stop();
-        if (obs::journal_enabled()) {
-          const check::DratStats& stats = certifier->stats();
-          obs::journal_emit(obs::EventKind::kCertified,
-                            out.certified_ok ? 1 : 0, po, 0,
-                            stats.checked_lemmas.value(),
-                            stats.rup_checks.value(),
-                            stats.propagations.value(), 0,
-                            obs::saturate_us(certify_watch.seconds()),
-                            /*flags=*/1);
-        }
-      }
-      if (obs::journal_enabled()) {
-        // Stamped at task end (code 1 = output proof); the payload is the
-        // PO node so lanes can be joined back to kSatCall events.
-        obs::journal_emit(obs::EventKind::kTaskRun, 1, index, worker,
-                          /*round=*/0, po, 0, 0,
-                          obs::saturate_us(task_watch.seconds()));
-      }
-    });
-    for (std::size_t index = 0; index < pos_list.size(); ++index) {
-      OutputOutcome& out = outcomes[index];
-      ++result.output_sat_calls;
-      result.output_sat_seconds += out.solve_seconds;
-      if (out.verdict == sat::Result::kSat) {
-        result.counterexample = std::move(out.counterexample);
-        if (!violates(simulator, result.counterexample))
-          throw std::logic_error(
-              "cec: SAT counterexample failed re-simulation");
-        result.equivalent = false;
-        result.undecided = false;
-        // A counterexample decides the run: earlier budget-limited output
-        // proofs are moot, and CecResult documents unresolved_outputs as
-        // nonzero only when undecided.
-        result.unresolved_outputs = 0;
-        total.stop();
-        result.total_seconds = total.seconds();
-        journal_run_end(result);
-        return result;
-      }
-      if (out.verdict == sat::Result::kUnknown) {
-        ++result.unresolved_outputs;
-        continue;
-      }
-      if (sweep_options.certify) {
-        if (!out.certified_ok)
-          throw std::logic_error(
-              "sweeper: UNSAT verdict failed DRAT certification");
-        ++result.certified_outputs;
-      }
-      ++result.outputs_proven;
+  sweeper.solver().set_conflict_limit(
+      sweep_options.output_proof_conflict_limit);
+  for (net::NodeId po : miter.network.pos()) {
+    const bool journal = obs::journal_enabled();
+    std::uint64_t conflicts0 = 0, props0 = 0, decisions0 = 0, learned0 = 0;
+    std::uint64_t vars0 = 0;
+    if (journal) {
+      const sat::SolverStats& stats = sweeper.solver().stats();
+      conflicts0 = stats.conflicts.value();
+      props0 = stats.propagations.value();
+      decisions0 = stats.decisions.value();
+      learned0 = stats.learned_clauses.value();
+      vars0 = sweeper.solver().num_vars();
     }
-  } else {
-    sweeper.solver().set_conflict_limit(
-        sweep_options.output_proof_conflict_limit);
-    for (net::NodeId po : miter.network.pos()) {
-      const bool journal = obs::journal_enabled();
-      std::uint64_t conflicts0 = 0, props0 = 0, decisions0 = 0, learned0 = 0;
-      std::uint64_t vars0 = 0;
-      if (journal) {
-        const sat::SolverStats& stats = sweeper.solver().stats();
-        conflicts0 = stats.conflicts.value();
-        props0 = stats.propagations.value();
-        decisions0 = stats.decisions.value();
-        learned0 = stats.learned_clauses.value();
-        vars0 = sweeper.solver().num_vars();
-      }
-      const sat::Var po_var = sweeper.encoder().ensure_encoded(po);
-      emit_cone_fingerprint(miter.network, po, net::kNullNode, po, 0,
-                            sweep_options.strategy_code, /*output_proof=*/true);
+    const sat::Var po_var = sweeper.encoder().ensure_encoded(po);
+    emit_cone_fingerprint(miter.network, po, net::kNullNode, po, 0,
+                          sweep_options.strategy_code, /*output_proof=*/true);
 #ifndef SIMGEN_NO_TELEMETRY
-      sweeper.solver().set_introspection_context(po, 0, /*output_proof=*/true);
+    sweeper.solver().set_introspection_context(po, 0, /*output_proof=*/true);
 #endif
-      util::Stopwatch watch;
-      watch.start();
-      const sat::Result verdict = sweeper.solver().solve({sat::pos(po_var)});
-      watch.stop();
+    util::Stopwatch watch;
+    watch.start();
+    const sat::Result verdict = sweeper.solver().solve({sat::pos(po_var)});
+    watch.stop();
 #ifndef SIMGEN_NO_TELEMETRY
-      sweeper.solver().clear_introspection_context();
+    sweeper.solver().clear_introspection_context();
 #endif
-      ++result.output_sat_calls;
-      result.output_sat_seconds += watch.seconds();
-      if (journal) {
-        const sat::SolverStats& stats = sweeper.solver().stats();
-        const std::uint8_t code =
-            verdict == sat::Result::kSat
-                ? static_cast<std::uint8_t>(obs::SatVerdict::kSat)
-                : (verdict == sat::Result::kUnsat
-                       ? static_cast<std::uint8_t>(obs::SatVerdict::kUnsat)
-                       : static_cast<std::uint8_t>(obs::SatVerdict::kUnknown));
-        obs::journal_emit(
-            obs::EventKind::kSatCall, code, po, 0,
-            stats.conflicts.value() - conflicts0,
-            stats.propagations.value() - props0,
-            stats.decisions.value() - decisions0,
-            obs::pack_cone_learned(sweeper.solver().num_vars() - vars0,
-                                   stats.learned_clauses.value() - learned0),
-            obs::saturate_us(watch.seconds()), /*flags=*/1);
-      }
-      if (verdict == sat::Result::kSat) {
-        result.counterexample =
-            sweeper.last_model_vector(static_cast<std::uint64_t>(po));
-        if (!violates(simulator, result.counterexample))
-          throw std::logic_error("cec: SAT counterexample failed re-simulation");
-        result.equivalent = false;
-        result.undecided = false;
-        // See the parallel path: a counterexample decides the run, so the
-        // unresolved_outputs invariant (nonzero only when undecided) holds.
-        result.unresolved_outputs = 0;
-        total.stop();
-        result.total_seconds = total.seconds();
-        journal_run_end(result);
-        return result;
-      }
-      if (verdict == sat::Result::kUnknown) {
-        // Conflict-limited output proof: record it and keep going — a
-        // later output may still yield a counterexample, and a partial
-        // verdict with a proper journal run-end beats a crash.
-        ++result.unresolved_outputs;
-        continue;
-      }
-      // Certify the output proof itself: UNSAT under {po} means the logged
-      // derivation must entail (~po).
-      if (sweeper.certifier() != nullptr) {
-        const sat::Lit assumption = sat::pos(po_var);
-        sweeper.certify_unsat({&assumption, 1}, po, 0, /*output_proof=*/true);
-        ++result.certified_outputs;
-      }
-      ++result.outputs_proven;
+    ++result.output_sat_calls;
+    result.output_sat_seconds += watch.seconds();
+    if (journal) {
+      const sat::SolverStats& stats = sweeper.solver().stats();
+      const std::uint8_t code =
+          verdict == sat::Result::kSat
+              ? static_cast<std::uint8_t>(obs::SatVerdict::kSat)
+              : (verdict == sat::Result::kUnsat
+                     ? static_cast<std::uint8_t>(obs::SatVerdict::kUnsat)
+                     : static_cast<std::uint8_t>(obs::SatVerdict::kUnknown));
+      obs::journal_emit(
+          obs::EventKind::kSatCall, code, po, 0,
+          stats.conflicts.value() - conflicts0,
+          stats.propagations.value() - props0,
+          stats.decisions.value() - decisions0,
+          obs::pack_cone_learned(sweeper.solver().num_vars() - vars0,
+                                 stats.learned_clauses.value() - learned0),
+          obs::saturate_us(watch.seconds()), /*flags=*/1);
     }
+    if (verdict == sat::Result::kSat) {
+      result.counterexample =
+          sweeper.last_model_vector(static_cast<std::uint64_t>(po));
+      if (!violates(simulator, result.counterexample))
+        throw std::logic_error("cec: SAT counterexample failed re-simulation");
+      result.equivalent = false;
+      result.undecided = false;
+      // A counterexample decides the run: earlier budget-limited output
+      // proofs are moot, and CecResult documents unresolved_outputs as
+      // nonzero only when undecided.
+      result.unresolved_outputs = 0;
+      total.stop();
+      result.total_seconds = total.seconds();
+      journal_run_end(result);
+      return result;
+    }
+    if (verdict == sat::Result::kUnknown) {
+      // Conflict-limited output proof: record it and keep going — a
+      // later output may still yield a counterexample, and a partial
+      // verdict with a proper journal run-end beats a crash.
+      ++result.unresolved_outputs;
+      continue;
+    }
+    // Certify the output proof itself: UNSAT under {po} means the logged
+    // derivation must entail (~po).
+    if (sweeper.certifier() != nullptr) {
+      const sat::Lit assumption = sat::pos(po_var);
+      sweeper.certify_unsat({&assumption, 1}, po, 0, /*output_proof=*/true);
+      ++result.certified_outputs;
+    }
+    ++result.outputs_proven;
   }
 
   result.undecided = result.unresolved_outputs > 0;

@@ -40,11 +40,6 @@ struct CecOptions {
   /// output proofs — with the in-repo backward checker. Forwarded into
   /// sweep.certify; an uncertifiable verdict throws std::logic_error.
   bool certify = false;
-  /// Worker threads for the sweep and the output proofs. 1 (default) is
-  /// the sequential flow; 0 = one per hardware thread; N >= 2 enables the
-  /// deterministic parallel engine. Forwarded into sweep.num_threads
-  /// (unless that is itself set to a non-default value).
-  unsigned num_threads = 1;
   SweepOptions sweep;
 };
 

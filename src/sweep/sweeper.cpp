@@ -12,7 +12,6 @@
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace simgen::sweep {
 
@@ -31,10 +30,8 @@ obs::SatVerdict to_verdict(sat::Result result) noexcept {
 /// (unencoded PIs filled from \p rng, so every PI has a deterministic
 /// value — nothing is inherited from whatever pattern occupied the word
 /// before), patterns 1..63 optionally flip one random PI each (1-distance
-/// neighbours, cf. Mishchenko et al.). Shared by the sequential engine
-/// and the parallel workers; \p rng must be freshly seeded per witness
-/// (Sweeper::witness_seed or the task stream) to keep witnesses
-/// history-independent.
+/// neighbours, cf. Mishchenko et al.). \p rng must be freshly seeded per
+/// witness (Sweeper::witness_seed) to keep witnesses history-independent.
 std::vector<sim::PatternWord> build_witness_words(const net::Network& network,
                                                   const sat::CnfEncoder& encoder,
                                                   const sat::Solver& solver,
@@ -184,9 +181,13 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
   const std::uint64_t inprocess_before = solver_.stats().inprocess_runs.value();
   {
     obs::Span solve_span("sweep.sat_solve");
+    // The solver's counter runs across the whole sweep; the span reports
+    // this call's share, like the kSatCall event.
+    const std::uint64_t conflicts_before = solver_.stats().conflicts.value();
     verdict = solver_.solve({sat::pos(t)});
     solve_span.arg("conflicts",
-                   static_cast<double>(solver_.stats().conflicts.value()));
+                   static_cast<double>(solver_.stats().conflicts.value() -
+                                       conflicts_before));
   }
   watch.stop();
   totals_.inprocess_runs +=
@@ -285,9 +286,6 @@ void Sweeper::resimulate_counterexample(
 }
 
 SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) {
-  const unsigned num_threads = util::resolve_num_threads(options_.num_threads);
-  if (num_threads > 1) return run_parallel(classes, simulator, num_threads);
-
   obs::Span span("sweep.run");
   obs::PhaseScope phase(obs::PhaseId::kSweep);
   span.arg("classes_in", static_cast<double>(classes.num_classes()));
@@ -327,8 +325,7 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
       case sat::Result::kSat: {
         // Counterexample: by construction it distinguishes the pair, so
         // refinement is guaranteed to make progress on this class. The
-        // witness stream is keyed per pair, like the parallel engine's
-        // per-task streams.
+        // witness stream is keyed per pair, never by sweep history.
         util::Rng rng(witness_seed(representative, candidate));
         resimulate_counterexample(
             build_witness_words(network_, encoder_, solver_,
@@ -394,353 +391,6 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
 #endif
         // Keep the on-disk journal near-complete so a kill right after a
         // heartbeat loses almost nothing.
-        obs::Journal::instance().flush();
-      }
-    }
-  }
-
-  progress.end();
-  phase.set_result(classes.cost(), classes.num_classes());
-  span.arg("sat_calls",
-           static_cast<double>(totals_.sat_calls - before.sat_calls));
-  return delta_since(before);
-}
-
-SweepResult Sweeper::run_parallel(sim::EquivClasses& classes,
-                                  sim::Simulator& simulator,
-                                  unsigned num_threads) {
-  obs::Span span("sweep.run");
-  obs::PhaseScope phase(obs::PhaseId::kSweep);
-  span.arg("classes_in", static_cast<double>(classes.num_classes()));
-  span.arg("threads", static_cast<double>(num_threads));
-  const SweepResult before = totals_;
-
-  obs::SweepProgress& progress = obs::sweep_progress();
-  const std::uint64_t initial_live = classes.num_live_nodes();
-  progress.begin(initial_live, classes.num_classes());
-  util::Stopwatch watch;
-  watch.start();
-  double next_heartbeat = options_.progress_interval;
-
-  util::ThreadPool pool(num_threads);
-  // Declared after the pool so it unregisters (and exports the pool.*
-  // metrics plus per-worker journal rollups) before the pool dies.
-  const obs::PoolProfileScope pool_scope(pool);
-
-  // One candidate pair discharged on one worker with one throwaway
-  // cone-local solver. The outcome is a pure function of the task fields
-  // and the round-start proven-pair snapshot, so results are identical
-  // for every worker count and schedule.
-  struct PairTask {
-    net::NodeId rep = net::kNullNode;
-    net::NodeId cand = net::kNullNode;
-    std::uint64_t rng_seed = 0;  ///< Seeds counterexample fill patterns.
-  };
-  struct PairOutcome {
-    sat::Result verdict = sat::Result::kUnknown;
-    bool certified_ok = true;
-    double solve_seconds = 0.0;
-    std::uint64_t inprocess_runs = 0;
-    /// SAT only: counterexample PI words (one per PI, in PI order),
-    /// packed into the coordinator's wide resimulation block below.
-    std::vector<sim::PatternWord> witness;
-  };
-
-  // Batched counterexample resimulation: SAT witnesses accumulate into
-  // one staging block (word w of PI row i at staging[i*W + w]) and a
-  // single wide simulate pass splits classes for up to W disproofs at
-  // once. Determinism contract: the staging block is flushed before any
-  // class mutation (UNSAT merge, UNKNOWN drop) and refined word-by-word
-  // in task order, so the sequence of partition operations — and the
-  // journal it produces — is exactly the block_words == 1 sequence. The
-  // staging buffer is zeroed after every flush so no lane can leak a
-  // previous batch's patterns.
-  const std::size_t block_words = simulator.block_words();
-  const std::size_t num_pis = network_.num_pis();
-  std::vector<sim::PatternWord> cex_staging(num_pis * block_words, 0);
-  std::size_t cex_pending = 0;
-  const auto flush_witnesses = [&] {
-    if (cex_pending == 0) return;
-    simulator.simulate_block(cex_staging, cex_pending);
-    for (std::size_t w = 0; w < cex_pending; ++w) {
-      {
-        obs::PatternScope scope(obs::PatternSource::kCounterexample, 1);
-        classes.refine_word(simulator, w);
-      }
-      ++totals_.resimulations;
-      static obs::Counter& resims = obs::counter("sweep.resimulations");
-      resims.inc();
-      obs::Tracer::instance().instant("sweep.counterexample");
-    }
-    std::fill(cex_staging.begin(), cex_staging.end(), sim::PatternWord{0});
-    cex_pending = 0;
-  };
-
-  // Monotone across rounds so every task in the whole run draws from its
-  // own deterministic random stream.
-  std::uint64_t task_sequence = 0;
-  std::uint64_t round_index = 0;
-
-  while (!classes.fully_refined()) {
-    ++round_index;
-    // Snapshot every candidate pair of the current partition, in class
-    // order: (members[0], members[i]) for each class. Every member is
-    // either merged away, dropped, or split apart from its representative
-    // by its own counterexample, so each round strictly refines.
-    std::vector<PairTask> tasks;
-    for (sim::ClassId c{0}; c < classes.num_classes(); ++c) {
-      const auto members = classes.class_members(c);
-      for (std::size_t i = 1; i < members.size(); ++i) {
-        PairTask task;
-        task.rep = members[0];
-        task.cand = members[i];
-        task.rng_seed = util::splitmix64(options_.seed) ^
-                        util::splitmix64(0x7a3a11edull + task_sequence);
-        ++task_sequence;
-        tasks.push_back(task);
-      }
-    }
-
-    // Round-start snapshot of the proven equalities: workers inject them
-    // as clauses into their cone-local solvers (fraig-style
-    // strengthening). Snapshotting keeps the injected set independent of
-    // reduction progress mid-round.
-    const std::vector<std::pair<net::NodeId, net::NodeId>> proven =
-        totals_.proven_pairs;
-    // Coordinator/worker sharing discipline (lock-free by partitioning,
-    // which is why nothing here carries a GUARDED_BY):
-    //  * tasks, proven, network_, options_ — read-only inside the batch;
-    //  * outcomes[index]               — written only by the worker that
-    //    owns task `index` (disjoint elements, no two tasks share one);
-    //  * worker_sims[worker]           — touched only by worker `worker`;
-    //  * totals_, classes              — coordinator-only, never from a
-    //    worker.
-    // run_tasks is a full barrier: everything the workers wrote is
-    // visible (and exclusively owned) here when it returns, so the
-    // reduction below needs no synchronization at all.
-    std::vector<PairOutcome> outcomes(tasks.size());
-
-    pool.run_tasks(tasks.size(), [&](std::size_t index, unsigned worker) {
-      const PairTask& task = tasks[index];
-      PairOutcome& out = outcomes[index];
-      util::Stopwatch task_watch;
-      if (obs::journal_enabled()) task_watch.start();
-
-      sat::Solver solver;
-      solver.set_conflict_limit(options_.conflict_limit);
-      if (!options_.inprocess) {
-        sat::InprocessConfig config = solver.inprocess_config();
-        config.enabled = false;
-        solver.set_inprocess_config(config);
-      }
-      // Attached before the encoder so the certifier mirrors every clause.
-      std::unique_ptr<check::Certifier> certifier;
-      if (options_.certify)
-        certifier = std::make_unique<check::Certifier>(solver);
-      sat::CnfEncoder encoder(network_, solver);
-      const sat::Var var_a = encoder.ensure_encoded(task.rep);
-      const sat::Var var_b = encoder.ensure_encoded(task.cand);
-      if (options_.add_equality_clauses) {
-        std::uint64_t injected = 0;
-        for (const auto& [x, y] : proven) {
-          if (!encoder.is_encoded(x) || !encoder.is_encoded(y)) continue;
-          const sat::Var vx = encoder.var_of(x);
-          const sat::Var vy = encoder.var_of(y);
-          solver.add_clause({sat::pos(vx), sat::neg(vy)});
-          solver.add_clause({sat::neg(vx), sat::pos(vy)});
-          injected += 2;
-        }
-        if (injected != 0) {
-          static obs::Counter& eq_clauses =
-              obs::counter("sweep.equality_clauses");
-          eq_clauses.inc(injected);
-        }
-      }
-
-      const sat::Var t = solver.new_var();
-      solver.set_frozen(t);
-      solver.add_clause({sat::neg(t), sat::pos(var_a), sat::pos(var_b)});
-      solver.add_clause({sat::neg(t), sat::neg(var_a), sat::neg(var_b)});
-      solver.add_clause({sat::pos(t), sat::pos(var_a), sat::neg(var_b)});
-      solver.add_clause({sat::pos(t), sat::neg(var_a), sat::pos(var_b)});
-
-      emit_cone_fingerprint(network_, task.rep, task.cand, task.rep, task.cand,
-                            options_.strategy_code, /*output_proof=*/false);
-#ifndef SIMGEN_NO_TELEMETRY
-      solver.set_introspection_context(task.rep, task.cand,
-                                       /*output_proof=*/false);
-#endif
-      util::Stopwatch solve_watch;
-      solve_watch.start();
-      out.verdict = solver.solve({sat::pos(t)});
-      solve_watch.stop();
-      out.solve_seconds = solve_watch.seconds();
-      // Fresh solver per task: the absolute counter is this task's count.
-      out.inprocess_runs = solver.stats().inprocess_runs.value();
-#ifndef SIMGEN_NO_TELEMETRY
-      solver.clear_introspection_context();
-#endif
-
-      if (obs::journal_enabled()) {
-        // Fresh solver: absolute stats are already per-call deltas, and
-        // num_vars is the whole (freshly encoded) cone.
-        const sat::SolverStats& stats = solver.stats();
-        obs::journal_emit(
-            obs::EventKind::kSatCall,
-            static_cast<std::uint8_t>(to_verdict(out.verdict)), task.rep,
-            task.cand, stats.conflicts.value(), stats.propagations.value(),
-            stats.decisions.value(),
-            obs::pack_cone_learned(solver.num_vars(),
-                                   stats.learned_clauses.value()),
-            obs::saturate_us(out.solve_seconds));
-      }
-
-      if (out.verdict == sat::Result::kUnsat && certifier) {
-        const sat::Lit assumption = sat::pos(t);
-        util::Stopwatch certify_watch;
-        certify_watch.start();
-        out.certified_ok = certifier->certify_unsat({&assumption, 1});
-        certify_watch.stop();
-        if (obs::journal_enabled()) {
-          const check::DratStats& stats = certifier->stats();
-          obs::journal_emit(obs::EventKind::kCertified,
-                            out.certified_ok ? 1 : 0, task.rep, task.cand,
-                            stats.checked_lemmas.value(),
-                            stats.rup_checks.value(),
-                            stats.propagations.value(), 0,
-                            obs::saturate_us(certify_watch.seconds()));
-        }
-      } else if (out.verdict == sat::Result::kSat) {
-        // Build the counterexample words exactly like the sequential
-        // engine (model bits, random fill for unencoded PIs, 1-distance
-        // neighbours) but from the task's own random stream. The worker
-        // only builds the PI words; the coordinator batch-resimulates.
-        util::Rng rng(task.rng_seed);
-        out.witness = build_witness_words(network_, encoder, solver,
-                                          options_.distance_one_fill, rng);
-      }
-
-      if (obs::journal_enabled()) {
-        // Stamped at task end: the task occupied [t_ns - dur_us*1000, t_ns]
-        // on lane `worker` (code 0 = sweep pair).
-        obs::journal_emit(obs::EventKind::kTaskRun, 0, index, worker,
-                          round_index, task.rep, 0, 0,
-                          obs::saturate_us(task_watch.seconds()));
-      }
-    });
-
-    // Deterministic reduction: apply the outcomes in task order on this
-    // thread. Merges and refinements are order-sensitive; everything the
-    // workers did is not.
-    for (std::size_t index = 0; index < tasks.size(); ++index) {
-      const PairTask& task = tasks[index];
-      PairOutcome& out = outcomes[index];
-      ++totals_.sat_calls;
-      totals_.sat_seconds += out.solve_seconds;
-      totals_.inprocess_runs += out.inprocess_runs;
-      static obs::Counter& sat_calls = obs::counter("sweep.sat_calls");
-      sat_calls.inc();
-      switch (out.verdict) {
-        case sat::Result::kUnsat: {
-          // Pending witnesses precede this merge in task order; apply
-          // them before the partition mutates.
-          flush_witnesses();
-          if (options_.certify) {
-            if (!out.certified_ok)
-              throw std::logic_error(
-                  "sweeper: UNSAT verdict failed DRAT certification");
-            ++totals_.certified_unsat;
-            static obs::Counter& certified =
-                obs::counter("sweep.certified_unsat");
-            certified.inc();
-          }
-          if (obs::journal_enabled())
-            obs::journal_emit(obs::EventKind::kClassMerged, 0, task.rep,
-                              task.cand);
-          ++totals_.proven_equivalent;
-          totals_.proven_pairs.emplace_back(task.rep, task.cand);
-          static obs::Counter& proven_counter = obs::counter("sweep.proven");
-          proven_counter.inc();
-          classes.remove_node(task.cand);
-          break;
-        }
-        case sat::Result::kSat: {
-          ++totals_.disproven;
-          static obs::Counter& disproven = obs::counter("sweep.disproven");
-          disproven.inc();
-          for (std::size_t i = 0; i < num_pis; ++i)
-            cex_staging[i * block_words + cex_pending] = out.witness[i];
-          ++cex_pending;
-          if (cex_pending == block_words) flush_witnesses();
-          break;
-        }
-        case sat::Result::kUnknown: {
-          flush_witnesses();
-          ++totals_.unresolved;
-          static obs::Counter& unresolved = obs::counter("sweep.unresolved");
-          unresolved.inc();
-          classes.remove_node(task.cand);
-          break;
-        }
-      }
-    }
-    // Trailing witnesses of the round (the paper's Eq. 5 cost and the
-    // next round's pair snapshot must see every split).
-    flush_witnesses();
-
-    const std::uint64_t live = classes.num_live_nodes();
-    const std::uint64_t resolved = initial_live - live;
-    progress.live_nodes.store(live, std::memory_order_relaxed);
-    progress.classes_live.store(classes.num_classes(), std::memory_order_relaxed);
-    progress.resolved_nodes.store(resolved, std::memory_order_relaxed);
-    progress.proved.store(totals_.proven_equivalent - before.proven_equivalent,
-                          std::memory_order_relaxed);
-    progress.disproved.store(totals_.disproven - before.disproven,
-                             std::memory_order_relaxed);
-    progress.unresolved.store(totals_.unresolved - before.unresolved,
-                              std::memory_order_relaxed);
-    progress.sat_calls.store(totals_.sat_calls - before.sat_calls,
-                             std::memory_order_relaxed);
-
-    if (options_.progress_interval > 0.0 && watch.seconds() >= next_heartbeat) {
-      const double elapsed = watch.seconds();
-      while (next_heartbeat <= elapsed)
-        next_heartbeat += options_.progress_interval;
-      const double rate =
-          resolved > 0 ? static_cast<double>(resolved) / elapsed : 0.0;
-      const double eta = rate > 0.0 ? static_cast<double>(live) / rate : 0.0;
-      util::infof(
-          "sweep[%u threads]: %zu classes live, %llu/%llu nodes resolved, "
-          "proved %llu, disproved %llu, %llu SAT calls, %.1fs elapsed, "
-          "ETA %.1fs",
-          pool.num_threads(), classes.num_classes(),
-          static_cast<unsigned long long>(resolved),
-          static_cast<unsigned long long>(initial_live),
-          static_cast<unsigned long long>(totals_.proven_equivalent -
-                                          before.proven_equivalent),
-          static_cast<unsigned long long>(totals_.disproven - before.disproven),
-          static_cast<unsigned long long>(totals_.sat_calls - before.sat_calls),
-          elapsed, eta);
-#ifndef SIMGEN_NO_TELEMETRY
-      const obs::ResourceSample res = obs::sample_resource_gauges();
-      util::infof(
-          "sweep[%u threads]: rss %.1f MB (peak %.1f MB), queue depth %llu",
-          pool.num_threads(), static_cast<double>(res.current_rss_kb) / 1024.0,
-          static_cast<double>(res.peak_rss_kb) / 1024.0,
-          static_cast<unsigned long long>(pool.pending_tasks()));
-#endif
-      if (obs::journal_enabled()) {
-        obs::journal_emit(
-            obs::EventKind::kHeartbeat, 0, live, resolved,
-            classes.num_classes(),
-            totals_.proven_equivalent - before.proven_equivalent,
-            totals_.disproven - before.disproven,
-            totals_.sat_calls - before.sat_calls, obs::saturate_us(elapsed));
-#ifndef SIMGEN_NO_TELEMETRY
-        obs::journal_emit(obs::EventKind::kResourceSample, 0,
-                          res.current_rss_kb, res.peak_rss_kb, res.alloc_count,
-                          res.alloc_bytes);
-#endif
         obs::Journal::instance().flush();
       }
     }

@@ -40,12 +40,6 @@ struct SweepOptions {
   /// budget. An output proof that still hits this budget makes the CEC
   /// verdict "undecided" (see CecResult), never a crash.
   std::uint64_t output_proof_conflict_limit = 0;
-  /// Sweep worker threads. 1 (the default) runs the sequential engine,
-  /// byte-identical to previous releases; 0 means one worker per hardware
-  /// thread; N >= 2 runs the round-based parallel engine, whose results
-  /// are a deterministic function of the seed alone — identical for every
-  /// thread count >= 2 (see DESIGN.md "Parallel sweeping").
-  unsigned num_threads = 1;
   /// Add (a == b) clauses for proven pairs to speed up later proofs.
   bool add_equality_clauses = true;
   /// Fill the 63 spare pattern slots of a counterexample word with
@@ -172,13 +166,6 @@ class Sweeper {
   void resimulate_counterexample(std::span<const sim::PatternWord> pi_words,
                                  sim::EquivClasses& classes,
                                  sim::Simulator& simulator);
-
-  /// The round-based parallel engine behind run() when the resolved
-  /// thread count is >= 2: snapshots all candidate pairs, discharges each
-  /// on a worker with its own cone-local solver/encoder, and applies the
-  /// outcomes in deterministic task order.
-  SweepResult run_parallel(sim::EquivClasses& classes,
-                           sim::Simulator& simulator, unsigned num_threads);
 
   /// Totals accumulated since \p before, as returned by run().
   [[nodiscard]] SweepResult delta_since(const SweepResult& before) const;

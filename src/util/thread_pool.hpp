@@ -1,8 +1,8 @@
 /// \file thread_pool.hpp
-/// \brief Work-stealing thread pool for the parallel sweep engine.
+/// \brief Work-stealing thread pool for bench cell sharding.
 ///
-/// The sweeping flow produces batches of independent proof obligations
-/// (one candidate pair, one fanin cone, one solver each); this pool runs
+/// The bench drivers produce batches of independent cells (one
+/// benchmark's flows each, see bench::for_each_cell); this pool runs
 /// such a batch across a fixed set of worker threads and blocks the
 /// caller until every task finished. Design constraints:
 ///
@@ -11,9 +11,9 @@
 ///    order — parallel callers must make each task a pure function of its
 ///    index and reduce the results in index order afterwards.
 ///  * Work stealing with per-worker deques guarded by plain mutexes. The
-///    tasks this pool exists for are SAT calls (microseconds to seconds),
-///    so queue overhead is noise; plain locks keep the pool trivially
-///    ThreadSanitizer-clean.
+///    tasks this pool exists for are whole flows (milliseconds to
+///    seconds), so queue overhead is noise; plain locks keep the pool
+///    trivially ThreadSanitizer-clean.
 ///  * Exceptions propagate: if tasks throw, run_tasks rethrows the one
 ///    with the lowest task index on the calling thread, after all workers
 ///    have drained (so the failure surface is deterministic too).

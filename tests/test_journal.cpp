@@ -279,10 +279,38 @@ TEST(JournalFile, RejectsMalformedJsonlLine) {
   EXPECT_NE(error.find("line"), std::string::npos);
 }
 
+/// Two cells' phases interleaved as a pooled bench run journals them
+/// (guided begins, sweep begins, guided ends, sweep ends), optionally
+/// followed by the cells' kTaskRun events.
+std::vector<JournalEvent> interleaved_phases(bool with_pool_tasks) {
+  std::vector<JournalEvent> events(4);
+  events[0].kind = EventKind::kPhaseBegin;
+  events[0].code = static_cast<std::uint8_t>(PhaseId::kGuidedSim);
+  events[1].kind = EventKind::kPhaseBegin;
+  events[1].code = static_cast<std::uint8_t>(PhaseId::kSweep);
+  events[2].kind = EventKind::kPhaseEnd;
+  events[2].code = static_cast<std::uint8_t>(PhaseId::kGuidedSim);
+  events[3].kind = EventKind::kPhaseEnd;
+  events[3].code = static_cast<std::uint8_t>(PhaseId::kSweep);
+  if (with_pool_tasks) {
+    for (std::uint64_t cell = 0; cell < 2; ++cell) {
+      JournalEvent task;
+      task.kind = EventKind::kTaskRun;
+      task.code = 2;
+      task.a = cell;
+      task.b = cell;
+      events.push_back(task);
+    }
+  }
+  return events;
+}
+
 TEST(JournalCheck, AcceptsWellFormedSequences) {
   std::string error;
   EXPECT_TRUE(obs::check_journal(sample_events(), &error)) << error;
   EXPECT_TRUE(obs::check_journal({}, &error)) << error;
+  // Concurrent bench cells interleave their phases.
+  EXPECT_TRUE(obs::check_journal(interleaved_phases(true), &error)) << error;
 }
 
 TEST(JournalCheck, RejectsStructuralViolations) {
@@ -296,6 +324,13 @@ TEST(JournalCheck, RejectsStructuralViolations) {
   bad_nesting[0].kind = EventKind::kPhaseEnd;
   bad_nesting[0].code = static_cast<std::uint8_t>(PhaseId::kSweep);
   EXPECT_FALSE(obs::check_journal(bad_nesting, &error));
+
+  // Without pool tasks there is one writer, so phases must nest.
+  EXPECT_FALSE(obs::check_journal(interleaved_phases(false), &error));
+  // With them, a phase_end still needs an open phase of its own id.
+  std::vector<JournalEvent> unmatched = interleaved_phases(true);
+  unmatched[1].code = static_cast<std::uint8_t>(PhaseId::kRandomSim);
+  EXPECT_FALSE(obs::check_journal(unmatched, &error));
 
   std::vector<JournalEvent> bad_verdict(1);
   bad_verdict[0].kind = EventKind::kSatCall;

@@ -581,6 +581,18 @@ TEST(EndToEnd, CertifiedCecPopulatesRegistry) {
         "cec.output_proofs", "sweep.run", "sweep.sat_solve"})
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
+
+  // Each sweep.sat_solve span reports its own call's conflicts, not the
+  // sweep solver's running total, so the spans sum to at most the
+  // registry's count over every solver of the run.
+  double span_conflicts = 0.0;
+  for (const Tracer::Event& event : tracer.events()) {
+    if (event.name != "sweep.sat_solve") continue;
+    for (const auto& [key, value] : event.args)
+      if (key == "conflicts") span_conflicts += value;
+  }
+  EXPECT_LE(span_conflicts,
+            static_cast<double>(snapshot.counter_value("sat.conflicts")));
 }
 
 TEST(EndToEnd, SolverStatsViewMatchesRegistryDelta) {

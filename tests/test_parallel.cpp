@@ -1,7 +1,7 @@
-// Parallel sweeping tests: thread-pool semantics, determinism of the
-// parallel engine across thread counts, the conflict-budget bugfixes
-// (solver conflict-path check, separate output-proof budget, unresolved
-// CEC verdicts), and the fuzz campaign's cross-engine leg.
+// Thread-pool semantics (the pool behind bench cell sharding), soundness
+// of the sweeper's proven pairs, and the conflict-budget bugfixes (solver
+// conflict-path check, separate output-proof budget, unresolved CEC
+// verdicts, pairs dropped by Sweeper::run).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "aig/aig_to_network.hpp"
 #include "benchgen/generator.hpp"
-#include "fuzz/campaign.hpp"
-#include "mapping/lut_mapper.hpp"
-#include "obs/inspect.hpp"
 #include "obs/journal.hpp"
 #include "sat/solver.hpp"
 #include "sim/random_sim.hpp"
@@ -125,180 +121,39 @@ TEST(ThreadPool, PropagatesTheLowestFailingTask) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel sweep determinism
+// Sweep soundness
 
-net::Network parallel_bench(unsigned num_gates = 260) {
+net::Network parallel_bench() {
   benchgen::CircuitSpec spec;
   spec.name = "parallel_sweep";
   spec.num_pis = 14;
   spec.num_pos = 8;
-  spec.num_gates = num_gates;
+  spec.num_gates = 260;
   spec.redundancy = 0.12;
   return benchgen::generate_mapped(spec);
 }
 
-sweep::SweepResult run_sweep(const net::Network& network,
-                             unsigned num_threads) {
+sweep::SweepResult run_sweep(const net::Network& network) {
   sim::Simulator simulator(network);
   sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
   sim::RandomSimOptions random_options;
   random_options.max_rounds = 4;
   run_random_simulation(simulator, classes, random_options);
-  sweep::SweepOptions options;
-  options.num_threads = num_threads;
-  sweep::Sweeper sweeper(network, options);
+  sweep::Sweeper sweeper(network, sweep::SweepOptions{});
   sweep::SweepResult result = sweeper.run(classes, simulator);
   EXPECT_TRUE(classes.fully_refined());
   return result;
 }
 
-using Pairs = std::vector<std::pair<net::NodeId, net::NodeId>>;
-
-Pairs sorted_pairs(const sweep::SweepResult& result) {
-  Pairs pairs = result.proven_pairs;
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
-
-TEST(ParallelSweep, ProvenPairsMatchTheSequentialEngine) {
-  // With an unlimited conflict budget the set of proven merges is a
-  // function of the circuit alone: simulation never splits a truly
-  // equivalent pair, so every engine must converge on the same merges.
-  const net::Network network = parallel_bench();
-  const sweep::SweepResult seq = run_sweep(network, 1);
-  const sweep::SweepResult par = run_sweep(network, 2);
-  EXPECT_EQ(seq.unresolved, 0u);
-  EXPECT_EQ(par.unresolved, 0u);
-  EXPECT_EQ(sorted_pairs(seq), sorted_pairs(par));
-  EXPECT_EQ(seq.proven_equivalent, par.proven_equivalent);
-}
-
-TEST(ParallelSweep, IsThreadCountInvariant) {
-  // Among parallel runs the *full* result — including the schedule-shaped
-  // counters — is identical for every thread count >= 2: task content and
-  // round snapshots depend only on the seed, never on the interleaving.
-  const net::Network network = parallel_bench();
-  const sweep::SweepResult two = run_sweep(network, 2);
-  const sweep::SweepResult eight = run_sweep(network, 8);
-  EXPECT_EQ(two.sat_calls, eight.sat_calls);
-  EXPECT_EQ(two.proven_equivalent, eight.proven_equivalent);
-  EXPECT_EQ(two.disproven, eight.disproven);
-  EXPECT_EQ(two.unresolved, eight.unresolved);
-  EXPECT_EQ(two.resimulations, eight.resimulations);
-  EXPECT_EQ(two.proven_pairs, eight.proven_pairs)
-      << "even the merge order must match";
-}
-
 TEST(ParallelSweep, ProvenPairsAreSound) {
   const net::Network network = parallel_bench();
-  const sweep::SweepResult result = run_sweep(network, 4);
+  const sweep::SweepResult result = run_sweep(network);
   sim::Simulator simulator(network);
   for (std::uint64_t round = 0; round < 32; ++round) {
     simulator.simulate_random_word(5, round);
     for (const auto& [x, y] : result.proven_pairs)
       ASSERT_EQ(simulator.value(x), simulator.value(y))
           << "proven pair disagrees under simulation";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel CEC
-
-TEST(ParallelCec, VerdictsMatchAcrossThreadCounts) {
-  benchgen::CircuitSpec spec;
-  spec.name = "parallel_cec";
-  spec.num_pis = 12;
-  spec.num_pos = 6;
-  spec.num_gates = 200;
-  const aig::Aig graph = benchgen::generate_circuit(spec);
-  const net::Network a = mapping::map_to_luts(graph);
-  const net::Network b = aig::to_network(graph);
-
-  sweep::CecOptions options;
-  options.num_threads = 1;
-  const sweep::CecResult seq = sweep::check_equivalence(a, b, options);
-  options.num_threads = 2;
-  const sweep::CecResult two = sweep::check_equivalence(a, b, options);
-  options.num_threads = 8;
-  const sweep::CecResult eight = sweep::check_equivalence(a, b, options);
-
-  EXPECT_TRUE(seq.equivalent);
-  EXPECT_TRUE(two.equivalent);
-  EXPECT_TRUE(eight.equivalent);
-  EXPECT_EQ(seq.outputs_proven, two.outputs_proven);
-  EXPECT_EQ(two.sweep_stats.sat_calls, eight.sweep_stats.sat_calls);
-  EXPECT_EQ(two.sweep_stats.proven_equivalent,
-            eight.sweep_stats.proven_equivalent);
-  EXPECT_EQ(two.output_sat_calls, eight.output_sat_calls);
-}
-
-TEST(ParallelCec, CertifiesEveryUnsatVerdict) {
-  benchgen::CircuitSpec spec;
-  spec.name = "parallel_certify";
-  spec.num_pis = 10;
-  spec.num_pos = 5;
-  spec.num_gates = 150;
-  const aig::Aig graph = benchgen::generate_circuit(spec);
-  const net::Network a = mapping::map_to_luts(graph);
-  const net::Network b = aig::to_network(graph);
-
-  sweep::CecOptions options;
-  options.certify = true;
-  options.num_threads = 2;
-  const sweep::CecResult result = sweep::check_equivalence(a, b, options);
-  EXPECT_TRUE(result.equivalent);
-  EXPECT_EQ(result.sweep_stats.certified_unsat,
-            result.sweep_stats.proven_equivalent);
-  EXPECT_EQ(result.certified_outputs, result.outputs_proven);
-}
-
-TEST(ParallelCec, FindsCounterexamplesWithAnyThreadCount) {
-  // One truth-table bit flipped on a PO driver under the all-zero input:
-  // all engines must find and verify a counterexample.
-  const net::Network a = parallel_bench(120);
-  sim::Simulator probe(a);
-  probe.simulate_word(std::vector<sim::PatternWord>(a.num_pis(), 0));
-  net::NodeId victim = net::kNullNode;
-  unsigned minterm = 0;
-  for (const net::NodeId po : a.pos()) {
-    const net::NodeId driver = a.fanins(po)[0];
-    if (!a.is_lut(driver)) continue;
-    victim = driver;
-    const auto fanins = a.fanins(driver);
-    for (std::size_t i = 0; i < fanins.size(); ++i)
-      minterm |= static_cast<unsigned>(probe.value(fanins[i]) & 1u) << i;
-    break;
-  }
-  ASSERT_NE(victim, net::kNullNode);
-
-  net::Network b("mutant");
-  std::vector<net::NodeId> map(a.num_nodes());
-  a.for_each_node([&](net::NodeId id) {
-    const auto& node = a.node(id);
-    switch (node.kind) {
-      case net::NodeKind::kPi: map[id] = b.add_pi(node.name); break;
-      case net::NodeKind::kConstant:
-        map[id] = b.add_constant(node.constant_value);
-        break;
-      case net::NodeKind::kPo: map[id] = b.add_po(map[node.fanins[0]]); break;
-      case net::NodeKind::kLut: {
-        std::vector<net::NodeId> fanins;
-        for (net::NodeId fanin : node.fanins) fanins.push_back(map[fanin]);
-        tt::TruthTable function = node.function;
-        if (id == victim) function.set_bit(minterm, !function.get_bit(minterm));
-        map[id] = b.add_lut(fanins, function);
-        break;
-      }
-    }
-  });
-
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    sweep::CecOptions options;
-    options.num_threads = threads;
-    const sweep::CecResult result = sweep::check_equivalence(a, b, options);
-    EXPECT_FALSE(result.equivalent) << threads << " threads";
-    EXPECT_FALSE(result.undecided) << threads << " threads";
-    ASSERT_EQ(result.counterexample.size(), a.num_pis());
   }
 }
 
@@ -410,16 +265,6 @@ TEST(ConflictBudget, LimitedOutputProofReturnsUndecided) {
   EXPECT_TRUE(result.counterexample.empty());
 }
 
-TEST(ConflictBudget, ParallelLimitedOutputProofReturnsUndecided) {
-  const auto [a, b] = xor_tree_networks();
-  sweep::CecOptions options = hard_output_proof_options();
-  options.sweep.output_proof_conflict_limit = 1;
-  options.num_threads = 2;
-  const sweep::CecResult result = sweep::check_equivalence(a, b, options);
-  EXPECT_TRUE(result.undecided);
-  EXPECT_GE(result.unresolved_outputs, 1u);
-}
-
 TEST(ConflictBudget, OutputProofsHaveTheirOwnBudget) {
   // Regression: the pair budget used to leak into the output proofs. A
   // tight pair budget with the (unlimited) default output budget must
@@ -434,8 +279,8 @@ TEST(ConflictBudget, OutputProofsHaveTheirOwnBudget) {
 }
 
 TEST(ConflictBudget, SweeperDropsLimitedPairsWithoutThrowing) {
-  // The pair budget inside the parallel engine: conflict-limited pairs
-  // are dropped and counted, never fatal.
+  // The pair budget inside Sweeper::run: conflict-limited pairs are
+  // dropped and counted, never fatal.
   const net::Network network = xor_tree_pair();
   sim::Simulator simulator(network);
   sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
@@ -445,7 +290,6 @@ TEST(ConflictBudget, SweeperDropsLimitedPairsWithoutThrowing) {
 
   sweep::SweepOptions options;
   options.conflict_limit = 1;
-  options.num_threads = 2;
   sweep::Sweeper sweeper(network, options);
   const sweep::SweepResult result = sweeper.run(classes, simulator);
   EXPECT_TRUE(classes.fully_refined());
@@ -477,107 +321,7 @@ TEST(ConflictBudget, UndecidedRunsJournalARunEndEvent) {
   EXPECT_EQ(run_end->v1, result.unresolved_outputs);
   std::remove(path.c_str());
 }
-// Runs the parallel sweep with the journal capturing scheduler profiling
-// events and returns the aggregated report.
-obs::JournalReport profiled_sweep_report(const net::Network& network,
-                                         unsigned num_threads) {
-  const std::string path = ::testing::TempDir() + "/profiled_sweep_" +
-                           std::to_string(num_threads) + ".jrnl";
-  std::remove(path.c_str());
-  EXPECT_TRUE(obs::Journal::instance().open(path));
-  run_sweep(network, num_threads);
-  obs::Journal::instance().close();
-
-  std::vector<obs::JournalEvent> events;
-  std::string error;
-  EXPECT_TRUE(obs::read_journal_file(path, events, &error)) << error;
-  std::remove(path.c_str());
-  return obs::build_report(events, /*truncated=*/false);
-}
-
-TEST(PoolProfiling, JournalTotalsAreThreadCountInvariant) {
-  // Scheduler profiling is pure observation: with it enabled, the
-  // engine-level journal totals still depend only on the circuit, never
-  // on the worker count or the interleaving. Only the scheduler's own
-  // shape (number of worker-stats lanes) may differ.
-  const net::Network network = parallel_bench();
-  const obs::JournalReport two = profiled_sweep_report(network, 2);
-  const obs::JournalReport four = profiled_sweep_report(network, 4);
-
-  EXPECT_EQ(two.sat_calls, four.sat_calls);
-  EXPECT_EQ(two.sat_unsat, four.sat_unsat);
-  EXPECT_EQ(two.class_merged, four.class_merged);
-  EXPECT_EQ(two.certified_ok, four.certified_ok);
-  EXPECT_EQ(two.certified_fail, four.certified_fail);
-  EXPECT_EQ(two.task_runs, four.task_runs)
-      << "every SAT task must journal exactly one kTaskRun at any width";
-
-  // The profiling layer itself scales with the pool width.
-  EXPECT_EQ(two.worker_stats, 2u);
-  EXPECT_EQ(four.worker_stats, 4u);
-  EXPECT_EQ(two.lanes.size(), 2u);
-  EXPECT_EQ(four.lanes.size(), 4u);
-  std::uint64_t lane_tasks = 0;
-  for (const auto& [worker, lane] : four.lanes) {
-    EXPECT_LT(worker, 4u);
-    lane_tasks += lane.tasks_run;
-  }
-  EXPECT_EQ(lane_tasks, four.task_runs)
-      << "every task run must land on exactly one worker lane";
-}
-
-TEST(SatIntrospection, JournalTotalsAreThreadCountInvariant) {
-  // The format-2 solver-introspection events come from cone-local
-  // solvers whose solves are pure functions of their task, so every
-  // introspection total — restarts, reductions, learnt/LBD rollups,
-  // fingerprints — depends only on the circuit, never on pool width or
-  // interleaving.
-  const net::Network network = parallel_bench();
-  const obs::JournalReport two = profiled_sweep_report(network, 2);
-  const obs::JournalReport four = profiled_sweep_report(network, 4);
-
-  EXPECT_GT(two.cone_fingerprints, 0u);
-  EXPECT_EQ(two.cone_fingerprints, four.cone_fingerprints);
-  EXPECT_EQ(two.solver_solve_stats, four.solver_solve_stats);
-  EXPECT_EQ(two.solver_restarts, four.solver_restarts);
-  EXPECT_EQ(two.solver_reduces, four.solver_reduces);
-  EXPECT_EQ(two.solver_budget_hits, four.solver_budget_hits);
-  EXPECT_EQ(two.reduce_deleted, four.reduce_deleted);
-  EXPECT_EQ(two.conflicts, four.conflicts);
-  EXPECT_EQ(two.learned, four.learned);
-  EXPECT_EQ(two.lbd_count, four.lbd_count);
-  EXPECT_EQ(two.lbd_sum, four.lbd_sum);
-  EXPECT_EQ(two.lbd_max, four.lbd_max);
-
-  // One fingerprint and one rollup bracket every solve at any width.
-  EXPECT_EQ(two.cone_fingerprints, two.sat_calls);
-  EXPECT_EQ(two.solver_solve_stats, two.sat_calls);
-  for (const obs::SatCallRecord& call : four.calls) {
-    EXPECT_TRUE(call.has_fingerprint);
-    EXPECT_TRUE(call.has_solve_stats);
-  }
-}
 #endif  // SIMGEN_NO_TELEMETRY
-
-// ---------------------------------------------------------------------------
-// Fuzz cross-check leg
-
-TEST(ParallelFuzz, CampaignVerdictLogMatchesSingleThread) {
-  fuzz::CampaignOptions options;
-  options.iterations = 2;
-  options.shrink = false;
-  options.artifact_dir.clear();
-  options.echo = nullptr;
-
-  const fuzz::CampaignResult seq = fuzz::run_campaign(options);
-  options.num_threads = 2;
-  const fuzz::CampaignResult par = fuzz::run_campaign(options);
-  EXPECT_EQ(seq.failures, 0u);
-  EXPECT_EQ(par.failures, 0u)
-      << "parallel engine disagreed with the single-thread oracle";
-  EXPECT_EQ(seq.verdict_log, par.verdict_log)
-      << "cross-checking must not change the verdict-log bytes";
-}
 
 }  // namespace
 }  // namespace simgen

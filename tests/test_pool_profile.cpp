@@ -275,7 +275,12 @@ TEST(PoolProfile, ScopeEmitsOneWorkerStatsEventPerWorker) {
   {
     util::ThreadPool pool(3);
     const obs::PoolProfileScope scope(pool);
-    pool.run_tasks(12, [](std::size_t, unsigned) {});
+    // One kTaskRun per task, stamped at task end by the worker that ran
+    // it, as bench::for_each_cell journals its cells (code 2).
+    pool.run_tasks(12, [](std::size_t index, unsigned worker) {
+      obs::journal_emit(obs::EventKind::kTaskRun, 2, index, worker,
+                        /*round=*/0, index);
+    });
   }
   obs::Journal::instance().close();
 
@@ -295,7 +300,17 @@ TEST(PoolProfile, ScopeEmitsOneWorkerStatsEventPerWorker) {
 
   const obs::JournalReport report = obs::build_report(events);
   EXPECT_EQ(report.worker_stats, 3u);
-  for (const auto& [worker, lane] : report.lanes) EXPECT_TRUE(lane.has_stats);
+  EXPECT_EQ(report.task_runs, 12u) << "one kTaskRun per task";
+  std::uint64_t lane_tasks = 0;
+  for (const auto& [worker, lane] : report.lanes) {
+    EXPECT_LT(worker, 3u);
+    EXPECT_TRUE(lane.has_stats);
+    EXPECT_EQ(lane.tasks_run, lane.stats_tasks)
+        << "worker " << worker << ": journaled tasks match its rollup";
+    lane_tasks += lane.tasks_run;
+  }
+  EXPECT_EQ(lane_tasks, report.task_runs)
+      << "every task run must land on exactly one worker lane";
   std::remove(path.c_str());
 }
 

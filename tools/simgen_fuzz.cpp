@@ -33,11 +33,7 @@
 ///
 /// Telemetry options (shared with every driver in this repo):
 ///   --trace-out FILE, --metrics-out FILE, --journal-out FILE,
-///   --progress SECONDS, --timeout SECONDS, --threads N
-/// --threads N (N > 1) makes every sweeping oracle a differential leg:
-/// each check runs on the sequential engine AND the N-worker parallel
-/// engine, and any verdict disagreement is an oracle failure. Verdict-log
-/// bytes match a single-thread campaign while the engines agree.
+///   --progress SECONDS, --timeout SECONDS
 ///
 /// Exit status: 0 = clean, 1 = at least one oracle mismatch (repros
 /// written), 2 = usage or I/O error.
@@ -142,7 +138,6 @@ int main(int argc, char** argv) {
   fuzz::CampaignOptions options;
   options.artifact_dir = "fuzz-artifacts";
   options.echo = stdout;
-  options.num_threads = telemetry.num_threads();
   std::string replay_path;
   std::string log_path;
   bool shrink_demo = false;
