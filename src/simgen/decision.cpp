@@ -1,5 +1,6 @@
 #include "simgen/decision.hpp"
 
+#include <bit>
 #include <vector>
 
 namespace simgen::core {
@@ -56,26 +57,16 @@ DecisionOutcome DecisionEngine::decide(NodeValues& values, net::NodeId node,
                                        const net::MffcDepthCache* mffc,
                                        util::Rng& rng) {
   DecisionOutcome outcome;
-  const auto& node_rows = rows_.rows(node);
-  const auto fanins_pre = network_.fanins(node);
-  // Bitmask form of the local assignment (see ImplicationEngine::run).
-  std::uint32_t assigned_mask = 0;
-  std::uint32_t value_bits = 0;
-  for (unsigned v = 0; v < fanins_pre.size(); ++v) {
-    const TVal value = values.get(fanins_pre[v]);
-    if (value == TVal::kUnknown) continue;
-    assigned_mask |= 1u << v;
-    if (value == TVal::kOne) value_bits |= 1u << v;
-  }
-  const TVal out = values.get(node);
+  const auto node_rows = rows_.rows(node);
+  const std::span<std::uint64_t> matched(match_.data(), rows_.mask_words(node));
+  if (!rows_.match(values, node, matched)) return outcome;  // conflict: no row compatible
+  // Matching row indices in ascending (row list) order.
   match_scratch_.clear();
-  for (std::size_t i = 0; i < node_rows.size(); ++i) {
-    const Row& row = node_rows[i];
-    if (out != TVal::kUnknown && out != tval_of(row.output)) continue;
-    if ((row.cube.mask & assigned_mask) & (row.cube.bits ^ value_bits)) continue;
-    match_scratch_.push_back(static_cast<std::uint32_t>(i));
+  for (std::size_t w = 0; w < matched.size(); ++w) {
+    for (std::uint64_t bits = matched[w]; bits != 0; bits &= bits - 1)
+      match_scratch_.push_back(
+          static_cast<std::uint32_t>(64 * w + static_cast<unsigned>(std::countr_zero(bits))));
   }
-  if (match_scratch_.empty()) return outcome;  // conflict: no row compatible
 
   // Roulette-wheel selection over the row priorities. A small epsilon
   // keeps zero-priority rows selectable (and covers the all-zero case,

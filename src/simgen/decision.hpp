@@ -57,7 +57,7 @@ struct DecisionOutcome {
 class DecisionEngine {
  public:
   DecisionEngine(const net::Network& network, const RowDatabase& rows)
-      : network_(network), rows_(rows) {}
+      : network_(network), rows_(rows), match_(rows.max_mask_words()) {}
 
   /// Supplies SCOAP costs (required before using kDontCareScoap).
   void set_scoap(const net::ScoapCosts* scoap) noexcept { scoap_ = scoap; }
@@ -74,6 +74,7 @@ class DecisionEngine {
   const net::Network& network_;
   const RowDatabase& rows_;
   const net::ScoapCosts* scoap_ = nullptr;
+  std::vector<std::uint64_t> match_;  ///< Matching-row mask of the node.
   std::vector<std::uint32_t> match_scratch_;
   std::vector<double> cdf_scratch_;
 };

@@ -19,8 +19,7 @@ PatternGenerator::PatternGenerator(const net::Network& network,
       values_(network.num_nodes()),
       implication_(network, rows_),
       decision_(network, rows_),
-      in_cone_stamp_(network.num_nodes(), 0),
-      processed_stamp_(network.num_nodes(), 0) {
+      in_cone_stamp_(network.num_nodes(), 0) {
   network_.for_each_node([&](net::NodeId id) {
     if (network_.is_constant(id)) constants_.push_back(id);
   });
@@ -95,6 +94,7 @@ bool PatternGenerator::process_target(const Target& target) {
   // saturated or a conflict occurs. `seed_start` tracks which trail
   // entries still need to be propagated by the next implication run.
   std::size_t seed_start = init_mark;
+  candidates_.clear();
   while (true) {
     // Line 9: implication from everything assigned since the last run.
     const auto& trail = values_.trail();
@@ -109,18 +109,26 @@ bool PatternGenerator::process_target(const Target& target) {
       values_.rollback_to(init_mark);
       return false;
     }
-    seed_start = values_.trail().size();
+    // Every in-cone LUT assigned since the last look becomes a candidate.
+    // No node is assigned twice within a target, so each trail entry is
+    // pushed once.
+    for (std::size_t i = seed_start; i < trail.size(); ++i) {
+      const net::NodeId node = trail[i];
+      if (in_cone_stamp_[node] == stamp_ && network_.is_lut(node))
+        candidates_.push_back(node);
+    }
+    seed_start = trail.size();
 
     // Line 15: latestUpdated — the most recently assigned, not yet
-    // processed node inside the target's cone that still has work (an
-    // unassigned fanin to decide). DC-left fanins never enter the trail,
-    // so their subtrees are correctly left free.
+    // visited node inside the target's cone that still has work (an
+    // unassigned fanin to decide). The candidates stack holds exactly the
+    // unvisited in-cone LUT trail entries in trail order, so popping
+    // visits them newest first. DC-left fanins never enter the trail, so
+    // their subtrees are correctly left free.
     net::NodeId candidate = net::kNullNode;
-    for (std::size_t i = values_.trail().size(); i-- > init_mark;) {
-      const net::NodeId node = values_.trail()[i];
-      if (in_cone_stamp_[node] != stamp_) continue;
-      if (processed_stamp_[node] == stamp_) continue;
-      if (!network_.is_lut(node)) continue;
+    while (!candidates_.empty()) {
+      const net::NodeId node = candidates_.back();
+      candidates_.pop_back();  // visited either way
       bool has_open_fanin = false;
       for (net::NodeId fanin : network_.fanins(node)) {
         if (!values_.is_assigned(fanin)) {
@@ -128,7 +136,6 @@ bool PatternGenerator::process_target(const Target& target) {
           break;
         }
       }
-      processed_stamp_[node] = stamp_;  // visited either way
       if (has_open_fanin) {
         candidate = node;
         break;

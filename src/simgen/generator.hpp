@@ -100,10 +100,12 @@ class PatternGenerator {
 
   // Per-target scratch, stamped to avoid O(n) clears.
   std::vector<std::uint32_t> in_cone_stamp_;
-  std::vector<std::uint32_t> processed_stamp_;
   std::uint32_t stamp_ = 0;
   std::vector<net::NodeId> constants_;
   std::vector<net::NodeId> cone_stack_;
+  /// In-cone LUT trail entries of the current target not yet visited by
+  /// the latestUpdated search, in trail order (newest on top).
+  std::vector<net::NodeId> candidates_;
 };
 
 }  // namespace simgen::core

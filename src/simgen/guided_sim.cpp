@@ -132,7 +132,7 @@ GuidedSimResult run_guided_simulation(sim::Simulator& simulator,
   PatternBatcher batcher(simulator, classes, fill_rng, options.strategy);
 
   // Strategy-specific generator state lives across iterations so the RNG
-  // streams and cached row/MFFC data are reused.
+  // streams, the compiled row tables and the MFFC data are reused.
   PatternGenerator* generator = nullptr;
   ReverseSimulator* reverse = nullptr;
   std::optional<PatternGenerator> generator_storage;

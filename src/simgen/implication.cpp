@@ -1,8 +1,5 @@
 #include "simgen/implication.hpp"
 
-#include <bit>
-#include <vector>
-
 namespace simgen::core {
 
 ImplicationOutcome ImplicationEngine::run(NodeValues& values,
@@ -42,49 +39,8 @@ ImplicationOutcome ImplicationEngine::run(NodeValues& values,
     const net::NodeId node = queue_[head++];
     queued_[node] = false;
     ++outcome.nodes_examined;
-    const auto& node_rows = rows_.rows(node);
-    const auto fanins = network_.fanins(node);
-
-    // Bitmask form of the local assignment: one pass over the fanins,
-    // then every row tests in a couple of bitwise ops (a row matches iff
-    // no assigned literal contradicts it and the output agrees).
-    std::uint32_t assigned_mask = 0;
-    std::uint32_t value_bits = 0;
-    for (unsigned v = 0; v < fanins.size(); ++v) {
-      const TVal value = values.get(fanins[v]);
-      if (value == TVal::kUnknown) continue;
-      assigned_mask |= 1u << v;
-      if (value == TVal::kOne) value_bits |= 1u << v;
-    }
-    const TVal out = values.get(node);
-
-    // One scan accumulates everything both strategies need: the match
-    // count, the last matching row, and the agreement summary (common
-    // literal mask, polarity differences, output agreement).
-    std::size_t match_count = 0;
-    const Row* last_match = nullptr;
-    std::uint32_t common_mask = ~0u;
-    std::uint32_t first_bits = 0;
-    std::uint32_t polarity_diff = 0;
-    bool outputs_agree = true;
-    bool first_output = false;
-    for (const Row& row : node_rows) {
-      if (out != TVal::kUnknown && out != tval_of(row.output)) continue;
-      if ((row.cube.mask & assigned_mask) & (row.cube.bits ^ value_bits))
-        continue;
-      if (match_count == 0) {
-        first_bits = row.cube.bits;
-        first_output = row.output;
-      } else {
-        polarity_diff |= row.cube.bits ^ first_bits;
-        if (row.output != first_output) outputs_agree = false;
-      }
-      common_mask &= row.cube.mask;
-      last_match = &row;
-      ++match_count;
-    }
-
-    if (match_count == 0) {
+    const std::span<std::uint64_t> matched(match_.data(), rows_.mask_words(node));
+    if (!rows_.match(values, node, matched)) {
       // Zero matching rows: the assignment contradicts this node's
       // function — the conflict Algorithm 1's compareVals reports.
       outcome.conflict = true;
@@ -92,35 +48,26 @@ ImplicationOutcome ImplicationEngine::run(NodeValues& values,
       drain_flags();
       return outcome;
     }
+    // Definition 2.2: simple implication fires only on a unique match.
+    if (strategy == ImplicationStrategy::kSimple && count_rows(matched) != 1) continue;
 
-    if (strategy == ImplicationStrategy::kSimple) {
-      // Definition 2.2: imply only from a uniquely matching row.
-      if (match_count != 1) continue;
-      const Row& row = *last_match;
-      if (out == TVal::kUnknown) assign(node, tval_of(row.output));
-      std::uint32_t to_assign = row.cube.mask & ~assigned_mask;
-      while (to_assign != 0) {
-        const unsigned v = static_cast<unsigned>(std::countr_zero(to_assign));
-        to_assign &= to_assign - 1;
-        if (!values.is_assigned(fanins[v]))
-          assign(fanins[v], tval_of(row.cube.literal_value(v)));
-      }
+    // Definition 4.1: assign every value all matching rows agree on — a
+    // slot is forced to b when the value !b contradicts every matching
+    // row; slots they disagree on stay unknown. (A unique match agrees
+    // with itself everywhere, so this is Definition 2.2's step as well.)
+    const auto fanins = network_.fanins(node);
+    if (!values.is_assigned(node)) {
+      // ON and OFF cover every minterm, so every completion of the fanin
+      // values lies in some matching row: with the output open, no open
+      // fanin can be forced. Only the output may be.
+      const TVal out = rows_.forced(node, static_cast<unsigned>(fanins.size()), matched);
+      if (out != TVal::kUnknown) assign(node, out);
       continue;
     }
-
-    // Advanced implication (Definition 4.1): assign every value all
-    // matching rows agree on; positions they disagree on stay unknown.
-    // Agreement on input v = every matching row has a literal on v
-    // (common_mask) with one polarity (no polarity_diff).
-    if (out == TVal::kUnknown && outputs_agree)
-      assign(node, tval_of(first_output));
-    std::uint32_t agreed = common_mask & ~polarity_diff & ~assigned_mask;
-    agreed &= (fanins.size() >= 32) ? ~0u : ((1u << fanins.size()) - 1u);
-    while (agreed != 0) {
-      const unsigned v = static_cast<unsigned>(std::countr_zero(agreed));
-      agreed &= agreed - 1;
-      if (!values.is_assigned(fanins[v]))
-        assign(fanins[v], tval_of((first_bits >> v) & 1u));
+    for (unsigned v = 0; v < fanins.size(); ++v) {
+      if (values.is_assigned(fanins[v])) continue;  // also a duplicate fanin
+      const TVal value = rows_.forced(node, v, matched);
+      if (value != TVal::kUnknown) assign(fanins[v], value);
     }
   }
   return outcome;

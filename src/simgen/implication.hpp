@@ -41,13 +41,15 @@ struct ImplicationOutcome {
 
 /// Implication engine with persistent scratch buffers. Algorithm 1 calls
 /// implication once per decision, thousands of times per vector batch;
-/// reusing the worklist storage keeps that loop allocation-free.
+/// reusing the worklist storage keeps that loop allocation-free. Each
+/// examined node's matching rows come from the RowDatabase masks.
 class ImplicationEngine {
  public:
   ImplicationEngine(const net::Network& network, const RowDatabase& rows)
       : network_(network),
         rows_(rows),
-        queued_(network.num_nodes(), false) {}
+        queued_(network.num_nodes(), false),
+        match_(rows.max_mask_words()) {}
 
   /// Runs implications to fixpoint starting from \p seeds (nodes whose
   /// value or surroundings just changed). Propagation spreads to fanins
@@ -62,7 +64,7 @@ class ImplicationEngine {
   const RowDatabase& rows_;
   std::vector<bool> queued_;
   std::vector<net::NodeId> queue_;
-  std::vector<std::uint32_t> match_scratch_;
+  std::vector<std::uint64_t> match_;  ///< Matching-row mask of the examined node.
 };
 
 /// One-shot convenience wrappers (tests, small callers).

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "network/network.hpp"
+#include "util/dcheck.hpp"
 
 namespace simgen::core {
 
@@ -44,8 +45,10 @@ class NodeValues {
   /// Assigns \p value to an unassigned node and records it on the trail.
   /// Precondition: the node is unassigned (callers check compatibility
   /// first; assigning over an existing value is the conflict the paper's
-  /// compareVals detects and must never reach this point).
+  /// compareVals detects and must never reach this point). The generator
+  /// relies on it: a node enters the trail at most once per target.
   void assign(net::NodeId node, TVal value) {
+    SIMGEN_DCHECK(!is_assigned(node), "NodeValues::assign over an assigned node");
     values_[node] = value;
     trail_.push_back(node);
   }
