@@ -43,11 +43,6 @@ unsigned& num_threads_storage() {
   return threads;
 }
 
-bool& inprocess_storage() {
-  static bool enabled = true;
-  return enabled;
-}
-
 }  // namespace
 
 void set_progress_interval(double seconds) {
@@ -61,10 +56,6 @@ void set_num_threads(unsigned num_threads) {
 }
 
 unsigned num_threads() { return num_threads_storage(); }
-
-void set_inprocess(bool enabled) { inprocess_storage() = enabled; }
-
-bool inprocess() { return inprocess_storage(); }
 
 void for_each_cell(std::size_t count,
                    const std::function<void(std::size_t)>& fn) {
@@ -112,11 +103,9 @@ bool write_flow_metrics_json(const FlowMetrics& metrics) {
       << "  \"sim_wall_seconds\": " << metrics.sim_wall_seconds << ",\n"
       << "  \"sat_calls\": " << metrics.sat_calls << ",\n"
       << "  \"sat_seconds\": " << metrics.sat_seconds << ",\n"
-      << "  \"sat_wall_seconds\": " << metrics.sat_wall_seconds << ",\n"
       << "  \"sat_conflicts\": " << metrics.sat_conflicts << ",\n"
       << "  \"sat_propagations\": " << metrics.sat_propagations << ",\n"
       << "  \"sat_restarts\": " << metrics.sat_restarts << ",\n"
-      << "  \"inprocess_runs\": " << metrics.inprocess_runs << ",\n"
       << "  \"proven\": " << metrics.proven << ",\n"
       << "  \"disproven\": " << metrics.disproven << ",\n"
       << "  \"unresolved\": " << metrics.unresolved << ",\n"
@@ -161,7 +150,6 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) : cli_(argc, argv) {
   }
   argc = out;
   set_progress_interval(cli_.progress_interval());
-  set_inprocess(cli_.inprocess());
 }
 
 FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strategy,
@@ -197,7 +185,6 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
     sweep_options.seed = config.seed;
     sweep_options.conflict_limit = config.sat_conflict_limit;
     sweep_options.progress_interval = progress_interval();
-    sweep_options.inprocess = inprocess();
     // Benches parallelize across cells (see for_each_cell); the sweep
     // inside a cell is sequential, so metrics stay byte-identical to a
     // single-thread run and workers are never nested.
@@ -211,11 +198,9 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
     // SAT hardness rollups from this flow's own solver instance — the
     // registry totals would mix in concurrently sharded cells.
     const sat::SolverStats& solver_stats = sweeper.solver().stats();
-    metrics.sat_wall_seconds = sweep_result.sat_seconds;
     metrics.sat_conflicts = solver_stats.conflicts.value();
     metrics.sat_propagations = solver_stats.propagations.value();
     metrics.sat_restarts = solver_stats.restarts.value();
-    metrics.inprocess_runs = sweep_result.inprocess_runs;
   }
   flow_watch.stop();
   metrics.wall_seconds = flow_watch.seconds();

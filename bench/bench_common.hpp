@@ -27,23 +27,20 @@ struct FlowMetrics {
   double sim_seconds = 0.0;        ///< Guided-simulation runtime.
   /// Wall time inside the simulation kernels (random + guided + cex
   /// resimulation), from Simulator::kernel_seconds(). A timing field like
-  /// sat_wall_seconds — perf_trend.py gates it via --gate
-  /// sim_wall_seconds; compare_bench_json.py never count-gates it.
+  /// sat_seconds — perf_trend.py gates it via --gate sim_wall_seconds;
+  /// compare_bench_json.py never count-gates it.
   double sim_wall_seconds = 0.0;
   std::uint64_t sat_calls = 0;     ///< Sweeping SAT calls (if swept).
-  double sat_seconds = 0.0;        ///< Time inside the SAT solver.
-  /// SAT hardness rollups for the trend radar (perf_trend.py gates
-  /// sat_wall_seconds via its generic --gate flag). sat_wall_seconds is
-  /// the flow's wall time inside Solver::solve — a timing field, never
-  /// count-gated; the counts come from the flow's own solver instance
-  /// (not the process registry), so they stay byte-identical under cell
-  /// sharding like the other counts. All 0 when the flow did not sweep.
-  double sat_wall_seconds = 0.0;
+  /// Wall time inside Solver::solve during the sweep — a timing field,
+  /// never count-gated; perf_trend.py gates it via --gate sat_seconds.
+  double sat_seconds = 0.0;
+  /// SAT hardness rollups for the trend radar. The counts come from the
+  /// flow's own solver instance (not the process registry), so they stay
+  /// byte-identical under cell sharding like the other counts. All 0 when
+  /// the flow did not sweep.
   std::uint64_t sat_conflicts = 0;
   std::uint64_t sat_propagations = 0;
   std::uint64_t sat_restarts = 0;
-  /// Solver inprocessing runs during the sweep (0 with --no-inprocess).
-  std::uint64_t inprocess_runs = 0;
   std::uint64_t proven = 0;
   std::uint64_t disproven = 0;
   std::uint64_t unresolved = 0;  ///< Conflict-limited pairs (if capped).
@@ -98,13 +95,6 @@ void set_progress_interval(double seconds);
 /// scheduling noise.
 void set_num_threads(unsigned num_threads);
 [[nodiscard]] unsigned num_threads();
-
-/// Solver inprocessing toggle for the bench drivers (same storage pattern
-/// as the progress interval); set false by TelemetryCli's --no-inprocess.
-/// Forwarded into SweepOptions::inprocess by run_strategy_flow, so an
-/// inprocessing-on vs -off A/B needs only the flag, no rebuild.
-void set_inprocess(bool enabled);
-[[nodiscard]] bool inprocess();
 
 /// Runs fn(0), ..., fn(count - 1), sharding the calls across the
 /// --threads worker pool when more than one thread is requested. Cells

@@ -205,7 +205,6 @@ int main(int argc, char** argv) {
   sweep::CecOptions options;
   options.guided_strategy = core::Strategy::kAiDcMffc;
   options.sweep.progress_interval = telemetry.progress_interval();
-  options.sweep.inprocess = telemetry.inprocess();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--certify") == 0) {
       options.certify = true;

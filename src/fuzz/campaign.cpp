@@ -183,7 +183,6 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       pair_options.all_arms = options.all_arms;
       pair_options.arm = arm;
       pair_options.certify = options.certify;
-      pair_options.inprocess_differential = options.inprocess_differential;
       pair_options.kernel_sweep = options.kernel_sweep;
 
       const auto check_mutant = [&](const Mutant& mutant,

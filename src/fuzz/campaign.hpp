@@ -50,9 +50,6 @@ struct CampaignOptions {
   bool all_arms = false;
   bool certify = true;
   bool shrink = true;
-  /// Cross-check every sweeping oracle with inprocessing toggled on/off
-  /// (see PairOracleOptions::inprocess_differential).
-  bool inprocess_differential = false;
   /// Width-sweep differential: rerun every sweeping oracle under every
   /// available SIMD kernel at block widths 1 and 8 and demand
   /// byte-identical results (see PairOracleOptions::kernel_sweep).

@@ -61,17 +61,12 @@ const char* verdict_str(const sweep::CecResult& verdict) {
 }
 
 /// Runs one sweeping-engine oracle on the pair and scores it against the
-/// expected verdict. With \p cross_check_inprocess the check is also
-/// rerun with solver inprocessing disabled; the passes are
-/// equivalence-preserving, so any verdict drift (or a counterexample that
-/// stops simulating to a difference) is an inprocessing soundness bug. With
-/// \p cross_check_kernels the check is rerun under every available SIMD
-/// kernel at block widths 1 and 8, and the rerun CecResult must be
-/// byte-identical to the default run's.
+/// expected verdict. With \p cross_check_kernels the check is rerun
+/// under every available SIMD kernel at block widths 1 and 8, and the
+/// rerun CecResult must be byte-identical to the default run's.
 OracleResult run_cec_oracle(std::string name, const Network& base,
                             const Mutant& mutant,
                             const sweep::CecOptions& options,
-                            bool cross_check_inprocess = false,
                             bool cross_check_kernels = false) {
   OracleResult result;
   result.name = std::move(name);
@@ -90,32 +85,6 @@ OracleResult run_cec_oracle(std::string name, const Network& base,
       result.pass = false;
       result.detail = "counterexample does not simulate to a difference";
       return result;
-    }
-    if (cross_check_inprocess) {
-      sweep::CecOptions plain_options = options;
-      plain_options.sweep.inprocess = !options.sweep.inprocess;
-      const sweep::CecResult plain_verdict =
-          sweep::check_equivalence(base, mutant.network, plain_options);
-      if (plain_verdict.equivalent != verdict.equivalent ||
-          plain_verdict.undecided != verdict.undecided) {
-        result.pass = false;
-        result.detail = std::string("inprocess=") +
-                        (plain_options.sweep.inprocess ? "on" : "off") +
-                        " verdict " + verdict_str(plain_verdict) +
-                        " disagrees with inprocess=" +
-                        (options.sweep.inprocess ? "on" : "off") + " " +
-                        verdict_str(verdict) + " [" + mutant.description + "]";
-        return result;
-      }
-      if (!plain_verdict.equivalent &&
-          !counterexample_valid(base, mutant.network,
-                                plain_verdict.counterexample)) {
-        result.pass = false;
-        result.detail = std::string("inprocess=") +
-                        (plain_options.sweep.inprocess ? "on" : "off") +
-                        " counterexample does not simulate to a difference";
-        return result;
-      }
     }
     if (cross_check_kernels) {
       // Width-sweep oracle: the whole CecResult must be a function of the
@@ -283,19 +252,19 @@ std::vector<OracleResult> check_pair(const Network& base,
       results.push_back(run_cec_oracle(
           "cec[" + std::string(core::strategy_name(arm)) + "]", base, mutant,
           arm_options(arm, options.seed, options.certify),
-          options.inprocess_differential, options.kernel_sweep));
+          options.kernel_sweep));
   } else {
     results.push_back(run_cec_oracle(
         "cec[" + std::string(core::strategy_name(options.arm)) + "]", base,
         mutant, arm_options(options.arm, options.seed, options.certify),
-        options.inprocess_differential, options.kernel_sweep));
+        options.kernel_sweep));
   }
 
   // Plain SAT miter.
   results.push_back(run_cec_oracle(
       "sat-miter", base, mutant,
       sat_miter_options(options.seed, options.certify),
-      options.inprocess_differential, options.kernel_sweep));
+      options.kernel_sweep));
 
   // BDD engine. Node-limit blow-up is a pass (the engine is *allowed* to
   // give up), but a completed wrong verdict is a mismatch.

@@ -49,12 +49,6 @@ struct PairOracleOptions {
   /// BDD manager bound; blow-up is reported as a pass with detail
   /// "incomplete", never as a failure.
   std::size_t bdd_node_limit = 1u << 20;
-  /// Rerun every sweeping oracle with solver inprocessing toggled (on vs
-  /// off) and fail on any verdict disagreement or non-simulating
-  /// counterexample. The inprocessing passes are equivalence-preserving,
-  /// so the two runs must agree on every pair; oracle names and
-  /// verdict-log bytes are unchanged while they do.
-  bool inprocess_differential = false;
   /// Width-sweep differential: rerun every sweeping oracle under every
   /// available simulation kernel (scalar/AVX2/AVX-512) at block widths 1
   /// and 8 and demand *byte-identical* results — verdict, counterexample

@@ -487,16 +487,6 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
         join.restarts = event.v3;
         break;
       }
-      case EventKind::kSolverInprocess: {
-        report.solver_inprocess += 1;
-        report.inprocess_deleted += event.v0;
-        report.inprocess_strengthened += event.v1;
-        report.inprocess_failed_lits += event.v2;
-        report.inprocess_substituted += event.v3 >> 32;
-        report.inprocess_eliminated += event.v3 & 0xffffffffull;
-        report.inprocess_us += event.dur_us;
-        break;
-      }
       default:
         break;
     }
@@ -536,6 +526,8 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const JournalEvent& event = events[i];
     const auto kind_value = static_cast<std::uint8_t>(event.kind);
+    // The retired kind 21 stays the upper bound so journals recorded
+    // before its retirement still validate.
     if (event.kind == EventKind::kNone ||
         kind_value > static_cast<std::uint8_t>(EventKind::kSolverInprocess))
       return fail(i, "unknown event kind " + std::to_string(kind_value));
@@ -899,19 +891,6 @@ void write_sat_report(std::ostream& out, const JournalReport& report,
                 report.solver_restarts, report.solver_reduces,
                 report.reduce_deleted, report.solver_budget_hits);
   out << line;
-  if (report.solver_inprocess > 0) {
-    std::snprintf(line, sizeof line,
-                  "inprocessing: %" PRIu64 " runs totaling %s: %" PRIu64
-                  " clauses deleted, %" PRIu64 " strengthened/vivified, %" PRIu64
-                  " failed literals,\n              %" PRIu64
-                  " variables substituted, %" PRIu64 " eliminated\n",
-                  report.solver_inprocess,
-                  format_duration_us(report.inprocess_us).c_str(),
-                  report.inprocess_deleted, report.inprocess_strengthened,
-                  report.inprocess_failed_lits, report.inprocess_substituted,
-                  report.inprocess_eliminated);
-    out << line;
-  }
   if (report.lbd_count > 0) {
     std::snprintf(line, sizeof line,
                   "learnt:       %" PRIu64 " clauses with LBD recorded, mean LBD "
@@ -1305,14 +1284,6 @@ void write_html_report(std::ostream& out, const JournalReport& report,
     row("learnt-DB reductions", report.solver_reduces);
     row("&nbsp;&nbsp;clauses deleted", report.reduce_deleted);
     row("budget hits", report.solver_budget_hits);
-    row("inprocessing runs", report.solver_inprocess);
-    if (report.solver_inprocess > 0) {
-      row("&nbsp;&nbsp;clauses deleted", report.inprocess_deleted);
-      row("&nbsp;&nbsp;strengthened/vivified", report.inprocess_strengthened);
-      row("&nbsp;&nbsp;failed literals", report.inprocess_failed_lits);
-      row("&nbsp;&nbsp;variables substituted", report.inprocess_substituted);
-      row("&nbsp;&nbsp;variables eliminated", report.inprocess_eliminated);
-    }
     row("cone fingerprints", report.cone_fingerprints);
     row("learnt clauses with LBD", report.lbd_count);
     if (report.lbd_count > 0) {

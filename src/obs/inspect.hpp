@@ -174,15 +174,6 @@ struct JournalReport {
   std::uint64_t lbd_sum = 0;    ///< Sum of those LBDs.
   std::uint64_t lbd_max = 0;    ///< Max LBD seen in any solve.
 
-  // Inprocessing totals (journal format >= 3; zero otherwise).
-  std::uint64_t solver_inprocess = 0;        ///< kSolverInprocess events.
-  std::uint64_t inprocess_deleted = 0;       ///< Clauses removed by passes.
-  std::uint64_t inprocess_strengthened = 0;  ///< Strengthened + vivified.
-  std::uint64_t inprocess_failed_lits = 0;   ///< Failed-literal units.
-  std::uint64_t inprocess_substituted = 0;   ///< SCC-substituted variables.
-  std::uint64_t inprocess_eliminated = 0;    ///< BVE-eliminated variables.
-  std::uint64_t inprocess_us = 0;            ///< Time inside the passes.
-
   std::map<std::uint64_t, ClassRecord> classes;  ///< Keyed by rep.
   std::map<std::uint64_t, WorkerLane> lanes;     ///< Keyed by worker index.
   std::vector<SatCallRecord> calls;              ///< Journal order.

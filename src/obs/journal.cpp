@@ -21,9 +21,9 @@ namespace {
 constexpr char kMagic[8] = {'S', 'G', 'J', 'R', 'N', 'L', '0', '1'};
 /// Version history: 1 = original event set (kinds 0..15); 2 = solver
 /// introspection kinds (kSolverRestart/kSolverReduce/kSolverBudget/
-/// kConeFingerprint/kSolverSolveStats); 3 = inprocessing milestone
-/// (kSolverInprocess). The event layout is unchanged, so the reader
-/// accepts every version from 1 up to this.
+/// kConeFingerprint/kSolverSolveStats); 3 = kind 21 (kSolverInprocess,
+/// since retired: still read, no longer written). The event layout is
+/// unchanged, so the reader accepts every version from 1 up to this.
 constexpr std::uint32_t kFormatVersion = 3;
 
 /// 32-byte binary file header; everything after it is raw little-endian

@@ -110,15 +110,13 @@ enum class EventKind : std::uint8_t {
                            ///< v0=learnt clauses this solve, v1=LBD sum,
                            ///< v2=LBD max, v3=restarts this solve, flags
                            ///< bit0 = output proof.
-  // --- Inprocessing (format version >= 3) -------------------------------
-  kSolverInprocess = 21,  ///< One inprocessing run between restarts,
-                          ///< joined like the other solver milestones:
-                          ///< a,b=target pair, v0=clauses deleted,
-                          ///< v1=clauses strengthened (self-subsumption +
-                          ///< vivification), v2=failed-literal units,
-                          ///< v3=(substituted vars << 32) | eliminated
-                          ///< vars, dur_us=run wall time, flags bit0 =
-                          ///< output proof.
+  // --- Retired (format version 3) ---------------------------------------
+  kSolverInprocess = 21,  ///< Retired: one run of the solver's former
+                          ///< inprocessing layer. Nothing emits it any
+                          ///< more; the reader and check_journal still
+                          ///< accept it so format-3 journals recorded
+                          ///< while it existed keep reading, and
+                          ///< build_report counts it only in num_events.
 };
 
 /// Verdict codes for kSatCall (mirrors sat::Result's meaning without

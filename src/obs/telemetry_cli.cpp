@@ -33,10 +33,6 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) {
       timeout_seconds_ = std::atof(number.c_str());
       continue;
     }
-    if (std::strcmp(argv[i], "--no-inprocess") == 0) {
-      inprocess_ = false;
-      continue;
-    }
     argv[out++] = argv[i];
   }
   argc = out;

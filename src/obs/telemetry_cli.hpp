@@ -12,10 +12,6 @@
 ///   --progress SECONDS     heartbeat interval for sweeps (implies info
 ///                          logging); read back via progress_interval()
 ///   --timeout SECONDS      watchdog deadline; dump + flush + exit 124
-///   --no-inprocess         disable solver inprocessing (the escape hatch
-///                          for the plain-CDCL behaviour); read back via
-///                          inprocess() and forwarded by the driver into
-///                          SweepOptions::inprocess
 /// Construction registers the exit finalizer and (when any output or a
 /// timeout is requested) the signal watchdog, so the requested files are
 /// valid even if the run is interrupted. The destructor writes them on
@@ -47,8 +43,6 @@ class TelemetryCli {
   [[nodiscard]] double timeout_seconds() const noexcept {
     return timeout_seconds_;
   }
-  /// False when --no-inprocess was given (solver inprocessing disabled).
-  [[nodiscard]] bool inprocess() const noexcept { return inprocess_; }
 
  private:
   std::string trace_out_;
@@ -56,7 +50,6 @@ class TelemetryCli {
   std::string journal_out_;
   double progress_interval_ = 0.0;
   double timeout_seconds_ = 0.0;
-  bool inprocess_ = true;
 };
 
 }  // namespace simgen::obs

@@ -5,7 +5,7 @@
 /// by 32-bit word offsets (ClauseRef) instead of pointers: half the
 /// reference size of a pointer-based store, no per-clause heap
 /// allocation, and sequential clause visits (conflict analysis, database
-/// reduction, inprocessing sweeps) walk one cache-friendly buffer.
+/// reduction, garbage collection) walk one cache-friendly buffer.
 /// Layout per clause, in words:
 ///
 ///   [0] header: size << 3 | learnt << 2 | garbage << 1 | relocated
@@ -54,9 +54,6 @@ class ClauseArena {
   [[nodiscard]] Lit lit(ClauseRef ref, std::uint32_t index) const noexcept {
     return Lit::from_code(mem_[ref + 2 + index]);
   }
-  void set_lit(ClauseRef ref, std::uint32_t index, Lit lit) noexcept {
-    mem_[ref + 2 + index] = lit.code();
-  }
   void swap_lits(ClauseRef ref, std::uint32_t i, std::uint32_t j) noexcept {
     std::swap(mem_[ref + 2 + i], mem_[ref + 2 + j]);
   }
@@ -71,14 +68,6 @@ class ClauseArena {
   }
   void set_activity(ClauseRef ref, float value) noexcept {
     __builtin_memcpy(&mem_[ref + 1], &value, sizeof(value));
-  }
-
-  /// Shrinks the clause to \p new_size literals (inprocessing
-  /// strengthening); the dropped tail words become wasted space.
-  void shrink(ClauseRef ref, std::uint32_t new_size) noexcept {
-    assert(new_size >= 2 && new_size <= size(ref));
-    wasted_ += size(ref) - new_size;
-    mem_[ref] = (new_size << 3) | (mem_[ref] & 7u);
   }
 
   /// Marks the clause garbage; the storage is reclaimed by the next

@@ -37,11 +37,9 @@ void CnfEncoder::encode_node(net::NodeId node_id) {
   switch (node.kind) {
     case net::NodeKind::kPi:
       vars_[node_id] = solver_.new_var();
-      solver_.set_frozen(vars_[node_id]);
       break;
     case net::NodeKind::kConstant: {
       const Var var = solver_.new_var();
-      solver_.set_frozen(var);
       vars_[node_id] = var;
       solver_.add_clause({node.constant_value ? pos(var) : neg(var)});
       break;
@@ -52,7 +50,6 @@ void CnfEncoder::encode_node(net::NodeId node_id) {
       break;
     case net::NodeKind::kLut: {
       const Var out = solver_.new_var();
-      solver_.set_frozen(out);
       vars_[node_id] = out;
       const tt::RowSet rows = tt::compute_rows(node.function);
       std::vector<Lit> clause;

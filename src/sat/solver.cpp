@@ -5,11 +5,7 @@
 #include <cmath>
 
 #include "obs/journal.hpp"
-#include "sat/inprocess.hpp"
 #include "sat/proof.hpp"
-#ifndef SIMGEN_NO_TELEMETRY
-#include "util/stopwatch.hpp"
-#endif
 
 namespace simgen::sat {
 namespace {
@@ -43,14 +39,6 @@ SolverStats::SolverStats(obs::register_t)
       learned_clauses("sat.learned_clauses"),
       deleted_clauses("sat.deleted_clauses"),
       db_reductions("sat.db_reductions"),
-      inprocess_runs("sat.inprocess.runs"),
-      inprocess_deleted("sat.inprocess.deleted_clauses"),
-      inprocess_strengthened("sat.inprocess.strengthened_clauses"),
-      inprocess_vivified("sat.inprocess.vivified_clauses"),
-      inprocess_failed_literals("sat.inprocess.failed_literals"),
-      inprocess_substituted("sat.inprocess.substituted_vars"),
-      inprocess_eliminated("sat.inprocess.eliminated_vars"),
-      inprocess_resolvents("sat.inprocess.bve_resolvents"),
       learned_clause_size("sat.learned_clause_size"),
       learned_clause_lbd("sat.learned_clause_lbd") {}
 
@@ -62,7 +50,6 @@ Var Solver::new_var() {
   phase_.push_back(false);
   level_.push_back(0);
   reason_.push_back(kNoReason);
-  var_flags_.push_back(0);
   activity_.push_back(0.0);
   heap_position_.push_back(kNotInHeap);
   seen_.push_back(false);
@@ -72,13 +59,6 @@ Var Solver::new_var() {
   bin_watches_.emplace_back();
   heap_insert(var);
   return var;
-}
-
-void Solver::set_frozen(Var var, bool frozen) noexcept {
-  if (frozen)
-    var_flags_[var] |= kFlagFrozen;
-  else
-    var_flags_[var] &= static_cast<std::uint8_t>(~kFlagFrozen);
 }
 
 ClauseRef Solver::install_clause(std::span<const Lit> literals, bool learnt) {
@@ -157,8 +137,9 @@ void Solver::garbage_collect() {
   for (const Lit lit : trail_) {
     ClauseRef& reason = reason_[lit.var()];
     if (reason == kNoReason) continue;
-    // Level-0 propagations can outlive their reason clause (inprocessing
-    // may delete it); analyze never expands level 0, so just drop it.
+    // A level-0 propagation no longer needs its reason clause: enqueue
+    // logged it as a unit lemma and analyze never expands level 0. So a
+    // reason that has been deleted is simply dropped.
     if (arena_.garbage(reason)) {
       reason = kNoReason;
       continue;
@@ -179,14 +160,6 @@ void Solver::garbage_collect_if_needed() {
 bool Solver::add_clause(std::span<const Lit> literals) {
   if (!ok_) return false;
   backtrack(0);
-  // A clause over a BVE-eliminated variable reverts that elimination
-  // first (the saved clauses come back), so incremental callers never
-  // see an inconsistent variable. Frozen variables are never eliminated,
-  // which keeps this path cold in the sweeping flow.
-  for (const Lit lit : literals)
-    if ((var_flags_[lit.var()] & kFlagEliminated) != 0)
-      restore_eliminated(lit.var());
-  if (!ok_) return false;
   if (proof_) proof_->on_axiom(literals);
 
   // Normalize: sort, drop duplicates and level-0 false literals, detect
@@ -232,10 +205,9 @@ void Solver::enqueue(Lit lit, ClauseRef reason) {
   reason_[lit.var()] = reason;
   trail_.push_back(lit);
   // A literal propagated at level 0 is permanent, but its derivation is
-  // only as durable as the reason clause — which inprocessing or learnt-DB
-  // reduction may delete later. Materialize it as a unit lemma (RUP via
-  // the reason clause plus earlier root units) so every later RUP check
-  // sees it no matter what happens to the deriving clauses.
+  // only as durable as the reason clause. Materialize it as a unit lemma
+  // (RUP via the reason clause plus earlier root units) so later RUP
+  // checks never depend on that clause staying in the database.
   if (proof_ != nullptr && reason != kNoReason && decision_level() == 0) {
     const Lit unit[1] = {lit};
     proof_->on_lemma(std::span<const Lit>(unit, 1));
@@ -418,7 +390,7 @@ void Solver::backtrack(unsigned target_level) {
     phase_[var] = assigns_[var] == LBool::kTrue;
     assigns_[var] = LBool::kUndef;
     reason_[var] = kNoReason;
-    if (decidable(var) && !heap_contains(var)) heap_insert(var);
+    if (!heap_contains(var)) heap_insert(var);
   }
   trail_.resize(lim);
   trail_lim_.resize(target_level);
@@ -428,7 +400,7 @@ void Solver::backtrack(unsigned target_level) {
 Lit Solver::pick_branch_literal() {
   while (!heap_.empty()) {
     const Var var = heap_pop();
-    if (assigns_[var] == LBool::kUndef && decidable(var))
+    if (assigns_[var] == LBool::kUndef)
       return Lit(var, !phase_[var]);
   }
   return Lit::from_code(~std::uint32_t{0} - 1);  // sentinel: all assigned
@@ -538,75 +510,6 @@ void Solver::heap_sift_down(std::size_t index) {
   heap_position_[var] = static_cast<std::uint32_t>(index);
 }
 
-bool Solver::maybe_inprocess() {
-  if (!inprocess_config_.enabled || !ok_) return ok_;
-  if (conflicts_since_inprocess_ < inprocess_config_.conflict_interval)
-    return true;
-  if (problem_clauses_.empty() && learnt_clauses_.empty()) return true;
-  backtrack(0);
-#ifndef SIMGEN_NO_TELEMETRY
-  util::Stopwatch watch;
-  watch.start();
-#endif
-  Inprocessor inprocessor(*this);
-  ok_ = inprocessor.run();
-  conflicts_since_inprocess_ = 0;
-  stats_.inprocess_runs.inc();
-  compact_clause_lists();
-  garbage_collect_if_needed();
-#ifndef SIMGEN_NO_TELEMETRY
-  watch.stop();
-  const InprocessRunTally& tally = inprocessor.tally();
-  emit_introspection_inprocess(
-      tally.deleted_clauses, tally.strengthened_clauses + tally.vivified_clauses,
-      tally.failed_literals, tally.substituted_vars, tally.eliminated_vars,
-      static_cast<std::uint64_t>(watch.seconds() * 1e6));
-#endif
-  return ok_;
-}
-
-void Solver::restore_eliminated(Var var) {
-  backtrack(0);
-  var_flags_[var] &= static_cast<std::uint8_t>(~kFlagEliminated);
-  if (decidable(var) && assigns_[var] == LBool::kUndef && !heap_contains(var))
-    heap_insert(var);
-  // Re-add the clauses BVE removed for this variable. add_clause re-emits
-  // them as axioms (they were axioms of the original formula modulo
-  // earlier equivalence-preserving rewrites) and recursively restores any
-  // other eliminated variable they mention.
-  for (auto& entry : reconstruction_) {
-    if (entry.dead || entry.substitution) continue;
-    if (entry.witness.var() != var) continue;
-    entry.dead = true;
-    if (!add_clause(entry.clause)) return;
-  }
-}
-
-void Solver::extend_model() {
-  // Witness reconstruction in reverse order: BVE entries flip the
-  // eliminated variable when their saved clause came out unsatisfied
-  // (at most one polarity can need the flip — see DESIGN.md section 15);
-  // substitution entries copy the representative's value.
-  for (auto it = reconstruction_.rbegin(); it != reconstruction_.rend(); ++it) {
-    if (it->dead) continue;
-    if (it->substitution) {
-      const Lit target = it->witness;
-      const Lit rep = it->clause[1];
-      model_[target.var()] =
-          (model_[rep.var()] != rep.negated()) != target.negated();
-      continue;
-    }
-    bool satisfied = false;
-    for (const Lit lit : it->clause) {
-      if (model_[lit.var()] != lit.negated()) {
-        satisfied = true;
-        break;
-      }
-    }
-    if (!satisfied) model_[it->witness.var()] = !it->witness.negated();
-  }
-}
-
 Result Solver::search() {
   std::uint64_t restart_count = 0;
   std::uint64_t conflicts_until_restart = kRestartBase * luby(restart_count);
@@ -619,7 +522,6 @@ Result Solver::search() {
       stats_.conflicts.inc();
       ++conflicts_this_solve_;
       ++conflicts_since_restart;
-      ++conflicts_since_inprocess_;
       if (decision_level() == 0) {
         // Refuted outright: the empty clause is propagation-derivable.
         if (proof_) proof_->on_lemma({});
@@ -682,10 +584,6 @@ Result Solver::search() {
       conflicts_since_restart = 0;
       conflicts_until_restart = kRestartBase * luby(restart_count);
       backtrack(0);
-      // Inprocessing slot: between restarts, at decision level 0.
-      if (!maybe_inprocess()) {
-        return Result::kUnsat;
-      }
 #ifndef SIMGEN_NO_TELEMETRY
       ++restarts_this_solve_;
       emit_introspection_restart(restarts_this_solve_);
@@ -716,14 +614,6 @@ Result Solver::search() {
 Result Solver::solve(std::span<const Lit> assumptions) {
   stats_.solve_calls.inc();
   if (!ok_) return Result::kUnsat;
-  // Assumptions over BVE-eliminated variables revert the elimination (the
-  // satellite case "eliminated variable appears in the query assumptions"
-  // is prevented inside BVE itself, which skips the current assumption
-  // set — this handles stale assumptions from earlier solves).
-  for (const Lit assumption : assumptions)
-    if ((var_flags_[assumption.var()] & kFlagEliminated) != 0)
-      restore_eliminated(assumption.var());
-  if (!ok_) return Result::kUnsat;
 
   // Memoized assumption prefix: keep the already-established leading
   // decision levels when the new assumption sequence starts the same way,
@@ -747,30 +637,10 @@ Result Solver::solve(std::span<const Lit> assumptions) {
 #endif
   max_learnt_ = std::max<std::size_t>(1000, problem_clauses_.size() / 3);
 
-  if (!maybe_inprocess()) return Result::kUnsat;
-
   const Result result = search();
 #ifndef SIMGEN_NO_TELEMETRY
   emit_introspection_solve_stats();
 #endif
-  if (result == Result::kSat) {
-    if (reconstruction_.empty()) {
-      // No eliminated/substituted variables to reconstruct: serve the
-      // model lazily from assigns_/phase_ (see model_value) and skip
-      // the O(num_vars) materialization. SAT sweeping takes this path
-      // on every call — its encoder freezes all variables, so the
-      // reconstruction stack never grows.
-      model_lazy_ = true;
-    } else {
-      model_lazy_ = false;
-      model_.assign(num_vars(), false);
-      for (Var var{0}; var < num_vars(); ++var)
-        model_[var] = assigns_[var] == LBool::kUndef
-                          ? phase_[var]
-                          : assigns_[var] == LBool::kTrue;
-      extend_model();
-    }
-  }
   // Keep the established assumption levels on the trail for the next
   // solve; everything deeper (search decisions) is undone.
   const unsigned keep = std::min(
@@ -836,19 +706,6 @@ void Solver::emit_introspection_solve_stats() {
                     lbd_count_this_solve_, lbd_sum_this_solve_,
                     lbd_max_this_solve_, restarts_this_solve_, 0,
                     probe_flags_);
-}
-
-void Solver::emit_introspection_inprocess(std::uint64_t deleted,
-                                          std::uint64_t strengthened,
-                                          std::uint64_t units,
-                                          std::uint64_t substituted,
-                                          std::uint64_t eliminated,
-                                          std::uint64_t duration_us) {
-  if (!probe_active_ || !obs::journal_enabled()) return;
-  obs::journal_emit(obs::EventKind::kSolverInprocess, 0, probe_a_, probe_b_,
-                    deleted, strengthened, units,
-                    (substituted << 32) | (eliminated & 0xffffffffull),
-                    static_cast<std::uint32_t>(duration_us), probe_flags_);
 }
 
 #endif  // SIMGEN_NO_TELEMETRY

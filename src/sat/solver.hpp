@@ -7,11 +7,10 @@
 /// binary implication graph (per-literal binary watch lists; propagation
 /// over them never touches clause memory), first-UIP conflict analysis
 /// with clause minimization, VSIDS branching with phase saving, Luby
-/// restarts, activity-based learned-clause deletion, an inprocessing
-/// layer (see sat/inprocess.hpp) that runs between restarts, and
-/// incremental solving under assumptions with a memoized assumption
-/// prefix — the mode SAT sweeping uses to test one candidate pair of
-/// nodes per call while keeping all previously loaded cone clauses.
+/// restarts, activity-based learned-clause deletion, and incremental
+/// solving under assumptions with a memoized assumption prefix — the
+/// mode SAT sweeping uses to test one candidate pair of nodes per call
+/// while keeping all previously loaded cone clauses.
 #pragma once
 
 #include <cstdint>
@@ -25,28 +24,6 @@
 namespace simgen::sat {
 
 class ProofTracer;  // see sat/proof.hpp
-
-/// Inprocessing configuration. Every pass is individually toggleable so
-/// a differential failure names the guilty technique; the tick budgets
-/// bound each pass by its dominant unit of work (literal visits or
-/// propagations), keeping a run O(budget) regardless of database size.
-struct InprocessConfig {
-  bool enabled = true;
-  bool scc = true;      ///< Equivalent-literal substitution (binary SCCs).
-  bool probe = true;    ///< Failed-literal probing.
-  bool subsume = true;  ///< Subsumption + self-subsumption strengthening.
-  bool vivify = true;   ///< Clause vivification.
-  bool bve = true;      ///< Bounded variable elimination.
-  /// Conflicts between inprocessing runs (0 = run before every solve).
-  std::uint64_t conflict_interval = 4000;
-  std::uint64_t subsume_ticks = 2'000'000;  ///< Literal visits.
-  std::uint64_t vivify_ticks = 200'000;     ///< Propagated literals.
-  std::uint64_t probe_ticks = 200'000;      ///< Propagated literals.
-  std::uint64_t bve_ticks = 1'000'000;      ///< Literal visits.
-  /// BVE skips variables with more occurrences than this on either
-  /// polarity (quadratic resolvent check guard).
-  std::uint32_t bve_occurrence_limit = 20;
-};
 
 /// Runtime counters, exposed for the paper's SAT-calls / SAT-time tables.
 ///
@@ -68,16 +45,6 @@ struct SolverStats {
   obs::Counter deleted_clauses;
   /// Learnt-clause DB reductions (reduce_learnt_db invocations).
   obs::Counter db_reductions;
-  // Inprocessing counters ("sat.inprocess.*"): one per technique so the
-  // metrics dump attributes database hygiene to the pass that did it.
-  obs::Counter inprocess_runs;
-  obs::Counter inprocess_deleted;        ///< Clauses deleted (all passes).
-  obs::Counter inprocess_strengthened;   ///< Self-subsumption strengthenings.
-  obs::Counter inprocess_vivified;       ///< Vivification shortenings.
-  obs::Counter inprocess_failed_literals;
-  obs::Counter inprocess_substituted;    ///< SCC-substituted variables.
-  obs::Counter inprocess_eliminated;     ///< BVE-eliminated variables.
-  obs::Counter inprocess_resolvents;     ///< BVE resolvent clauses added.
   /// Log2-bucket size distribution of learned clauses.
   obs::Histogram learned_clause_size;
   /// Log2-bucket LBD (literal block distance: distinct decision levels in
@@ -112,18 +79,14 @@ class Solver {
 
   /// Model access after kSat. Valid until the next solve/add_clause.
   ///
-  /// When no reconstruction is pending (nothing eliminated or
-  /// substituted — the steady state of SAT sweeping, whose encoder
-  /// freezes every variable), the model is read straight off the
-  /// solver state instead of being materialized per call: phase saving
-  /// records each variable's final value as it leaves the trail, so
-  /// `assigns_` (still-assigned) plus `phase_` (backtracked or never
-  /// decided) together ARE the satisfying assignment.
+  /// The model is read straight off the solver state instead of being
+  /// materialized per call: phase saving records each variable's final
+  /// value as it leaves the trail, so `assigns_` (still-assigned) plus
+  /// `phase_` (backtracked or never decided) together ARE the satisfying
+  /// assignment.
   [[nodiscard]] bool model_value(Var var) const {
-    if (model_lazy_)
-      return assigns_[var] == LBool::kUndef ? phase_[var]
-                                            : assigns_[var] == LBool::kTrue;
-    return model_[var];
+    return assigns_[var] == LBool::kUndef ? phase_[var]
+                                          : assigns_[var] == LBool::kTrue;
   }
   [[nodiscard]] bool model_value(Lit lit) const {
     return model_value(lit.var()) != lit.negated();
@@ -134,26 +97,6 @@ class Solver {
 
   /// 0 disables the limit (default).
   void set_conflict_limit(std::uint64_t limit) noexcept { conflict_limit_ = limit; }
-
-  /// Marks \p var externally referenced: elimination-style inprocessing
-  /// (BVE, equivalent-literal substitution) must leave it untouched
-  /// because the caller may still add clauses over it, assume it, or read
-  /// its model value. The CNF encoder freezes every variable it creates;
-  /// equivalence-preserving passes (subsumption, vivification, probing)
-  /// stay active on frozen variables.
-  void set_frozen(Var var, bool frozen = true) noexcept;
-  [[nodiscard]] bool is_frozen(Var var) const noexcept {
-    return (var_flags_[var] & kFlagFrozen) != 0;
-  }
-
-  /// Inprocessing configuration (see InprocessConfig). Takes effect at
-  /// the next inprocessing opportunity.
-  void set_inprocess_config(const InprocessConfig& config) noexcept {
-    inprocess_config_ = config;
-  }
-  [[nodiscard]] const InprocessConfig& inprocess_config() const noexcept {
-    return inprocess_config_;
-  }
 
   /// Attaches a DRAT proof observer (nullptr detaches). The tracer sees
   /// every added clause, every derived clause, and every deletion from
@@ -168,21 +111,18 @@ class Solver {
   /// Tags subsequent solves with the identity of the cone being solved —
   /// the same (a, b, output-proof) key the surrounding kSatCall event
   /// carries — so the solver-emitted introspection milestones
-  /// (kSolverRestart / kSolverReduce / kSolverBudget / kSolverInprocess)
-  /// can be joined to their call post-mortem. Milestones are emitted only
-  /// while a context is set and a journal is recording. The whole
-  /// introspection surface (these methods, the emit helpers, the LBD
-  /// computation) exists only in telemetry builds; CI nm-checks that
-  /// NO_TELEMETRY binaries contain no symbol with "introspection" in its
-  /// name.
+  /// (kSolverRestart / kSolverReduce / kSolverBudget) can be joined to
+  /// their call post-mortem. Milestones are emitted only while a context
+  /// is set and a journal is recording. The whole introspection surface
+  /// (these methods, the emit helpers, the LBD computation) exists only
+  /// in telemetry builds; CI nm-checks that NO_TELEMETRY binaries contain
+  /// no symbol with "introspection" in its name.
   void set_introspection_context(std::uint64_t a, std::uint64_t b,
                                  bool output_proof) noexcept;
   void clear_introspection_context() noexcept;
 #endif
 
  private:
-  friend class Inprocessor;  // sat/inprocess.cpp: runs the passes in-place.
-
   static constexpr ClauseRef kNoReason = kInvalidClauseRef;
 
   /// Long-clause watcher (clauses of size >= 3).
@@ -202,28 +142,6 @@ class Solver {
 
   enum class LBool : std::int8_t { kFalse = 0, kTrue = 1, kUndef = 2 };
 
-  static constexpr std::uint8_t kFlagFrozen = 1;
-  static constexpr std::uint8_t kFlagEliminated = 2;    // BVE
-  static constexpr std::uint8_t kFlagSubstituted = 4;   // SCC
-  // Representative of an SCC substitution. Its canonical binaries are the
-  // only clauses left that mention the substituted variable; resolving on
-  // the representative (BVE) would copy that variable into fresh
-  // resolvents which no rewrite pass ever visits again, breaking the
-  // reconstruction-stack ordering (substitution entries sit below later
-  // BVE entries). Such variables are therefore permanently exempt from
-  // elimination.
-  static constexpr std::uint8_t kFlagCanonical = 8;
-
-  /// Witness stack entry for model reconstruction (BVE) and substituted
-  /// variables (SCC). Processed in reverse after every kSat model
-  /// extraction; see Solver::extend_model.
-  struct ReconstructionEntry {
-    std::vector<Lit> clause;  ///< BVE: the removed clause. SCC: {lit, rep}.
-    Lit witness;              ///< The literal of the eliminated/substituted var.
-    bool substitution = false;
-    bool dead = false;  ///< Entry neutralized by restore_eliminated.
-  };
-
   [[nodiscard]] LBool value(Lit lit) const noexcept {
     const LBool v = assigns_[lit.var()];
     if (v == LBool::kUndef) return LBool::kUndef;
@@ -232,10 +150,6 @@ class Solver {
 
   [[nodiscard]] unsigned decision_level() const noexcept {
     return static_cast<unsigned>(trail_lim_.size());
-  }
-
-  [[nodiscard]] bool decidable(Var var) const noexcept {
-    return (var_flags_[var] & (kFlagEliminated | kFlagSubstituted)) == 0;
   }
 
   /// Allocates + registers + attaches a clause of size >= 2. The caller
@@ -258,16 +172,6 @@ class Solver {
   Lit pick_branch_literal();
   void reduce_learnt_db();
   Result search();
-
-  /// Runs the inprocessing passes when due (level 0, interval elapsed).
-  /// Returns false when they refute the clause set outright.
-  bool maybe_inprocess();
-  /// Reverts a BVE elimination: re-adds the removed clauses so \p var can
-  /// be mentioned again (assumptions or new clauses referencing it).
-  void restore_eliminated(Var var);
-  /// Applies the reconstruction stack to model_ (witness flips for BVE,
-  /// representative copies for substituted variables).
-  void extend_model();
 
   // VSIDS heap operations.
   void bump_var(Var var);
@@ -296,7 +200,6 @@ class Solver {
   std::vector<bool> phase_;          // per var: saved polarity
   std::vector<unsigned> level_;      // per var
   std::vector<ClauseRef> reason_;    // per var
-  std::vector<std::uint8_t> var_flags_;  // per var: frozen/eliminated/...
   std::vector<Lit> trail_;
   std::vector<std::size_t> trail_lim_;
   std::size_t propagate_head_ = 0;
@@ -328,21 +231,12 @@ class Solver {
   std::uint64_t conflicts_this_solve_ = 0;
   std::size_t max_learnt_ = 0;
   std::vector<Lit> assumptions_;
-  std::vector<bool> model_;
-  /// True when the last kSat model lives in assigns_/phase_ (see
-  /// model_value) and model_ was never materialized for it.
-  bool model_lazy_ = false;
-
-  // Inprocessing state.
-  InprocessConfig inprocess_config_;
-  std::uint64_t conflicts_since_inprocess_ = 0;
-  std::vector<ReconstructionEntry> reconstruction_;
 
   // Memoized assumption prefix: the number of leading decision levels
   // still on the trail from the previous solve whose decisions are that
   // solve's assumptions, in order. A later solve with the same leading
   // assumptions skips re-establishing (and re-propagating) them; any
-  // backtrack below the prefix — add_clause, inprocessing, conflict
+  // backtrack below the prefix — add_clause, a restart, conflict
   // analysis — invalidates the overlap automatically.
   unsigned assumption_prefix_intact_ = 0;
 
@@ -355,12 +249,6 @@ class Solver {
                                  std::uint64_t after);
   void emit_introspection_budget();
   void emit_introspection_solve_stats();
-  void emit_introspection_inprocess(std::uint64_t deleted,
-                                    std::uint64_t strengthened,
-                                    std::uint64_t units,
-                                    std::uint64_t substituted,
-                                    std::uint64_t eliminated,
-                                    std::uint64_t duration_us);
 
   std::uint64_t probe_a_ = 0;
   std::uint64_t probe_b_ = 0;

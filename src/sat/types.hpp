@@ -2,8 +2,7 @@
 /// \brief Core SAT value types: variables, literals, solver results.
 ///
 /// Split out of solver.hpp so low-level solver internals (the clause
-/// arena, the inprocessing passes) can name literals without pulling in
-/// the whole Solver class.
+/// arena) can name literals without pulling in the whole Solver class.
 #pragma once
 
 #include <cstdint>

@@ -104,11 +104,6 @@ Sweeper::Sweeper(const net::Network& network, SweepOptions options)
                                  : nullptr),
       encoder_(network, solver_) {
   solver_.set_conflict_limit(options_.conflict_limit);
-  if (!options_.inprocess) {
-    sat::InprocessConfig config = solver_.inprocess_config();
-    config.enabled = false;
-    solver_.set_inprocess_config(config);
-  }
 }
 
 void Sweeper::certify_unsat(std::span<const sat::Lit> assumptions,
@@ -164,7 +159,6 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
   // Fresh miter variable t <-> (a xor b); one solve call per pair, as the
   // paper counts SAT calls.
   const sat::Var t = solver_.new_var();
-  solver_.set_frozen(t);  // pinned by later solves; BVE must not touch it
   solver_.add_clause({sat::neg(t), sat::pos(var_a), sat::pos(var_b)});
   solver_.add_clause({sat::neg(t), sat::neg(var_a), sat::neg(var_b)});
   solver_.add_clause({sat::pos(t), sat::pos(var_a), sat::neg(var_b)});
@@ -178,7 +172,6 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
   util::Stopwatch watch;
   watch.start();
   sat::Result verdict;
-  const std::uint64_t inprocess_before = solver_.stats().inprocess_runs.value();
   {
     obs::Span solve_span("sweep.sat_solve");
     // The solver's counter runs across the whole sweep; the span reports
@@ -190,8 +183,6 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
                                        conflicts_before));
   }
   watch.stop();
-  totals_.inprocess_runs +=
-      solver_.stats().inprocess_runs.value() - inprocess_before;
 #ifndef SIMGEN_NO_TELEMETRY
   solver_.clear_introspection_context();
 #endif
@@ -410,7 +401,6 @@ SweepResult Sweeper::delta_since(const SweepResult& before) const {
   delta.disproven -= before.disproven;
   delta.unresolved -= before.unresolved;
   delta.certified_unsat -= before.certified_unsat;
-  delta.inprocess_runs -= before.inprocess_runs;
   delta.sat_seconds -= before.sat_seconds;
   delta.resimulations -= before.resimulations;
   delta.proven_pairs.erase(delta.proven_pairs.begin(),

@@ -57,13 +57,6 @@ struct SweepOptions {
   /// resolved, SAT calls, ETA) during run(). Printed at info level and
   /// journaled as kHeartbeat events; 0 disables.
   double progress_interval = 0.0;
-  /// Run the solver's inprocessing layer (subsumption, vivification,
-  /// failed-literal probing, ...) between restarts. Equivalence-
-  /// preserving passes only on the sweeping encoding (every encoder
-  /// variable is frozen), so verdicts and counterexamples are unaffected;
-  /// off reproduces the plain CDCL behaviour (--no-inprocess escape
-  /// hatch in the CLI tools).
-  bool inprocess = true;
   /// Guided-simulation strategy arm (core::Strategy numeric value) that
   /// produced the classes being swept. Purely observational: recorded as
   /// the sub-code of every kConeFingerprint journal event so the SAT
@@ -103,7 +96,10 @@ struct SweepResult {
   std::uint64_t disproven = 0;           ///< SAT outcomes (counterexamples).
   std::uint64_t unresolved = 0;          ///< Conflict-limited outcomes.
   std::uint64_t certified_unsat = 0;     ///< UNSAT verdicts DRAT-certified.
-  std::uint64_t inprocess_runs = 0;      ///< Solver inprocessing runs.
+  /// Always 0: the solver has no inprocessing layer. Kept because
+  /// perfbench/perfbench.cpp still reports it as the sat.inprocess_runs
+  /// metric; the field goes when that metric does.
+  std::uint64_t inprocess_runs = 0;
   double sat_seconds = 0.0;              ///< Time inside Solver::solve only.
   std::uint64_t resimulations = 0;
   std::vector<std::pair<net::NodeId, net::NodeId>> proven_pairs;

@@ -220,6 +220,68 @@ TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
                "solver_solve_stats");
 }
 
+TEST(JournalFile, RetiredInprocessKindStillReads) {
+  // Kind 21 is no longer emitted, but journals recorded while it was must
+  // still round-trip, validate, and report. The event sits inside the
+  // sweep phase of a well-formed run, stamped between its neighbours so
+  // the journal's time span is unchanged.
+  const std::vector<JournalEvent> plain = sample_events();
+  std::vector<JournalEvent> events = plain;
+  const auto restart =
+      std::find_if(events.begin(), events.end(), [](const JournalEvent& e) {
+        return e.kind == EventKind::kSolverRestart;
+      });
+  ASSERT_NE(restart, events.end());
+  JournalEvent retired;
+  retired.t_ns = restart->t_ns + 500;
+  retired.kind = EventKind::kSolverInprocess;
+  retired.a = 7;
+  retired.b = 9;
+  retired.v0 = 4;
+  retired.v1 = 2;
+  retired.v2 = 1;
+  retired.v3 = (std::uint64_t{3} << 32) | 5;
+  retired.dur_us = 60;
+  events.insert(restart + 1, retired);
+
+  for (const char* name : {"retired_kind.jrnl", "retired_kind.jsonl"}) {
+    SCOPED_TRACE(name);
+    const std::string path = temp_path(name);
+    ASSERT_TRUE(obs::write_journal_file(path, events));
+    std::vector<JournalEvent> loaded;
+    std::string error;
+    ASSERT_TRUE(obs::read_journal_file(path, loaded, &error)) << error;
+    ASSERT_EQ(loaded.size(), events.size());
+    for (std::size_t i = 0; i < events.size(); ++i)
+      EXPECT_EQ(loaded[i], events[i]) << "event " << i;
+  }
+  EXPECT_STREQ(obs::kind_name(EventKind::kSolverInprocess),
+               "solver_inprocess");
+
+  std::string error;
+  EXPECT_TRUE(obs::check_journal(events, &error)) << error;
+
+  // The report counts the event in num_events and nowhere else: with
+  // num_events aligned, every writer renders the same bytes as for the
+  // journal without it.
+  obs::JournalReport with = obs::build_report(events);
+  const obs::JournalReport without = obs::build_report(plain);
+  EXPECT_EQ(with.num_events, without.num_events + 1);
+  with.num_events = without.num_events;
+  const auto render = [](const obs::JournalReport& report) {
+    std::ostringstream out;
+    const obs::InspectOptions options;
+    obs::write_text_report(out, report, options);
+    obs::write_timeline(out, report, 0, options);
+    obs::write_folded_stacks(out, report, options);
+    obs::write_sat_report(out, report, options);
+    obs::write_lanes(out, report, options);
+    obs::write_html_report(out, report, options);
+    return out.str();
+  };
+  EXPECT_EQ(render(with), render(without));
+}
+
 TEST(JournalFile, BinaryToleratesTruncatedTail) {
   const std::string path = temp_path("truncated.jrnl");
   const std::vector<JournalEvent> events = sample_events();

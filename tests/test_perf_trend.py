@@ -112,40 +112,40 @@ class PerfTrendTest(unittest.TestCase):
         self.assertEqual(self.history_len(), 1)
 
     def test_gate_field_regression_fails(self):
-        # The generic --gate flag is how CI watches sat_wall_seconds; a
+        # The generic --gate flag is how CI watches sat_seconds; a
         # +125% jump clears the default 15% band plus 0.05 absolute slack.
         write_cell(self.run_dir, "alu4__simgen", wall=1.0,
-                   sat_wall_seconds=0.4)
-        run_trend(self.run_dir, self.trend_dir, "--gate", "sat_wall_seconds")
+                   sat_seconds=0.4)
+        run_trend(self.run_dir, self.trend_dir, "--gate", "sat_seconds")
         write_cell(self.run_dir, "alu4__simgen", wall=1.0,
-                   sat_wall_seconds=0.9)
+                   sat_seconds=0.9)
         code, output = run_trend(self.run_dir, self.trend_dir,
-                                 "--gate", "sat_wall_seconds")
+                                 "--gate", "sat_seconds")
         self.assertEqual(code, 2, output)
         self.assertIn("REGRESSION", output)
-        self.assertIn("sat_wall_seconds", output)
+        self.assertIn("sat_seconds", output)
         self.assertEqual(self.history_len(), 1,
                          "a regressed run must not poison the baseline")
 
     def test_gate_with_custom_band_and_atol(self):
         write_cell(self.run_dir, "alu4__simgen", wall=1.0,
-                   sat_wall_seconds=1.0)
+                   sat_seconds=1.0)
         run_trend(self.run_dir, self.trend_dir,
-                  "--gate", "sat_wall_seconds:0.5:0.0")
+                  "--gate", "sat_seconds:0.5:0.0")
         # +40% sits inside the widened 50% band.
         write_cell(self.run_dir, "alu4__simgen", wall=1.0,
-                   sat_wall_seconds=1.4)
+                   sat_seconds=1.4)
         code, output = run_trend(self.run_dir, self.trend_dir,
-                                 "--gate", "sat_wall_seconds:0.5:0.0")
+                                 "--gate", "sat_seconds:0.5:0.0")
         self.assertEqual(code, 0, output)
 
     def test_gate_skips_field_absent_from_this_run(self):
-        # Replaying an old run (no sat_wall_seconds in the json) under a
+        # Replaying an old run (no sat_seconds in the json) under a
         # gated invocation must skip the gate with a notice, not error.
         write_cell(self.run_dir, "alu4__simgen", wall=1.0)
         run_trend(self.run_dir, self.trend_dir)
         code, output = run_trend(self.run_dir, self.trend_dir,
-                                 "--gate", "sat_wall_seconds")
+                                 "--gate", "sat_seconds")
         self.assertEqual(code, 0, output)
         self.assertIn("gate skipped", output)
 
@@ -155,17 +155,17 @@ class PerfTrendTest(unittest.TestCase):
         write_cell(self.run_dir, "alu4__simgen", wall=1.0)
         run_trend(self.run_dir, self.trend_dir)
         write_cell(self.run_dir, "alu4__simgen", wall=1.0,
-                   sat_wall_seconds=0.4)
+                   sat_seconds=0.4)
         code, output = run_trend(self.run_dir, self.trend_dir,
-                                 "--gate", "sat_wall_seconds")
+                                 "--gate", "sat_seconds")
         self.assertEqual(code, 0, output)
         self.assertIn("gate skipped", output)
         # The run itself recorded the field, so the next one gates.
         code, output = run_trend(self.run_dir, self.trend_dir,
-                                 "--gate", "sat_wall_seconds")
+                                 "--gate", "sat_seconds")
         self.assertEqual(code, 0, output)
         self.assertIn("ok", output)
-        self.assertIn("sat_wall_seconds", output)
+        self.assertIn("sat_seconds", output)
 
     def test_bad_gate_spec_is_a_usage_error(self):
         write_cell(self.run_dir, "alu4__simgen", wall=1.0)
@@ -174,7 +174,7 @@ class PerfTrendTest(unittest.TestCase):
         self.assertNotEqual(code, 0)
         self.assertIn("bad --gate spec", output)
         code, output = run_trend(self.run_dir, self.trend_dir,
-                                 "--gate", "sat_wall_seconds:not_a_number")
+                                 "--gate", "sat_seconds:not_a_number")
         self.assertNotEqual(code, 0)
         self.assertIn("bad --gate spec", output)
 

@@ -1,13 +1,11 @@
 // Golden DIMACS corpus: hand-picked CNF families under tests/sat_corpus/
 // with the expected verdict recorded in a "c expect: SAT|UNSAT" header
-// line. Each instance runs twice — inprocessing off (reference) and
-// inprocessing before every solve — and both must reproduce the golden
-// verdict; SAT models are checked against the file's own clauses and
-// every UNSAT verdict is DRAT-certified. The families target specific
-// inprocessing passes: pigeonhole (resolution-hard search), parity
-// chains and cycles (SCC substitution), unit-heavy and unit-conflict
-// instances (level-0 simplification), pure literals (zero-resolvent
-// BVE), and duplicate/tautological clauses (normalization hygiene).
+// line. Each instance runs once and must reproduce the golden verdict;
+// SAT models are checked against the file's own clauses and every UNSAT
+// verdict is DRAT-certified. The families: pigeonhole (resolution-hard
+// search), parity chains and cycles (long binary implication chains),
+// unit-heavy and unit-conflict instances (level-0 simplification), pure
+// literals, and duplicate/tautological clauses (normalization hygiene).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,18 +61,12 @@ bool model_satisfies(const Solver& solver, const DimacsProblem& problem) {
   return true;
 }
 
-void run_instance(const std::filesystem::path& path, bool inprocess) {
+void run_instance(const std::filesystem::path& path) {
   const DimacsProblem problem = read_dimacs_file(path.string());
   const Result expected = expected_verdict(path);
 
   Solver solver;
-  InprocessConfig config;
-  config.enabled = inprocess;
-  config.conflict_interval = 0;  // run the passes before every solve
-  solver.set_inprocess_config(config);
   check::Certifier certifier(solver);
-  // DIMACS variables are plain query variables — none frozen, so the
-  // full pass set (including BVE and SCC substitution) applies.
   const bool consistent = load_problem(solver, problem);
   const Result verdict = consistent ? solver.solve() : Result::kUnsat;
 
@@ -89,17 +81,10 @@ void run_instance(const std::filesystem::path& path, bool inprocess) {
 
 TEST(SatCorpus, DirectoryIsNotEmpty) { EXPECT_FALSE(corpus_files().empty()); }
 
-TEST(SatCorpus, GoldenVerdictsWithoutInprocessing) {
+TEST(SatCorpus, GoldenVerdicts) {
   for (const std::filesystem::path& path : corpus_files()) {
     SCOPED_TRACE(path.filename().string());
-    run_instance(path, /*inprocess=*/false);
-  }
-}
-
-TEST(SatCorpus, GoldenVerdictsWithInprocessing) {
-  for (const std::filesystem::path& path : corpus_files()) {
-    SCOPED_TRACE(path.filename().string());
-    run_instance(path, /*inprocess=*/true);
+    run_instance(path);
   }
 }
 

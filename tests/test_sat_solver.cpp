@@ -1,11 +1,14 @@
 // CDCL solver tests: propagation, conflicts, assumptions, incrementality,
-// known-hard UNSAT families, and a brute-force cross-check property.
+// the memoized assumption prefix, known-hard UNSAT families, a brute-force
+// cross-check property, and a DRAT-certified random-CNF property.
 #include "sat/solver.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "check/drat.hpp"
 #include "util/rng.hpp"
 
 namespace simgen::sat {
@@ -244,6 +247,126 @@ TEST(Solver, StatsAreCounted) {
   solver.solve();
   EXPECT_EQ(solver.stats().solve_calls.value(), 1u);
   EXPECT_GT(solver.stats().propagations.value() + solver.stats().decisions.value(), 0u);
+}
+
+TEST(Solver, MemoizedAssumptionPrefixSkipsRepropagation) {
+  // Regression: a repeated solve under identical assumptions must not
+  // redo the assumption-prefix propagation. The chain makes the single
+  // assumption force every variable, so a memoized second call has
+  // literally nothing to propagate or decide.
+  Solver solver;
+  std::vector<Var> vars;
+  for (int i = 0; i < 200; ++i) vars.push_back(solver.new_var());
+  for (int i = 0; i + 1 < 200; ++i)
+    solver.add_clause({neg(vars[i]), pos(vars[i + 1])});
+  ASSERT_EQ(solver.solve({pos(vars[0])}), Result::kSat);
+  const std::uint64_t propagations = solver.stats().propagations.value();
+  const std::uint64_t decisions = solver.stats().decisions.value();
+  ASSERT_EQ(solver.solve({pos(vars[0])}), Result::kSat);
+  EXPECT_EQ(solver.stats().propagations.value(), propagations)
+      << "identical repeated solve repropagated the assumption prefix";
+  EXPECT_EQ(solver.stats().decisions.value(), decisions);
+  ASSERT_EQ(solver.solve({pos(vars[0])}), Result::kSat);
+  EXPECT_EQ(solver.stats().propagations.value(), propagations);
+}
+
+TEST(Solver, MemoizedPrefixInvalidatedByNewClause) {
+  // The memo must not survive database changes: adding a clause that
+  // flips the verdict under the same assumptions has to take effect.
+  Solver solver;
+  const Var x = solver.new_var();
+  const Var y = solver.new_var();
+  solver.add_clause({neg(x), pos(y)});
+  ASSERT_EQ(solver.solve({pos(x)}), Result::kSat);
+  EXPECT_TRUE(solver.model_value(y));
+  solver.add_clause({neg(x), neg(y)});
+  EXPECT_EQ(solver.solve({pos(x)}), Result::kUnsat);
+  EXPECT_EQ(solver.solve({neg(x)}), Result::kSat);
+}
+
+struct RandomCnf {
+  std::size_t num_vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+};
+
+/// Small random CNF in the phase-transition-ish density band, with the
+/// occasional unit and duplicate literal so normalization paths run too.
+RandomCnf random_cnf(util::Rng& rng) {
+  RandomCnf cnf;
+  cnf.num_vars = rng.in_range(4, 14);
+  const std::size_t num_clauses = rng.in_range(cnf.num_vars, 4 * cnf.num_vars);
+  for (std::size_t i = 0; i < num_clauses; ++i) {
+    const std::size_t width = rng.chance(0.06) ? 1 : rng.in_range(2, 4);
+    std::vector<Lit> clause;
+    for (std::size_t j = 0; j < width; ++j) {
+      const Var var{static_cast<std::uint32_t>(rng.below(cnf.num_vars))};
+      clause.push_back(rng.flip() ? pos(var) : neg(var));
+    }
+    cnf.clauses.push_back(std::move(clause));
+  }
+  return cnf;
+}
+
+bool model_satisfies(const Solver& solver, const RandomCnf& cnf) {
+  for (const std::vector<Lit>& clause : cnf.clauses) {
+    bool satisfied = false;
+    for (const Lit lit : clause)
+      if (solver.model_value(lit)) {
+        satisfied = true;
+        break;
+      }
+    if (!satisfied) return false;
+  }
+  return true;
+}
+
+TEST(Solver, RandomCnfVerdictsAreCertified) {
+  // 10k seeded CNFs: every SAT model is re-checked against every clause,
+  // every UNSAT verdict is DRAT-certified, and each satisfiable instance
+  // gets a second, incremental query under 1-3 random assumptions.
+  std::uint64_t sat = 0, unsat = 0;
+  for (std::uint64_t seed = 0; seed < 10'000; ++seed) {
+    util::Rng rng(util::splitmix64(seed));
+    const RandomCnf cnf = random_cnf(rng);
+    Solver solver;
+    check::Certifier certifier(solver);
+    for (std::size_t i = 0; i < cnf.num_vars; ++i) solver.new_var();
+    for (const std::vector<Lit>& clause : cnf.clauses) solver.add_clause(clause);
+
+    const Result verdict = solver.solve();
+    ASSERT_NE(verdict, Result::kUnknown) << "seed " << seed;
+    (verdict == Result::kSat ? sat : unsat) += 1;
+    if (verdict == Result::kSat) {
+      EXPECT_TRUE(model_satisfies(solver, cnf)) << "seed " << seed;
+    } else {
+      EXPECT_TRUE(certifier.certify_unsat({})) << "seed " << seed;
+    }
+
+    if (verdict == Result::kSat && !solver.in_conflict()) {
+      util::Rng assumption_rng(util::splitmix64(seed) ^ 0xa55);
+      std::vector<Lit> assumptions;
+      const std::size_t count = assumption_rng.in_range(1, 3);
+      for (std::size_t i = 0; i < count; ++i) {
+        const Var var{
+            static_cast<std::uint32_t>(assumption_rng.below(cnf.num_vars))};
+        assumptions.push_back(assumption_rng.flip() ? pos(var) : neg(var));
+      }
+      const Result verdict2 = solver.solve(assumptions);
+      ASSERT_NE(verdict2, Result::kUnknown) << "assumption seed " << seed;
+      if (verdict2 == Result::kSat) {
+        EXPECT_TRUE(model_satisfies(solver, cnf)) << "assumption seed " << seed;
+        for (const Lit lit : assumptions)
+          EXPECT_TRUE(solver.model_value(lit)) << "assumption seed " << seed;
+      } else {
+        EXPECT_TRUE(certifier.certify_unsat(assumptions))
+            << "assumption seed " << seed;
+      }
+    }
+    if (::testing::Test::HasFailure()) break;  // first failing seed is enough
+  }
+  // The density band must actually exercise both verdicts.
+  EXPECT_GT(sat, 100u);
+  EXPECT_GT(unsat, 100u);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ A cell regresses when
     median * (1 + BAND) + ATOL (BAND/ATOL default to --band and
     --atol-seconds). --gate is repeatable and works for any numeric
     BENCH_*.json field where higher is worse — CI uses it to watch
-    sat_wall_seconds. A gate whose field is missing from this run's
+    sat_seconds. A gate whose field is missing from this run's
     JSON, or absent from every history row in the window (history
     predating the field), is skipped with a printed notice, never an
     error.

@@ -20,9 +20,6 @@
 ///                   AI+DC+MFFC, AI+DC+SCOAP)
 ///   --all-arms      run every arm on every pair (slow, max coverage)
 ///   --no-certify    skip DRAT certification of UNSAT verdicts
-///   --inprocess-diff  rerun every sweeping oracle with solver
-///                   inprocessing toggled on/off and fail on any verdict
-///                   disagreement (the inprocessing differential leg)
 ///   --kernel-sweep  rerun every sweeping oracle under every available
 ///                   SIMD kernel at block widths 1 and 8 and fail unless
 ///                   the results are byte-identical (the width-sweep leg)
@@ -53,7 +50,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed S] [--iters N] [--seconds T] [--arm NAME]"
                " [--all-arms]\n"
-               "       [--no-certify] [--inprocess-diff] [--kernel-sweep]"
+               "       [--no-certify] [--kernel-sweep]"
                " [--no-shrink] [--out-dir DIR]"
                " [--log FILE] [--quiet]\n"
                "       %s --replay repro.blif\n"
@@ -172,8 +169,6 @@ int main(int argc, char** argv) {
       options.all_arms = true;
     } else if (std::strcmp(argv[i], "--no-certify") == 0) {
       options.certify = false;
-    } else if (std::strcmp(argv[i], "--inprocess-diff") == 0) {
-      options.inprocess_differential = true;
     } else if (std::strcmp(argv[i], "--kernel-sweep") == 0) {
       options.kernel_sweep = true;
     } else if (std::strcmp(argv[i], "--no-shrink") == 0) {

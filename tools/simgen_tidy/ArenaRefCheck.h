@@ -15,10 +15,10 @@ namespace simgen_tidy {
 /// Clause storage is a packed arena addressed by 32-bit refs whose
 /// meaning changes on every garbage collection: a ClauseRef held across
 /// solver calls dangles silently (the slot is reused, not poisoned), and
-/// inprocessing makes collections far more frequent than learnt-DB
-/// reduction alone ever did. Inside src/sat the invariants are local and
-/// audited; any other layer naming sat::ClauseRef or sat::ClauseArena is
-/// reaching into that representation and gets flagged. Use the Solver
+/// any learnt-DB reduction may trigger a collection. Inside src/sat the
+/// invariants are local and audited; any other layer naming
+/// sat::ClauseRef or sat::ClauseArena is reaching into that
+/// representation and gets flagged. Use the Solver
 /// API (add_clause, solve, model_value, stats) instead, or extend it.
 class ArenaRefCheck : public clang::tidy::ClangTidyCheck {
  public:
