@@ -8,10 +8,9 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pool_obs.hpp"
 #include "obs/resource.hpp"
+#include "util/parallel_for.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace simgen::bench {
 
@@ -64,16 +63,15 @@ void for_each_cell(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  util::ThreadPool pool(threads);
-  const obs::PoolProfileScope pool_scope(pool);
-  pool.run_tasks(count, [&](std::size_t index, unsigned worker) {
+  util::parallel_for(count, threads, [&](std::size_t index, unsigned slot) {
     util::Stopwatch cell_watch;
     if (obs::journal_enabled()) cell_watch.start();
     fn(index);
     if (obs::journal_enabled()) {
       // Code 2 = bench cell; the payload is the cell index again (cells
-      // have no node identity).
-      obs::journal_emit(obs::EventKind::kTaskRun, 2, index, worker,
+      // have no node identity). sweep_inspect --check needs these events
+      // to accept the interleaved phases of concurrent cells.
+      obs::journal_emit(obs::EventKind::kTaskRun, 2, index, slot,
                         /*round=*/0, index, 0, 0,
                         obs::saturate_us(cell_watch.seconds()));
     }
@@ -111,11 +109,7 @@ bool write_flow_metrics_json(const FlowMetrics& metrics) {
       << "  \"unresolved\": " << metrics.unresolved << ",\n"
       << "  \"num_threads\": " << metrics.num_threads << ",\n"
       << "  \"wall_seconds\": " << metrics.wall_seconds << ",\n"
-      << "  \"peak_rss_mb\": " << metrics.peak_rss_mb << ",\n"
-      << "  \"pool_tasks\": " << metrics.pool_tasks << ",\n"
-      << "  \"pool_steal_successes\": " << metrics.pool_steal_successes
-      << ",\n"
-      << "  \"pool_utilization\": " << metrics.pool_utilization << "\n"
+      << "  \"peak_rss_mb\": " << metrics.peak_rss_mb << "\n"
       << "}\n";
   return out.good();
 }
@@ -207,14 +201,10 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
   // Kernel-only simulation wall time accumulated across every phase that
   // touched this flow's simulator (random, guided, cex resimulation).
   metrics.sim_wall_seconds = simulator.kernel_seconds();
-  // Resource/scheduler context at flow end. All of these read 0 under
-  // SIMGEN_NO_TELEMETRY (dummy instruments), keeping the JSON schema
-  // identical in both builds.
+  // Reads 0 under SIMGEN_NO_TELEMETRY, keeping the JSON schema identical
+  // in both builds.
   metrics.peak_rss_mb =
       static_cast<double>(obs::sample_resources().peak_rss_kb) / 1024.0;
-  metrics.pool_tasks = obs::counter("pool.tasks").value();
-  metrics.pool_steal_successes = obs::counter("pool.steal_successes").value();
-  metrics.pool_utilization = obs::gauge_value("pool.utilization");
   if (!write_flow_metrics_json(metrics))
     std::fprintf(stderr, "warning: cannot write BENCH json for %s\n",
                  metrics.benchmark.c_str());

@@ -55,12 +55,6 @@ struct FlowMetrics {
   double wall_seconds = 0.0;
   /// Process peak RSS when the flow finished (0 without telemetry).
   double peak_rss_mb = 0.0;
-  /// Process-cumulative pool.* rollups at flow end (0 without telemetry
-  /// or when no profiled pool ran). Cumulative — not per-flow deltas —
-  /// so trend tooling diffs consecutive runs, not consecutive cells.
-  std::uint64_t pool_tasks = 0;
-  std::uint64_t pool_steal_successes = 0;
-  double pool_utilization = 0.0;  ///< Last exported busy/(busy+idle).
 };
 
 struct FlowConfig {
@@ -96,12 +90,14 @@ void set_progress_interval(double seconds);
 void set_num_threads(unsigned num_threads);
 [[nodiscard]] unsigned num_threads();
 
-/// Runs fn(0), ..., fn(count - 1), sharding the calls across the
-/// --threads worker pool when more than one thread is requested. Cells
-/// must be independent (each is typically one benchmark's whole flow);
-/// the caller collects results by index and prints them afterwards, so
-/// output order never depends on the schedule. With one thread this is
-/// a plain sequential loop.
+/// Runs fn(0), ..., fn(count - 1), sharding the calls across --threads
+/// threads (util::parallel_for) when more than one thread is requested.
+/// Cells must be independent (each is typically one benchmark's whole
+/// flow); the caller collects results by index and prints them
+/// afterwards, so output order never depends on the schedule. With one
+/// thread this is a plain sequential loop. When a journal is open, each
+/// cell run on a thread journals one kTaskRun (code 2, a = cell, b =
+/// thread slot, dur_us = cell wall time).
 void for_each_cell(std::size_t count,
                    const std::function<void(std::size_t)>& fn);
 

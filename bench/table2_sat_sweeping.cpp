@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "util/parallel_for.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace simgen;
 

@@ -94,58 +94,9 @@ void append_folded(JournalReport& report, const std::string& stack,
   if (us > 0) report.folded[stack] += us;
 }
 
-/// Start of a lane task in journal time: kTaskRun events are stamped at
-/// task end, so the occupied interval is [t_end - dur, t_end].
-std::uint64_t lane_task_begin_ns(const LaneTask& task) {
-  const std::uint64_t dur_ns = static_cast<std::uint64_t>(task.dur_us) * 1000;
-  return task.t_end_ns > dur_ns ? task.t_end_ns - dur_ns : 0;
-}
-
-/// Min/max journal time over every lane task; false when no lane spans
-/// a nonzero interval (then there is nothing to scale a timeline to).
-bool lane_span(const JournalReport& report, std::uint64_t& min_ns,
-               std::uint64_t& max_ns) {
-  min_ns = ~0ull;
-  max_ns = 0;
-  for (const auto& [worker, lane] : report.lanes)
-    for (const LaneTask& task : lane.timeline) {
-      min_ns = std::min(min_ns, lane_task_begin_ns(task));
-      max_ns = std::max(max_ns, task.t_end_ns);
-    }
-  return max_ns > min_ns && min_ns != ~0ull;
-}
-
-///// Busy fraction of one lane: the kWorkerStats rollup when recorded
-/// (busy vs busy+idle over the pool lifetime), else task time over the
-/// lane span.
-double lane_busy_percent(const WorkerLane& lane, bool have_span,
-                         std::uint64_t span_us) {
-  if (lane.has_stats && lane.stats_busy_us + lane.stats_idle_us > 0)
-    return 100.0 * static_cast<double>(lane.stats_busy_us) /
-           static_cast<double>(lane.stats_busy_us + lane.stats_idle_us);
-  if (have_span && span_us > 0)
-    return 100.0 * static_cast<double>(lane.busy_us) /
-           static_cast<double>(span_us);
-  return 0.0;
-}
-
-/// Marks the bins of a width-|bins| lane that \p task overlaps.
-void mark_lane_bins(std::vector<bool>& bins, const LaneTask& task,
-                    std::uint64_t min_ns, std::uint64_t max_ns) {
-  const int width = static_cast<int>(bins.size());
-  const double scale = static_cast<double>(width) /
-                       static_cast<double>(max_ns - min_ns);
-  int lo = static_cast<int>(
-      static_cast<double>(lane_task_begin_ns(task) - min_ns) * scale);
-  int hi = static_cast<int>(static_cast<double>(task.t_end_ns - min_ns) * scale);
-  lo = std::clamp(lo, 0, width - 1);
-  hi = std::clamp(hi, lo, width - 1);
-  for (int i = lo; i <= hi; ++i) bins[i] = true;
-}
-
 /// Per-call log2 distribution in the shared bucket_of() layout, so the
 /// --sat report quotes p50/p90/p99 through the same bucket_percentile
-/// estimator as the pool-profile exporter.
+/// estimator as Histogram::percentile.
 struct CallDistribution {
   std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
   std::uint64_t count = 0;
@@ -162,16 +113,6 @@ struct CallDistribution {
     return bucket_percentile(buckets.data(), buckets.size(), q);
   }
 };
-
-/// Pooled per-task latency distribution over every worker lane, in the
-/// shared bucket layout so the lane reports quote p50/p90/p99 through
-/// the same bucket_percentile estimator as the --sat tables.
-CallDistribution lane_latency_distribution(const JournalReport& report) {
-  CallDistribution dist;
-  for (const auto& [worker, lane] : report.lanes)
-    for (const LaneTask& task : lane.timeline) dist.observe(task.dur_us);
-  return dist;
-}
 
 std::string arm_label(std::uint8_t arm, const InspectOptions& options) {
   if (options.strategy_namer != nullptr)
@@ -244,7 +185,7 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
     if (event.t_ns > record.last_ns) record.last_ns = event.t_ns;
   };
 
-  // Solver-introspection events precede their kSatCall in every worker's
+  // Solver-introspection events precede their kSatCall in every thread's
   // ring (fingerprint before the solve, milestones and the solve-stats
   // rollup inside it), and a join key only ever comes from one thread, so
   // accumulating per key until the kSatCall arrives is order-safe even
@@ -415,29 +356,9 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
       case EventKind::kWatchdog:
         report.watchdog_fires += 1;
         break;
-      case EventKind::kTaskRun: {
+      case EventKind::kTaskRun:
         report.task_runs += 1;
-        WorkerLane& lane = report.lanes[event.b];
-        lane.worker = event.b;
-        lane.tasks_run += 1;
-        lane.busy_us += event.dur_us;
-        lane.timeline.push_back(
-            {event.t_ns, event.dur_us, event.a, event.v1, event.code});
         break;
-      }
-      case EventKind::kWorkerStats: {
-        report.worker_stats += 1;
-        WorkerLane& lane = report.lanes[event.a];
-        lane.worker = event.a;
-        lane.has_stats = true;
-        lane.stats_tasks += event.b;
-        lane.steal_attempts += event.v0;
-        lane.steal_successes += event.v1;
-        lane.stats_busy_us += event.v2;
-        lane.stats_idle_us += event.v3;
-        lane.lock_blocks += event.dur_us;
-        break;
-      }
       case EventKind::kResourceSample:
         report.resource_samples += 1;
         report.peak_rss_kb = std::max(report.peak_rss_kb, event.b);
@@ -513,11 +434,11 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
     return false;
   };
   std::vector<std::uint8_t> phase_stack;
-  // A pooled bench run journals several cells at once, so the phases of
-  // different workers interleave: there a phase_end closes the latest
-  // open phase of its id. A journal without pool tasks keeps strict
-  // nesting.
-  const bool pooled =
+  // A sharded bench run journals several cells at once, so the phases of
+  // different threads interleave: there a phase_end closes the latest
+  // open phase of its id. A journal without cell events keeps strict
+  // nesting. Kind 14 is retired but still marks such a journal.
+  const bool sharded =
       std::any_of(events.begin(), events.end(), [](const JournalEvent& event) {
         return event.kind == EventKind::kTaskRun ||
                event.kind == EventKind::kWorkerStats;
@@ -548,9 +469,9 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
         if (phase_stack.empty())
           return fail(i, "phase_end without matching phase_begin");
         const auto open =
-            pooled ? std::find(phase_stack.rbegin(), phase_stack.rend(),
-                               event.code)
-                   : phase_stack.rbegin();
+            sharded ? std::find(phase_stack.rbegin(), phase_stack.rend(),
+                                event.code)
+                    : phase_stack.rbegin();
         if (open == phase_stack.rend() || *open != event.code)
           return fail(i, std::string("phase_end ") +
                              phase_name(static_cast<PhaseId>(event.code)) +
@@ -670,11 +591,9 @@ void write_text_report(std::ostream& out, const JournalReport& report,
                 report.certified_ok, report.certified_fail,
                 report.checked_lemmas);
   out << line;
-  if (report.task_runs > 0 || report.worker_stats > 0) {
-    std::snprintf(line, sizeof line,
-                  "pool:    %" PRIu64 " pool tasks across %zu worker lanes "
-                  "(--lanes for the timeline)\n",
-                  report.task_runs, report.lanes.size());
+  if (report.task_runs > 0) {
+    std::snprintf(line, sizeof line, "cells:   %" PRIu64 " bench cells\n",
+                  report.task_runs);
     out << line;
   }
   if (report.resource_samples > 0) {
@@ -823,52 +742,6 @@ void write_folded_stacks(std::ostream& out, const JournalReport& report,
                          const InspectOptions&) {
   for (const auto& [stack, us] : report.folded)
     out << stack << ' ' << us << '\n';
-}
-
-void write_lanes(std::ostream& out, const JournalReport& report,
-                 const InspectOptions&) {
-  char line[256];
-  if (report.lanes.empty()) {
-    out << "worker lanes: no task_run events in this journal (profiling "
-           "compiled out or a single-threaded run)\n";
-    return;
-  }
-  std::uint64_t min_ns = 0, max_ns = 0;
-  const bool have_span = lane_span(report, min_ns, max_ns);
-  const std::uint64_t span_us = have_span ? (max_ns - min_ns) / 1000 : 0;
-  std::snprintf(line, sizeof line,
-                "worker lanes: %zu workers, %" PRIu64
-                " tasks, span %s ('#' busy, '.' idle)\n",
-                report.lanes.size(), report.task_runs,
-                format_duration_us(span_us).c_str());
-  out << line;
-  const CallDistribution latency = lane_latency_distribution(report);
-  if (latency.count > 0) {
-    std::snprintf(line, sizeof line,
-                  "task latency: p50 %s  p90 %s  p99 %s  max %s\n",
-                  format_duration_us(latency.percentile(0.50)).c_str(),
-                  format_duration_us(latency.percentile(0.90)).c_str(),
-                  format_duration_us(latency.percentile(0.99)).c_str(),
-                  format_duration_us(latency.max).c_str());
-    out << line;
-  }
-  constexpr int kWidth = 64;
-  for (const auto& [worker, lane] : report.lanes) {
-    std::vector<bool> bins(kWidth, false);
-    if (have_span)
-      for (const LaneTask& task : lane.timeline)
-        mark_lane_bins(bins, task, min_ns, max_ns);
-    std::string cells(static_cast<std::size_t>(kWidth), '.');
-    for (int i = 0; i < kWidth; ++i)
-      if (bins[i]) cells[static_cast<std::size_t>(i)] = '#';
-    std::snprintf(line, sizeof line,
-                  "  w%-2" PRIu64 " |%s| tasks %" PRIu64 " busy %.1f%% steals "
-                  "%" PRIu64 "/%" PRIu64 " lock-blocks %" PRIu64 "\n",
-                  worker, cells.c_str(), lane.tasks_run,
-                  lane_busy_percent(lane, have_span, span_us),
-                  lane.steal_successes, lane.steal_attempts, lane.lock_blocks);
-    out << line;
-  }
 }
 
 void write_sat_report(std::ostream& out, const JournalReport& report,
@@ -1116,7 +989,7 @@ void write_html_report(std::ostream& out, const JournalReport& report,
   row("certified ok", report.certified_ok);
   row("certified failed", report.certified_fail);
   row("heartbeats", report.heartbeats);
-  row("pool tasks", report.task_runs);
+  row("bench cells", report.task_runs);
   if (report.resource_samples > 0) row("peak RSS (kB)", report.peak_rss_kb);
   out << "</table>\n";
 
@@ -1144,70 +1017,6 @@ void write_html_report(std::ostream& out, const JournalReport& report,
     out << line;
   }
   out << "</table>\n";
-
-  if (!report.lanes.empty()) {
-    out << "<h2>Worker lanes</h2>\n";
-    std::uint64_t min_ns = 0, max_ns = 0;
-    const bool have_span = lane_span(report, min_ns, max_ns);
-    const std::uint64_t span_us = have_span ? (max_ns - min_ns) / 1000 : 0;
-    std::snprintf(line, sizeof line,
-                  "<p>%zu workers, %" PRIu64 " pool tasks over %s. Filled "
-                  "stretches are task execution; gaps are idle or stolen-away "
-                  "time.</p>\n",
-                  report.lanes.size(), report.task_runs,
-                  format_duration_us(span_us).c_str());
-    out << line;
-    const CallDistribution lane_latency = lane_latency_distribution(report);
-    if (lane_latency.count > 0) {
-      std::snprintf(line, sizeof line,
-                    "<p>Task latency: p50 %s, p90 %s, p99 %s, max %s.</p>\n",
-                    format_duration_us(lane_latency.percentile(0.50)).c_str(),
-                    format_duration_us(lane_latency.percentile(0.90)).c_str(),
-                    format_duration_us(lane_latency.percentile(0.99)).c_str(),
-                    format_duration_us(lane_latency.max).c_str());
-      out << line;
-    }
-    out << "<table>\n<tr><th>worker</th><th>tasks</th><th>busy</th>"
-           "<th>steals ok/try</th><th>lock blocks</th><th>timeline</th>"
-           "</tr>\n";
-    constexpr int kPixels = 600;
-    for (const auto& [worker, lane] : report.lanes) {
-      std::vector<bool> bins(kPixels, false);
-      if (have_span)
-        for (const LaneTask& task : lane.timeline)
-          mark_lane_bins(bins, task, min_ns, max_ns);
-      // Merge adjacent occupied pixels into one span each so the page
-      // stays small no matter how many tasks the lane ran.
-      std::string bars;
-      int run_begin = -1;
-      for (int i = 0; i <= kPixels; ++i) {
-        const bool on = i < kPixels && bins[static_cast<std::size_t>(i)];
-        if (on && run_begin < 0) run_begin = i;
-        if (!on && run_begin >= 0) {
-          char span_buf[128];
-          std::snprintf(span_buf, sizeof span_buf,
-                        "<span class=\"bar\" style=\"position:absolute;"
-                        "left:%dpx;width:%dpx\"></span>",
-                        run_begin, i - run_begin);
-          bars += span_buf;
-          run_begin = -1;
-        }
-      }
-      std::snprintf(line, sizeof line,
-                    "<tr><td>w%" PRIu64 "</td><td>%" PRIu64
-                    "</td><td>%.1f%%</td><td>%" PRIu64 "/%" PRIu64
-                    "</td><td>%" PRIu64 "</td>"
-                    "<td style=\"text-align:left\"><div style=\""
-                    "position:relative;height:11px;width:600px;"
-                    "background:#eee\">",
-                    worker, lane.tasks_run,
-                    lane_busy_percent(lane, have_span, span_us),
-                    lane.steal_successes, lane.steal_attempts,
-                    lane.lock_blocks);
-      out << line << bars << "</div></td></tr>\n";
-    }
-    out << "</table>\n";
-  }
 
   out << "<h2>Top classes by SAT time</h2>\n<table>\n"
          "<tr><th>representative</th><th>SAT calls</th><th>SAT time</th>"

@@ -105,33 +105,6 @@ struct PhaseCost {
   std::uint64_t enters = 0;
 };
 
-/// One executed pool task on a worker's lane (from kTaskRun). The event
-/// is stamped at task *end*, so the task occupied
-/// [t_end_ns - dur_us * 1000, t_end_ns] on its worker.
-struct LaneTask {
-  std::uint64_t t_end_ns = 0;
-  std::uint32_t dur_us = 0;
-  std::uint64_t task = 0;     ///< Task index within its batch.
-  std::uint64_t payload = 0;  ///< Caller payload (e.g. representative).
-  std::uint8_t kind_code = 0; ///< 0 sweep pair, 1 output proof, 2 bench cell.
-};
-
-/// Per-worker scheduler lane: the task timeline (kTaskRun) plus the
-/// teardown rollup (kWorkerStats) when the run recorded one.
-struct WorkerLane {
-  std::uint64_t worker = 0;
-  std::uint64_t tasks_run = 0;  ///< kTaskRun events on this lane.
-  std::uint64_t busy_us = 0;    ///< Sum of kTaskRun durations.
-  bool has_stats = false;       ///< A kWorkerStats rollup was seen.
-  std::uint64_t stats_tasks = 0;
-  std::uint64_t steal_attempts = 0;
-  std::uint64_t steal_successes = 0;
-  std::uint64_t stats_busy_us = 0;
-  std::uint64_t stats_idle_us = 0;
-  std::uint64_t lock_blocks = 0;
-  std::vector<LaneTask> timeline;  ///< Journal order.
-};
-
 /// Everything the report writers need, built in one pass over a journal.
 struct JournalReport {
   std::uint64_t num_events = 0;
@@ -158,8 +131,7 @@ struct JournalReport {
   std::uint64_t checked_lemmas = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t watchdog_fires = 0;
-  std::uint64_t task_runs = 0;         ///< kTaskRun events (all lanes).
-  std::uint64_t worker_stats = 0;      ///< kWorkerStats events.
+  std::uint64_t task_runs = 0;         ///< kTaskRun events (bench cells).
   std::uint64_t resource_samples = 0;  ///< kResourceSample events.
   std::uint64_t peak_rss_kb = 0;       ///< Max over resource samples.
 
@@ -175,7 +147,6 @@ struct JournalReport {
   std::uint64_t lbd_max = 0;    ///< Max LBD seen in any solve.
 
   std::map<std::uint64_t, ClassRecord> classes;  ///< Keyed by rep.
-  std::map<std::uint64_t, WorkerLane> lanes;     ///< Keyed by worker index.
   std::vector<SatCallRecord> calls;              ///< Journal order.
   std::vector<SolverRestartRecord> restart_timeline;  ///< Journal order.
   /// Keyed by (PatternSource value, strategy code).
@@ -202,8 +173,9 @@ struct InspectOptions {
 
 /// Structural validation: every event kind/sub-code in range, run
 /// begin/end pairing, phase nesting (per phase id when the journal holds
-/// pool tasks, whose concurrent cells interleave their phases). Returns
-/// false and fills \p error (if non-null) on the first violation.
+/// kTaskRun or kWorkerStats events, whose concurrent cells interleave
+/// their phases). Returns false and fills \p error (if non-null) on the
+/// first violation.
 bool check_journal(const std::vector<JournalEvent>& events,
                    std::string* error = nullptr);
 
@@ -230,14 +202,6 @@ void write_folded_stacks(std::ostream& out, const JournalReport& report,
 /// journals that predate the introspection events.
 void write_sat_report(std::ostream& out, const JournalReport& report,
                       const InspectOptions& options);
-
-/// Worker-lane timeline (from kTaskRun/kWorkerStats events): one line
-/// per worker scaled to the lane span —
-///   `  w<N> |##..##| tasks T busy P% steals S/A lock-blocks B`
-/// — with '#' marking task execution, so tooling can parse the summary
-/// fields back out of each lane line.
-void write_lanes(std::ostream& out, const JournalReport& report,
-                 const InspectOptions& options);
 
 /// Self-contained HTML report (inline CSS, no external assets).
 void write_html_report(std::ostream& out, const JournalReport& report,

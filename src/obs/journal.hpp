@@ -66,19 +66,22 @@ enum class EventKind : std::uint8_t {
                       ///< v1=proved, v2=disproved, v3=SAT calls,
                       ///< dur_us=elapsed in sweep (saturating).
   kWatchdog = 12,     ///< code=1 signal / 2 timeout, a=signal number.
-  kTaskRun = 13,      ///< One pool task: a=task index within the batch,
-                      ///< b=worker index, code=task kind, v0=round/batch
-                      ///< sequence, v1=payload id (a cell's index),
-                      ///< dur_us=task wall time. Only code 2 (bench cell,
-                      ///< bench::for_each_cell) is emitted today; codes 0
+  kTaskRun = 13,      ///< One bench cell run on a sharding thread
+                      ///< (bench::for_each_cell), stamped at its end:
+                      ///< code=2, a=cell index, b=thread slot, v0=0,
+                      ///< v1=cell index, dur_us=cell wall time. Codes 0
                       ///< (sweep pair) and 1 (output proof) came from the
                       ///< removed parallel sweep engine and stay valid in
-                      ///< recorded journals. The lane timeline in
-                      ///< sweep_inspect is built from these.
-  kWorkerStats = 14,  ///< Per-worker scheduler rollup at pool teardown:
-                      ///< a=worker index, b=tasks run, v0=steal attempts,
-                      ///< v1=steal successes, v2=busy us, v3=idle us,
-                      ///< dur_us=lock-contention blocks (saturating).
+                      ///< recorded journals. check_journal lets the phases
+                      ///< of concurrent cells interleave only in a journal
+                      ///< that holds these (or kWorkerStats) events.
+  kWorkerStats = 14,  ///< Retired: the former thread pool's per-worker
+                      ///< rollup at teardown (a=worker index, b=tasks
+                      ///< run, v0/v1=steal attempts/successes, v2/v3=busy/
+                      ///< idle us, dur_us=lock blocks). Nothing emits it
+                      ///< any more; the reader and check_journal still
+                      ///< accept it, and build_report counts it only in
+                      ///< num_events.
   kResourceSample = 15,  ///< a=current RSS kB, b=peak RSS kB,
                          ///< v0=allocation count, v1=allocated bytes
                          ///< (both 0 unless SIMGEN_ALLOC_STATS is set).

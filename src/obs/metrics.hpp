@@ -8,7 +8,7 @@
 /// ad-hoc per-module structs. Design constraints:
 ///
 ///  * Counter increments are a single relaxed atomic 64-bit add — bench
-///    cells sharded across pool workers bump shared registry counters
+///    cells sharded across threads bump shared registry counters
 ///    concurrently, and relaxed ordering keeps the hot path one lock-free
 ///    instruction (registration, retirement and export are mutex-guarded
 ///    cold paths). Histograms stay non-atomic: every histogram lives in a
@@ -70,7 +70,7 @@ class Counter {
   }
 
   /// Relaxed: counters are statistics, not synchronization. Concurrent
-  /// increments from pool workers never lose counts; readers see some
+  /// increments from bench cell threads never lose counts; readers see some
   /// recent value.
   void inc(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
@@ -114,16 +114,6 @@ class Histogram {
     ++count_;
     sum_ += value;
   }
-  /// Folds an externally accumulated bucket array in (e.g. a thread
-  /// pool's per-worker latency buckets, already in bucket_of() layout).
-  /// Extra source buckets beyond kNumBuckets are ignored.
-  void merge_from(const std::uint64_t* buckets, std::size_t num_buckets,
-                  std::uint64_t count, std::uint64_t sum) noexcept {
-    if (num_buckets > kNumBuckets) num_buckets = kNumBuckets;
-    for (std::size_t i = 0; i < num_buckets; ++i) buckets_[i] += buckets[i];
-    count_ += count;
-    sum_ += sum;
-  }
   void reset() noexcept {
     buckets_.fill(0);
     count_ = 0;
@@ -155,7 +145,7 @@ class Histogram {
 /// sample and interpolates linearly inside its [2^(i-1), 2^i - 1] value
 /// range. Exact for bucket 0 (the value 0); within a factor of 2 above.
 /// Returns 0 for an empty distribution. This is the one percentile
-/// estimator shared by the pool-profile exporter and the SAT hardness
+/// estimator shared by Histogram::percentile and the SAT hardness
 /// report, so p50/p90/p99 mean the same thing everywhere. Available in
 /// every build (the inspector replays foreign journals under
 /// SIMGEN_NO_TELEMETRY too).

@@ -9,8 +9,8 @@
 /// load. With SIMGEN_NO_TELEMETRY the enabled check is constexpr false
 /// and every span compiles away entirely.
 ///
-/// The tracer is fully thread-safe: bench cells sharded across pool
-/// workers record their spans concurrently, all serialized on one
+/// The tracer is fully thread-safe: bench cells sharded across threads
+/// record their spans concurrently, all serialized on one
 /// internal annotated mutex (see util/annotations.hpp for the analysis
 /// this enables).
 #pragma once

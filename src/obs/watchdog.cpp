@@ -8,7 +8,6 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pool_obs.hpp"
 #include "obs/resource.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -84,9 +83,6 @@ void dump_progress(const char* why) {
   std::fprintf(stderr, "[simgen watchdog] rss %.1f MB (peak %.1f MB)\n",
                static_cast<double>(res.current_rss_kb) / 1024.0,
                static_cast<double>(res.peak_rss_kb) / 1024.0);
-  // Mid-batch per-worker utilization of the registered pool (if any) —
-  // the relaxed per-worker counters are safe to read while workers run.
-  write_pool_utilization(stderr);
 #endif
   std::fflush(stderr);
 }

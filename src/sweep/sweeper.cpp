@@ -5,7 +5,6 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pool_obs.hpp"
 #include "obs/resource.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
@@ -362,11 +361,9 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
           elapsed, eta);
 #ifndef SIMGEN_NO_TELEMETRY
       const obs::ResourceSample res = obs::sample_resource_gauges();
-      util::infof("sweep: rss %.1f MB (peak %.1f MB), pool queue depth %llu",
+      util::infof("sweep: rss %.1f MB (peak %.1f MB)",
                   static_cast<double>(res.current_rss_kb) / 1024.0,
-                  static_cast<double>(res.peak_rss_kb) / 1024.0,
-                  static_cast<unsigned long long>(
-                      obs::current_pool_queue_depth()));
+                  static_cast<double>(res.peak_rss_kb) / 1024.0);
 #endif
       if (obs::journal_enabled()) {
         obs::journal_emit(

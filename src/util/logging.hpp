@@ -26,17 +26,17 @@ void set_log_level(LogLevel level) noexcept;
 
 /// Emits one line to stderr if \p level passes the threshold. Lines carry
 /// a wall-clock timestamp, severity tag, and thread tag — a small ordinal
-/// assigned on the thread's first log line, plus the pool worker index
-/// when the thread registered one (see set_thread_worker_index):
+/// assigned on the thread's first log line, plus the worker slot when
+/// the thread registered one (see set_thread_worker_index):
 ///   [simgen 12:34:56.789 info  t1] message        (plain thread)
-///   [simgen 12:34:56.789 info  t3/w2] message     (pool worker 2)
+///   [simgen 12:34:56.789 info  t3/w2] message     (bench cell slot 2)
 /// Multithreaded sweep logs interleave; the tag is what makes each line
 /// attributable to a worker lane.
 void log_line(LogLevel level, std::string_view message);
 
-/// Registers the calling thread as pool worker \p index (< 0 clears the
-/// registration). Called by util::ThreadPool for its worker threads so
-/// every log line from inside a pool task carries the worker index.
+/// Registers the calling thread as worker slot \p index (< 0 clears the
+/// registration). Called by util::parallel_for for its threads so every
+/// log line from inside a bench cell carries the slot.
 void set_thread_worker_index(int index) noexcept;
 [[nodiscard]] int thread_worker_index() noexcept;  ///< -1 when unset.
 

@@ -104,12 +104,11 @@ class CompareBenchJsonTest(unittest.TestCase):
         self.assertEqual(code, 0, output)
 
     def test_new_observability_fields_do_not_affect_the_gate(self):
-        # PR-7 runs add wall_seconds / peak_rss_mb / pool_* fields; the
+        # Runs add wall_seconds / peak_rss_mb / num_threads fields; the
         # committed baselines predate them and must keep gating cleanly.
         write_cell(self.baseline)
         write_cell(self.candidate, wall_seconds=1.5, peak_rss_mb=91.2,
-                   pool_tasks=966, pool_steal_successes=14,
-                   pool_utilization=0.92, num_threads=4)
+                   num_threads=4)
         code, output = run_compare(self.baseline, self.candidate)
         self.assertEqual(code, 0, output)
         self.assertIn("4 bench threads", output)

@@ -173,6 +173,8 @@ TEST(JournalFile, SchedulerKindsRoundTripThroughJsonl) {
   EXPECT_STREQ(obs::kind_name(EventKind::kTaskRun), "task_run");
   EXPECT_STREQ(obs::kind_name(EventKind::kWorkerStats), "worker_stats");
   EXPECT_STREQ(obs::kind_name(EventKind::kResourceSample), "resource_sample");
+  // The report counts every task_run as one bench cell, whatever its code.
+  EXPECT_EQ(obs::build_report(loaded).task_runs, 3u);
 }
 
 TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
@@ -221,53 +223,12 @@ TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
 }
 
 TEST(JournalFile, RetiredInprocessKindStillReads) {
-  // Kind 21 is no longer emitted, but journals recorded while it was must
-  // still round-trip, validate, and report. The event sits inside the
-  // sweep phase of a well-formed run, stamped between its neighbours so
-  // the journal's time span is unchanged.
+  // Kinds 14 (the former thread pool's worker rollup) and 21 (the former
+  // inprocessing layer) are no longer emitted, but journals recorded
+  // while they were must still round-trip, validate, and report. The
+  // event sits inside the sweep phase of a well-formed run, stamped
+  // between its neighbours so the journal's time span is unchanged.
   const std::vector<JournalEvent> plain = sample_events();
-  std::vector<JournalEvent> events = plain;
-  const auto restart =
-      std::find_if(events.begin(), events.end(), [](const JournalEvent& e) {
-        return e.kind == EventKind::kSolverRestart;
-      });
-  ASSERT_NE(restart, events.end());
-  JournalEvent retired;
-  retired.t_ns = restart->t_ns + 500;
-  retired.kind = EventKind::kSolverInprocess;
-  retired.a = 7;
-  retired.b = 9;
-  retired.v0 = 4;
-  retired.v1 = 2;
-  retired.v2 = 1;
-  retired.v3 = (std::uint64_t{3} << 32) | 5;
-  retired.dur_us = 60;
-  events.insert(restart + 1, retired);
-
-  for (const char* name : {"retired_kind.jrnl", "retired_kind.jsonl"}) {
-    SCOPED_TRACE(name);
-    const std::string path = temp_path(name);
-    ASSERT_TRUE(obs::write_journal_file(path, events));
-    std::vector<JournalEvent> loaded;
-    std::string error;
-    ASSERT_TRUE(obs::read_journal_file(path, loaded, &error)) << error;
-    ASSERT_EQ(loaded.size(), events.size());
-    for (std::size_t i = 0; i < events.size(); ++i)
-      EXPECT_EQ(loaded[i], events[i]) << "event " << i;
-  }
-  EXPECT_STREQ(obs::kind_name(EventKind::kSolverInprocess),
-               "solver_inprocess");
-
-  std::string error;
-  EXPECT_TRUE(obs::check_journal(events, &error)) << error;
-
-  // The report counts the event in num_events and nowhere else: with
-  // num_events aligned, every writer renders the same bytes as for the
-  // journal without it.
-  obs::JournalReport with = obs::build_report(events);
-  const obs::JournalReport without = obs::build_report(plain);
-  EXPECT_EQ(with.num_events, without.num_events + 1);
-  with.num_events = without.num_events;
   const auto render = [](const obs::JournalReport& report) {
     std::ostringstream out;
     const obs::InspectOptions options;
@@ -275,11 +236,56 @@ TEST(JournalFile, RetiredInprocessKindStillReads) {
     obs::write_timeline(out, report, 0, options);
     obs::write_folded_stacks(out, report, options);
     obs::write_sat_report(out, report, options);
-    obs::write_lanes(out, report, options);
     obs::write_html_report(out, report, options);
     return out.str();
   };
-  EXPECT_EQ(render(with), render(without));
+  for (const EventKind kind :
+       {EventKind::kWorkerStats, EventKind::kSolverInprocess}) {
+    SCOPED_TRACE(obs::kind_name(kind));
+    std::vector<JournalEvent> events = plain;
+    const auto restart =
+        std::find_if(events.begin(), events.end(), [](const JournalEvent& e) {
+          return e.kind == EventKind::kSolverRestart;
+        });
+    ASSERT_NE(restart, events.end());
+    JournalEvent retired;
+    retired.t_ns = restart->t_ns + 500;
+    retired.kind = kind;
+    retired.a = 7;
+    retired.b = 9;
+    retired.v0 = 4;
+    retired.v1 = 2;
+    retired.v2 = 1;
+    retired.v3 = (std::uint64_t{3} << 32) | 5;
+    retired.dur_us = 60;
+    events.insert(restart + 1, retired);
+
+    for (const char* name : {"retired_kind.jrnl", "retired_kind.jsonl"}) {
+      SCOPED_TRACE(name);
+      const std::string path = temp_path(name);
+      ASSERT_TRUE(obs::write_journal_file(path, events));
+      std::vector<JournalEvent> loaded;
+      std::string error;
+      ASSERT_TRUE(obs::read_journal_file(path, loaded, &error)) << error;
+      ASSERT_EQ(loaded.size(), events.size());
+      for (std::size_t i = 0; i < events.size(); ++i)
+        EXPECT_EQ(loaded[i], events[i]) << "event " << i;
+    }
+
+    std::string error;
+    EXPECT_TRUE(obs::check_journal(events, &error)) << error;
+
+    // The report counts the event in num_events and nowhere else: with
+    // num_events aligned, every writer renders the same bytes as for the
+    // journal without it.
+    obs::JournalReport with = obs::build_report(events);
+    const obs::JournalReport without = obs::build_report(plain);
+    EXPECT_EQ(with.num_events, without.num_events + 1);
+    with.num_events = without.num_events;
+    EXPECT_EQ(render(with), render(without));
+  }
+  EXPECT_STREQ(obs::kind_name(EventKind::kSolverInprocess),
+               "solver_inprocess");
 }
 
 TEST(JournalFile, BinaryToleratesTruncatedTail) {
@@ -341,10 +347,10 @@ TEST(JournalFile, RejectsMalformedJsonlLine) {
   EXPECT_NE(error.find("line"), std::string::npos);
 }
 
-/// Two cells' phases interleaved as a pooled bench run journals them
+/// Two cells' phases interleaved as a sharded bench run journals them
 /// (guided begins, sweep begins, guided ends, sweep ends), optionally
 /// followed by the cells' kTaskRun events.
-std::vector<JournalEvent> interleaved_phases(bool with_pool_tasks) {
+std::vector<JournalEvent> interleaved_phases(bool with_cell_events) {
   std::vector<JournalEvent> events(4);
   events[0].kind = EventKind::kPhaseBegin;
   events[0].code = static_cast<std::uint8_t>(PhaseId::kGuidedSim);
@@ -354,7 +360,7 @@ std::vector<JournalEvent> interleaved_phases(bool with_pool_tasks) {
   events[2].code = static_cast<std::uint8_t>(PhaseId::kGuidedSim);
   events[3].kind = EventKind::kPhaseEnd;
   events[3].code = static_cast<std::uint8_t>(PhaseId::kSweep);
-  if (with_pool_tasks) {
+  if (with_cell_events) {
     for (std::uint64_t cell = 0; cell < 2; ++cell) {
       JournalEvent task;
       task.kind = EventKind::kTaskRun;
@@ -387,7 +393,7 @@ TEST(JournalCheck, RejectsStructuralViolations) {
   bad_nesting[0].code = static_cast<std::uint8_t>(PhaseId::kSweep);
   EXPECT_FALSE(obs::check_journal(bad_nesting, &error));
 
-  // Without pool tasks there is one writer, so phases must nest.
+  // Without bench cell events there is one writer, so phases must nest.
   EXPECT_FALSE(obs::check_journal(interleaved_phases(false), &error));
   // With them, a phase_end still needs an open phase of its own id.
   std::vector<JournalEvent> unmatched = interleaved_phases(true);
@@ -398,6 +404,18 @@ TEST(JournalCheck, RejectsStructuralViolations) {
   bad_verdict[0].kind = EventKind::kSatCall;
   bad_verdict[0].code = 9;
   EXPECT_FALSE(obs::check_journal(bad_verdict, &error));
+}
+
+TEST(JournalCheck, RejectsOutOfRangeTaskRunCode) {
+  // task_run codes 0-2 are valid (2 = bench cell); 3 is out of range.
+  std::string error;
+  std::vector<JournalEvent> bad_task(1);
+  bad_task[0].kind = EventKind::kTaskRun;
+  bad_task[0].code = 3;
+  EXPECT_FALSE(obs::check_journal(bad_task, &error));
+  EXPECT_NE(error.find("task_run"), std::string::npos) << error;
+  bad_task[0].code = 2;
+  EXPECT_TRUE(obs::check_journal(bad_task, &error)) << error;
 }
 
 TEST(JournalCheck, RejectsUnattributedClassSplit) {

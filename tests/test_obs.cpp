@@ -96,9 +96,8 @@ TEST(Histogram, PercentileInterpolatesInsideLog2Buckets) {
 }
 
 TEST(Histogram, BucketPercentileIsTheSharedEstimator) {
-  // The free function behind Histogram::percentile, the pool-profile
-  // exporter, and the --sat report tables; one estimator so p50/p90/p99
-  // mean the same thing everywhere.
+  // The free function behind Histogram::percentile and the --sat report
+  // tables; one estimator so p50/p90/p99 mean the same thing everywhere.
   std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
   EXPECT_EQ(bucket_percentile(buckets.data(), buckets.size(), 0.5), 0u);
   buckets[Histogram::bucket_of(0)] += 1;

@@ -1,5 +1,5 @@
-// Thread-pool semantics (the pool behind bench cell sharding), soundness
-// of the sweeper's proven pairs, and the conflict-budget bugfixes (solver
+// The bench cell sharder (util::parallel_for), soundness of the
+// sweeper's proven pairs, and the conflict-budget bugfixes (solver
 // conflict-path check, separate output-proof budget, unresolved CEC
 // verdicts, pairs dropped by Sweeper::run).
 #include <gtest/gtest.h>
@@ -7,9 +7,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "benchgen/generator.hpp"
@@ -19,104 +21,72 @@
 #include "sim/simulator.hpp"
 #include "sweep/cec.hpp"
 #include "sweep/sweeper.hpp"
+#include "util/parallel_for.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace simgen {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Thread pool
+// Cell sharder
 
-TEST(ThreadPool, ResolvesThreadCounts) {
+TEST(ParallelFor, ResolvesThreadCounts) {
   EXPECT_EQ(util::resolve_num_threads(1), 1u);
   EXPECT_EQ(util::resolve_num_threads(7), 7u);
   EXPECT_GE(util::resolve_num_threads(0), 1u) << "0 = auto, never zero";
 }
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  constexpr std::size_t kTasks = 1000;
-  std::vector<std::atomic<int>> hits(kTasks);
-  pool.run_tasks(kTasks, [&](std::size_t task, unsigned worker) {
-    ASSERT_LT(worker, pool.num_threads());
-    hits[task].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < kTasks; ++i)
-    ASSERT_EQ(hits[i].load(), 1) << "task " << i;
+TEST(ParallelFor, EmptyRangeIsANoOp) {
+  for (const unsigned threads : {1u, 2u, 4u, 32u}) {
+    bool ran = false;
+    util::parallel_for(0, threads, [&](std::size_t, unsigned) { ran = true; });
+    EXPECT_FALSE(ran) << "threads " << threads;
+  }
 }
 
-TEST(ThreadPool, EmptyBatchIsANoOp) {
-  util::ThreadPool pool(2);
-  bool ran = false;
-  pool.run_tasks(0, [&](std::size_t, unsigned) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ReusesWorkersAcrossBatches) {
-  util::ThreadPool pool(3);
-  std::atomic<std::size_t> total{0};
-  for (int batch = 0; batch < 20; ++batch)
-    pool.run_tasks(50, [&](std::size_t, unsigned) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  EXPECT_EQ(total.load(), 20u * 50u);
-}
-
-TEST(ThreadPool, ConsecutiveBatchesNeverRunAStaleFunction) {
-  // Regression: a worker that woke for batch N but was descheduled before
-  // its first pop could outlive run_tasks(N) (the other workers drain the
-  // batch), then pop batch N+1's tasks and invoke the destroyed batch-N
-  // std::function — use-after-free plus tasks run with the wrong body.
-  // Hammer the window: an oversubscribed pool (so workers are frequently
-  // descheduled right after waking), many consecutive tiny batches, and
-  // two alternating lambda shapes with different capture layouts — if the
-  // consecutive std::function temporaries reused the same stack slot with
-  // the same layout, a stale call could accidentally look correct. A
-  // stale-function invocation stamps the wrong id or corrupts the pending
-  // count (run_tasks returns with slots unset).
-  util::ThreadPool pool(32);
-  constexpr int kBatches = 4000;
-  constexpr std::size_t kTasks = 3;
-  std::array<std::atomic<int>, kTasks> slot{};
-  for (int batch = 0; batch < kBatches; ++batch) {
-    for (auto& s : slot) s.store(-1, std::memory_order_relaxed);
-    if (batch % 2 == 0) {
-      pool.run_tasks(kTasks, [&slot, batch](std::size_t task, unsigned) {
-        slot[task].store(batch, std::memory_order_relaxed);
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const unsigned threads : {1u, 2u, 4u, 32u}) {
+    for (const std::size_t count :
+         {std::size_t{1}, std::size_t{3}, std::size_t{1000}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", count " +
+                   std::to_string(count));
+      const std::size_t slots = std::min<std::size_t>(threads, count);
+      std::vector<std::atomic<int>> hits(count);
+      util::parallel_for(count, threads, [&](std::size_t index, unsigned slot) {
+        EXPECT_LT(slot, slots) << "threads " << threads << ", count " << count;
+        hits[index].fetch_add(1, std::memory_order_relaxed);
       });
-    } else {
-      const int copy0 = batch, copy1 = batch;
-      pool.run_tasks(kTasks,
-                     [&slot, copy0, copy1](std::size_t task, unsigned) {
-                       slot[task].store(copy0 == copy1 ? copy0 : -2,
-                                        std::memory_order_relaxed);
-                     });
+      for (std::size_t i = 0; i < count; ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
     }
-    for (std::size_t task = 0; task < kTasks; ++task)
-      ASSERT_EQ(slot[task].load(std::memory_order_relaxed), batch)
-          << "batch " << batch << " task " << task
-          << " ran a stale or missing function";
   }
 }
 
-TEST(ThreadPool, PropagatesTheLowestFailingTask) {
-  // Several tasks throw; the batch must rethrow the exception of the
-  // lowest task index so failures are deterministic under any schedule.
-  util::ThreadPool pool(4);
+TEST(ParallelFor, RethrowsTheLowestFailingIndexAfterTheRest) {
+  // Several indices throw; the call must rethrow the exception of the
+  // lowest one, and only once every index has run. Index 17 throws last
+  // in time, so a first-thrown-wins policy would report 42 or 170.
+  constexpr std::size_t kCount = 200;
+  std::vector<std::atomic<int>> hits(kCount);
   try {
-    pool.run_tasks(200, [](std::size_t task, unsigned) {
-      if (task == 17 || task == 42 || task == 170)
-        throw std::runtime_error("task " + std::to_string(task));
+    util::parallel_for(kCount, 4, [&](std::size_t index, unsigned) {
+      hits[index].fetch_add(1, std::memory_order_relaxed);
+      if (index == 17) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("index 17");
+      }
+      if (index == 42 || index == 170)
+        throw std::runtime_error("index " + std::to_string(index));
     });
-    FAIL() << "batch with throwing tasks must rethrow";
+    FAIL() << "a call with throwing indices must rethrow";
   } catch (const std::runtime_error& error) {
-    EXPECT_STREQ(error.what(), "task 17");
+    EXPECT_STREQ(error.what(), "index 17");
+    for (std::size_t i = 0; i < kCount; ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  // The pool survives a failed batch.
+  // A call after a failed call works.
   std::atomic<int> count{0};
-  pool.run_tasks(8, [&](std::size_t, unsigned) { ++count; });
+  util::parallel_for(8, 4, [&](std::size_t, unsigned) { ++count; });
   EXPECT_EQ(count.load(), 8);
 }
 

@@ -5,17 +5,14 @@ Usage:
   perf_trend.py CANDIDATE_DIR --trend-dir bench/trend [options]
 
 Reads every BENCH_<benchmark>__<strategy>.json produced by a bench run
-(CANDIDATE_DIR), compares its wall_seconds and pool_utilization against a
-rolling baseline kept in <trend-dir>/trend.jsonl, and then appends the
+(CANDIDATE_DIR), compares its wall_seconds (and any --gate fields) against
+a rolling baseline kept in <trend-dir>/trend.jsonl, and then appends the
 run to the history. The baseline for each (cell, metric) is the median of
 the last --window runs that recorded that cell, so one noisy run never
 poisons the gate and genuine drift moves the baseline slowly.
 
 A cell regresses when
   * wall_seconds  > median * (1 + --band) + --atol-seconds, or
-  * pool_utilization drops more than --util-band below its median
-    (only gated when the baseline median is at least --util-floor, i.e.
-    when the run actually exercised the profiled thread pool), or
   * any --gate FIELD[:BAND[:ATOL]] field exceeds its own
     median * (1 + BAND) + ATOL (BAND/ATOL default to --band and
     --atol-seconds). --gate is repeatable and works for any numeric
@@ -25,10 +22,10 @@ A cell regresses when
     predating the field), is skipped with a printed notice, never an
     error.
 
-Getting faster (or more utilized) is never a failure. With no usable
-history the run seeds the baseline and passes. A regressed run is NOT
-appended to the history (it would drag the rolling median toward the
-regression); pass --append-always to record it anyway.
+Getting faster is never a failure. With no usable history the run seeds
+the baseline and passes. A regressed run is NOT appended to the history
+(it would drag the rolling median toward the regression); pass
+--append-always to record it anyway.
 
 Exit codes: 0 = within the noise band (history updated), 1 = usage or
 I/O error (missing candidate dir, unreadable history), 2 = regression.
@@ -41,11 +38,9 @@ import time
 from pathlib import Path
 
 WALL_KEY = "wall_seconds"
-UTIL_KEY = "pool_utilization"
 # Carried into the history for context but never gated (counts are
-# compare_bench_json.py's job; RSS and steal totals are informational).
-EXTRA_KEYS = ("peak_rss_mb", "pool_tasks", "pool_steal_successes",
-              "sat_calls", "num_threads")
+# compare_bench_json.py's job; RSS is informational).
+EXTRA_KEYS = ("peak_rss_mb", "sat_calls", "num_threads")
 
 
 def load_cells(candidate_dir, gate_fields=()):
@@ -58,7 +53,7 @@ def load_cells(candidate_dir, gate_fields=()):
             raise SystemExit(f"error: cannot read {path}: {error}")
         name = path.stem[len("BENCH_"):]
         cell = {}
-        for key in (WALL_KEY, UTIL_KEY) + EXTRA_KEYS + tuple(gate_fields):
+        for key in (WALL_KEY,) + EXTRA_KEYS + tuple(gate_fields):
             if key in data:
                 cell[key] = data[key]
         cells[name] = cell
@@ -132,12 +127,6 @@ def main():
     parser.add_argument("--atol-seconds", type=float, default=0.05,
                         help="absolute wall-time slack so micro-cells never "
                              "flake (default 0.05)")
-    parser.add_argument("--util-band", type=float, default=0.15,
-                        help="tolerated absolute pool-utilization drop "
-                             "(default 0.15)")
-    parser.add_argument("--util-floor", type=float, default=0.05,
-                        help="gate utilization only when its baseline median "
-                             "is at least this (default 0.05)")
     parser.add_argument("--gate", action="append", default=[],
                         metavar="FIELD[:BAND[:ATOL]]",
                         help="additionally gate a numeric BENCH json field "
@@ -189,15 +178,6 @@ def main():
             else:
                 print(f"ok         {name}: wall {wall:.3f}s "
                       f"(median {base_wall:.3f}s, limit {limit:.3f}s)")
-        util = cell.get(UTIL_KEY)
-        base_util = baseline_median(history, name, UTIL_KEY, args.window)
-        if (isinstance(util, (int, float)) and base_util is not None
-                and base_util >= args.util_floor):
-            if base_util - util > args.util_band:
-                print(f"REGRESSION {name}: pool utilization {util:.2f} "
-                      f"dropped more than {args.util_band:.2f} below its "
-                      f"median {base_util:.2f}")
-                regressions += 1
         for field, band, atol in gates:
             value = cell.get(field)
             if not isinstance(value, (int, float)):

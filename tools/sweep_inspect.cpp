@@ -8,7 +8,6 @@
 ///   sweep_inspect --check run.journal            # validate (CI smoke)
 ///   sweep_inspect --timeline run.journal         # top-K class lifecycles
 ///   sweep_inspect --class 1234 run.journal       # one class's lifecycle
-///   sweep_inspect --lanes run.journal            # per-worker task lanes
 ///   sweep_inspect --sat run.journal              # SAT hardness report
 ///   sweep_inspect --folded out.folded run.journal   # flamegraph.pl input
 ///   sweep_inspect --html report.html run.journal    # self-contained HTML
@@ -35,7 +34,6 @@ void usage(std::FILE* out) {
                "  --top K           rows in top-K tables (default 10)\n"
                "  --timeline        print lifecycles of the top-K classes\n"
                "  --class REP       print one class's lifecycle\n"
-               "  --lanes           print the per-worker task timeline\n"
                "  --sat             print the SAT hardness report (cone\n"
                "                    fingerprints, restarts, LBD)\n"
                "  --folded FILE     write folded stacks for flamegraph "
@@ -81,7 +79,7 @@ bool write_stream_file(const std::string& path, const char* what,
 int main(int argc, char** argv) {
   std::string journal_path, folded_path, html_path, rewrite_path;
   std::uint64_t class_rep = 0;
-  bool check = false, timeline = false, lanes = false, quiet = false;
+  bool check = false, timeline = false, quiet = false;
   bool sat = false;
   simgen::obs::InspectOptions options;
   options.strategy_namer = &strategy_namer;
@@ -97,7 +95,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--check") check = true;
     else if (arg == "--timeline") timeline = true;
-    else if (arg == "--lanes") lanes = true;
     else if (arg == "--sat") sat = true;
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--top") options.top_k = std::atoi(value("--top"));
@@ -155,7 +152,6 @@ int main(int argc, char** argv) {
   if (!quiet && !check) simgen::obs::write_text_report(std::cout, report, options);
   if (timeline || class_rep != 0)
     simgen::obs::write_timeline(std::cout, report, class_rep, options);
-  if (lanes) simgen::obs::write_lanes(std::cout, report, options);
   if (sat) simgen::obs::write_sat_report(std::cout, report, options);
   if (!folded_path.empty() &&
       !write_stream_file(folded_path, "folded-stack",
