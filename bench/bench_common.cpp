@@ -116,7 +116,8 @@ bool write_flow_metrics_json(const FlowMetrics& metrics) {
 
 TelemetryCli::TelemetryCli(int& argc, char** argv) : cli_(argc, argv) {
   // The generic flags are already stripped; pick off --bench-json-dir and
-  // --threads and forward the heartbeat interval into the flow runner.
+  // --threads, reject any other option, and forward the heartbeat
+  // interval into the flow runner.
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--bench-json-dir") == 0 && i + 1 < argc) {
@@ -139,6 +140,12 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) : cli_(argc, argv) {
       }
       set_num_threads(static_cast<unsigned>(value));
       continue;
+    }
+    if (argv[i][0] == '-') {
+      // A mistyped or retired flag must not run the whole suite as if
+      // it were absent.
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
+      std::exit(2);
     }
     argv[out++] = argv[i];
   }

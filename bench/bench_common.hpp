@@ -130,15 +130,18 @@ void set_bench_json_dir(std::string dir);
 bool write_flow_metrics_json(const FlowMetrics& metrics);
 
 /// Shared telemetry command-line handling for the bench drivers: the
-/// generic obs::TelemetryCli flags (--trace-out, --metrics-out,
-/// --journal-out, --progress, --timeout; see obs/telemetry_cli.hpp) plus
-/// the bench-specific
+/// generic obs::TelemetryCli flags (--metrics-out, --journal-out,
+/// --progress, --timeout; see obs/telemetry_cli.hpp) plus the
+/// bench-specific
 ///   --bench-json-dir DIR   per-run BENCH_*.json output directory
 ///   --threads N            bench cell workers for for_each_cell (1 =
 ///                          sequential, the default; 0 = one per hardware
 ///                          thread); an integer outside [0, 1024] is a
 ///                          usage error (exit 2)
 /// (SIMGEN_BENCH_JSON_DIR in the environment also sets the JSON dir.)
+/// Any other argument starting with '-' is a usage error: the program
+/// prints "error: unknown option '...'" and exits 2. Arguments left over
+/// (benchmark names, for the harnesses that take them) stay in argv.
 /// --progress is forwarded into set_progress_interval (every
 /// run_strategy_flow sweep picks it up) and --threads into set_num_threads
 /// (for_each_cell picks it up). A driver needs only

@@ -13,13 +13,13 @@
 ///                        (0 = unlimited, the default); a proof that
 ///                        hits the budget makes the verdict UNDECIDED
 ///                        (exit 2) instead of running forever
-///   --trace-out FILE     write a Chrome trace-event JSON of the run
-///                        (load in chrome://tracing or ui.perfetto.dev)
 ///   --metrics-out FILE   write all telemetry counters/gauges/histograms
 ///                        as JSON Lines, one metric per line
 ///   --journal-out FILE   record every sweeping decision (class events,
 ///                        SAT calls, pattern batches, certifications) to a
-///                        journal; replay with tools/sweep_inspect.
+///                        journal; replay with tools/sweep_inspect
+///                        (--chrome-trace renders a timeline for
+///                        chrome://tracing or ui.perfetto.dev).
 ///                        ".jsonl" suffix selects the text format.
 ///   --progress SECONDS   print a heartbeat line (classes live, nodes
 ///                        resolved, SAT calls, ETA) on this interval
@@ -197,9 +197,9 @@ int run_files(const std::vector<std::string>& args,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // The shared telemetry CLI strips --trace-out/--metrics-out/
-  // --journal-out/--progress/--timeout, wires the exit finalizer and
-  // watchdog, and flushes every requested output at destruction.
+  // The shared telemetry CLI strips --metrics-out/--journal-out/
+  // --progress/--timeout, wires the exit finalizer and watchdog, and
+  // flushes every requested output at destruction.
   obs::TelemetryCli telemetry(argc, argv);
   std::vector<std::string> args;
   sweep::CecOptions options;

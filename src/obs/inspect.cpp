@@ -4,9 +4,11 @@
 #include <array>
 #include <cinttypes>
 #include <cstdio>
+#include <initializer_list>
 #include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -447,10 +449,8 @@ bool check_journal(const std::vector<JournalEvent>& events, std::string* error) 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const JournalEvent& event = events[i];
     const auto kind_value = static_cast<std::uint8_t>(event.kind);
-    // The retired kind 21 stays the upper bound so journals recorded
-    // before its retirement still validate.
     if (event.kind == EventKind::kNone ||
-        kind_value > static_cast<std::uint8_t>(EventKind::kSolverInprocess))
+        kind_value > static_cast<std::uint8_t>(EventKind::kGuidedIteration))
       return fail(i, "unknown event kind " + std::to_string(kind_value));
     switch (event.kind) {
       case EventKind::kRunBegin:
@@ -742,6 +742,124 @@ void write_folded_stacks(std::ostream& out, const JournalReport& report,
                          const InspectOptions&) {
   for (const auto& [stack, us] : report.folded)
     out << stack << ' ' << us << '\n';
+}
+
+void write_chrome_trace(std::ostream& out,
+                        const std::vector<JournalEvent>& events,
+                        const InspectOptions& options) {
+  // Stamps are printed as exact microseconds (nanosecond decimals), so no
+  // span boundary rounds across its neighbour on a long run.
+  const auto us = [](std::uint64_t ns) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%" PRIu64 ".%03" PRIu64, ns / 1000,
+                  ns % 1000);
+    return std::string(buffer);
+  };
+  using Args = std::initializer_list<std::pair<const char*, std::string>>;
+  // One event on the single track: a complete span ('X') or an instant.
+  const auto write = [&out, &us](const std::string& name, char phase,
+                                 std::uint64_t start_ns, std::uint64_t dur_ns,
+                                 Args args) {
+    out << ",\n{\"name\":\"" << detail::json_escape(name)
+        << "\",\"cat\":\"simgen\",\"ph\":\"" << phase
+        << "\",\"pid\":1,\"tid\":1,\"ts\":" << us(start_ns);
+    out << (phase == 'X' ? ",\"dur\":" + us(dur_ns) : ",\"s\":\"t\"");
+    const char* separator = ",\"args\":{";
+    for (const auto& [key, value] : args) {
+      out << separator << '"' << key << "\":" << value;
+      separator = ",";
+    }
+    out << (args.size() > 0 ? "}}" : "}");
+  };
+  const auto num = [](std::uint64_t value) { return std::to_string(value); };
+  const auto str = [](const std::string& value) {
+    return '"' + detail::json_escape(value) + '"';
+  };
+
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+         "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"process_name\","
+         "\"args\":{\"name\":\"simgen\"}}";
+  std::vector<const JournalEvent*> open_runs;
+  for (const JournalEvent& e : events) {
+    // A timed event is stamped when its work ends and carries the work's
+    // duration, so every span stands alone: no begin/end pairing, and the
+    // interleaved cells of a sharded bench journal render too.
+    const std::uint64_t dur_ns = std::uint64_t{e.dur_us} * 1000;
+    const std::uint64_t start_ns = e.t_ns > dur_ns ? e.t_ns - dur_ns : 0;
+    const auto span = [&](const std::string& name, Args args) {
+      write(name, 'X', start_ns, dur_ns, args);
+    };
+    switch (e.kind) {
+      case EventKind::kRunBegin:
+        open_runs.push_back(&e);
+        break;
+      case EventKind::kRunEnd: {
+        if (open_runs.empty()) break;
+        const JournalEvent& begin = *open_runs.back();
+        open_runs.pop_back();
+        write("run", 'X', begin.t_ns,
+              e.t_ns > begin.t_ns ? e.t_ns - begin.t_ns : 0,
+              {{"pis", num(begin.a)}, {"nodes", num(begin.b)},
+               {"luts", num(begin.v0)}, {"pos", num(begin.v1)},
+               {"outcome", num(e.code)}, {"outputs_proven", num(e.v0)},
+               {"unresolved_outputs", num(e.v1)}});
+        break;
+      }
+      case EventKind::kPhaseEnd:
+        span(phase_name(static_cast<PhaseId>(e.code)),
+             {{"cost_after", num(e.v0)}, {"classes_live", num(e.v1)}});
+        break;
+      case EventKind::kSatCall:
+        span(kind_name(e.kind),
+             {{"verdict", str(verdict_name(static_cast<SatVerdict>(e.code)))},
+              {"a", num(e.a)}, {"b", num(e.b)},
+              {"output_proof", num(e.flags & 1u)}, {"conflicts", num(e.v0)},
+              {"propagations", num(e.v1)}, {"decisions", num(e.v2)},
+              {"cone_vars", num(unpack_cone(e.v3))},
+              {"learned", num(unpack_learned(e.v3))}});
+        break;
+      case EventKind::kCertified:
+        span(kind_name(e.kind),
+             {{"ok", num(e.code)}, {"a", num(e.a)}, {"b", num(e.b)},
+              {"output_proof", num(e.flags & 1u)},
+              {"checked_lemmas", num(e.v0)}, {"rup_checks", num(e.v1)},
+              {"propagations", num(e.v2)}});
+        break;
+      case EventKind::kPatternBatch:
+        span(kind_name(e.kind),
+             {{"source", str(strategy_label(e.code,
+                                            static_cast<std::uint8_t>(e.flags),
+                                            options))},
+              {"patterns", num(e.a)}, {"width_words", num(e.b)},
+              {"splits", num(e.v0)}, {"classes_live", num(e.v1)},
+              {"cost_after", num(e.v2)}});
+        break;
+      case EventKind::kGuidedIteration:
+        span(kind_name(e.kind),
+             {{"arm", str(arm_label(e.code, options))},
+              {"iteration", num(e.a)}, {"vectors_generated", num(e.b)},
+              {"vectors_skipped", num(e.v1)}, {"cost_after", num(e.v0)},
+              {"implications", num(e.v2)}, {"conflicts", num(e.v3)}});
+        break;
+      case EventKind::kTaskRun:
+        span(kind_name(e.kind), {{"cell", num(e.a)}, {"slot", num(e.b)}});
+        break;
+      case EventKind::kHeartbeat:
+        write(kind_name(e.kind), 'i', e.t_ns, 0,
+              {{"live_nodes", num(e.a)}, {"resolved_nodes", num(e.b)},
+               {"classes_live", num(e.v0)}, {"proved", num(e.v1)},
+               {"disproved", num(e.v2)}, {"sat_calls", num(e.v3)}});
+        break;
+      case EventKind::kWatchdog:
+        write(kind_name(e.kind), 'i', e.t_ns, 0,
+              {{"reason", str(e.code == 1 ? "signal" : "timeout")},
+               {"signal", num(e.a)}});
+        break;
+      default:
+        break;
+    }
+  }
+  out << "\n]}\n";
 }
 
 void write_sat_report(std::ostream& out, const JournalReport& report,

@@ -2,7 +2,8 @@
 /// \brief Post-mortem journal inspector: replays a sweep journal
 /// (journal.hpp) into per-class lifecycle timelines, top-K cost
 /// attributions, pattern-effectiveness breakdowns, folded stacks for
-/// flamegraph tooling, and a self-contained HTML report.
+/// flamegraph tooling, a Chrome/Perfetto timeline, and a self-contained
+/// HTML report.
 ///
 /// Compiled unconditionally (including under SIMGEN_NO_TELEMETRY) so
 /// `tools/sweep_inspect` can always replay journals recorded elsewhere.
@@ -193,6 +194,20 @@ void write_timeline(std::ostream& out, const JournalReport& report,
 /// flamegraph.pl / speedscope. Values are microseconds.
 void write_folded_stacks(std::ostream& out, const JournalReport& report,
                          const InspectOptions& options);
+
+/// Chrome trace-event JSON of the journal, loadable in chrome://tracing
+/// and https://ui.perfetto.dev: {"displayTimeUnit":"ms","traceEvents":
+/// [...]}, every event on one track. phase_end, sat_call, certified,
+/// pattern_batch, guided_iteration and task_run events each become one
+/// complete ("X") span that ends at the event's t_ns and lasts dur_us; a
+/// run is one "run" span from run_begin to its run_end (an unclosed run,
+/// as in an interrupted journal, is left out); heartbeat and watchdog
+/// events are instants. Span names are phase_name for phases and
+/// kind_name otherwise; the event fields become named args. Times are
+/// microseconds since the journal epoch.
+void write_chrome_trace(std::ostream& out,
+                        const std::vector<JournalEvent>& events,
+                        const InspectOptions& options);
 
 /// SAT hardness report (from the format >= 2 solver-introspection
 /// events): solver totals, per-call log2 distributions with

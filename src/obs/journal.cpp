@@ -22,9 +22,10 @@ constexpr char kMagic[8] = {'S', 'G', 'J', 'R', 'N', 'L', '0', '1'};
 /// Version history: 1 = original event set (kinds 0..15); 2 = solver
 /// introspection kinds (kSolverRestart/kSolverReduce/kSolverBudget/
 /// kConeFingerprint/kSolverSolveStats); 3 = kind 21 (kSolverInprocess,
-/// since retired: still read, no longer written). The event layout is
-/// unchanged, so the reader accepts every version from 1 up to this.
-constexpr std::uint32_t kFormatVersion = 3;
+/// since retired: still read, no longer written); 4 = kind 22
+/// (kGuidedIteration). The event layout is unchanged, so the reader
+/// accepts every version from 1 up to this.
+constexpr std::uint32_t kFormatVersion = 4;
 
 /// 32-byte binary file header; everything after it is raw little-endian
 /// JournalEvent records.
@@ -99,6 +100,7 @@ const char* kind_name(EventKind kind) noexcept {
     case EventKind::kConeFingerprint: return "cone_fingerprint";
     case EventKind::kSolverSolveStats: return "solver_solve_stats";
     case EventKind::kSolverInprocess: return "solver_inprocess";
+    case EventKind::kGuidedIteration: return "guided_iteration";
   }
   return "?";
 }
@@ -437,7 +439,7 @@ namespace {
 
 EventKind kind_from_name(std::string_view name) {
   for (std::uint8_t k = 0;
-       k <= static_cast<std::uint8_t>(EventKind::kSolverInprocess); ++k) {
+       k <= static_cast<std::uint8_t>(EventKind::kGuidedIteration); ++k) {
     const auto kind = static_cast<EventKind>(k);
     if (name == kind_name(kind)) return kind;
   }

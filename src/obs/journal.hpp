@@ -6,10 +6,13 @@
 /// journal answers "where and when". Every class created / split /
 /// merged, every SAT call (target pair, verdict, solver cost deltas),
 /// every simulated pattern batch (with its SimGen / random / RevS / CEX
-/// attribution), every DRAT certification outcome, and periodic progress
-/// heartbeats are recorded as fixed-size 64-byte events, so a slow or
-/// stuck CEC run can be replayed offline (`tools/sweep_inspect`) down to
-/// the individual merge candidate that ate the time.
+/// attribution), every guided-simulation iteration, every DRAT
+/// certification outcome, and periodic progress heartbeats are recorded
+/// as fixed-size 64-byte events, so a slow or stuck CEC run can be
+/// replayed offline (`tools/sweep_inspect`) down to the individual merge
+/// candidate that ate the time. The journal is the one timed record of a
+/// run: `sweep_inspect --chrome-trace` renders its phases, SAT calls and
+/// iterations as a Perfetto timeline.
 ///
 /// Design constraints:
 ///  * The hot path is allocation-free: an event is a trivially-copyable
@@ -82,9 +85,9 @@ enum class EventKind : std::uint8_t {
                       ///< any more; the reader and check_journal still
                       ///< accept it, and build_report counts it only in
                       ///< num_events.
-  kResourceSample = 15,  ///< a=current RSS kB, b=peak RSS kB,
-                         ///< v0=allocation count, v1=allocated bytes
-                         ///< (both 0 unless SIMGEN_ALLOC_STATS is set).
+  kResourceSample = 15,  ///< a=current RSS kB, b=peak RSS kB. v0/v1
+                         ///< (once an allocation count and bytes) are
+                         ///< always 0.
   // --- Solver introspection (format version >= 2) -----------------------
   // The next three kinds are milestone events emitted from *inside* a
   // SAT solve, tagged with the same (a, b, flags bit0) key as the
@@ -120,6 +123,15 @@ enum class EventKind : std::uint8_t {
                           ///< accept it so format-3 journals recorded
                           ///< while it existed keep reading, and
                           ///< build_report counts it only in num_events.
+  // --- Guided-phase rollup (format version >= 4) -------------------------
+  kGuidedIteration = 22,  ///< One guided-simulation iteration that ran,
+                          ///< stamped at its end: a=iteration, b=vectors
+                          ///< generated, code=strategy arm (core::Strategy),
+                          ///< v0=cost after, v1=vectors skipped,
+                          ///< v2=implications (0 under RevS), v3=conflicts,
+                          ///< dur_us=iteration wall time. build_report
+                          ///< counts it only in num_events: its batches
+                          ///< are attributed through kPatternBatch.
 };
 
 /// Verdict codes for kSatCall (mirrors sat::Result's meaning without

@@ -2,11 +2,9 @@
 
 #ifndef SIMGEN_NO_TELEMETRY
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -15,19 +13,6 @@
 #include "obs/metrics.hpp"
 
 namespace {
-
-// Cumulative allocation tallies fed by the operator new replacement
-// below. Constant-initialized so counting is safe from the very first
-// pre-main allocation.
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-
-/// One-time environment check. Called from operator new, so it must not
-/// allocate; getenv plus a magic-static bool qualifies.
-bool alloc_stats_on() noexcept {
-  static const bool enabled = std::getenv("SIMGEN_ALLOC_STATS") != nullptr;
-  return enabled;
-}
 
 /// Parses a "VmRSS:     12345 kB" style /proc/self/status line into
 /// \p out_kb; returns false when \p line is not a \p key line.
@@ -42,8 +27,6 @@ bool parse_status_kb(const char* line, const char* key,
 }  // namespace
 
 namespace simgen::obs {
-
-bool alloc_stats_enabled() noexcept { return alloc_stats_on(); }
 
 ResourceSample sample_resources() noexcept {
   ResourceSample sample;
@@ -73,10 +56,6 @@ ResourceSample sample_resources() noexcept {
     }
   }
 #endif
-  if (alloc_stats_on()) {
-    sample.alloc_count = g_alloc_count.load(std::memory_order_relaxed);
-    sample.alloc_bytes = g_alloc_bytes.load(std::memory_order_relaxed);
-  }
   return sample;
 }
 
@@ -86,71 +65,9 @@ ResourceSample sample_resource_gauges() {
             static_cast<double>(sample.current_rss_kb) / 1024.0);
   set_gauge("res.peak_rss_mb",
             static_cast<double>(sample.peak_rss_kb) / 1024.0);
-  if (alloc_stats_on()) {
-    set_gauge("res.alloc_count", static_cast<double>(sample.alloc_count));
-    set_gauge("res.alloc_bytes", static_cast<double>(sample.alloc_bytes));
-  }
   return sample;
 }
 
 }  // namespace simgen::obs
-
-// ---------------------------------------------------------------------------
-// Global allocation hooks. Replacing the usual (non-aligned) operator
-// new/delete family lets SIMGEN_ALLOC_STATS attribute allocator traffic
-// without an external profiler; with the variable unset the overhead is
-// one well-predicted branch per allocation. Everything forwards to
-// std::malloc/std::free, so the sanitizer allocators underneath still see
-// every block. Over-aligned allocations keep the compiler defaults and
-// are simply not counted.
-
-namespace {
-
-void* counted_new(std::size_t size) {
-  for (;;) {
-    // malloc(0) may return nullptr legally; operator new must not.
-    if (void* ptr = std::malloc(size == 0 ? 1 : size)) {
-      if (alloc_stats_on()) {
-        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-        g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-      }
-      return ptr;
-    }
-    std::new_handler handler = std::get_new_handler();
-    if (handler == nullptr) throw std::bad_alloc();
-    handler();
-  }
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_new(size); }
-void* operator new[](std::size_t size) { return counted_new(size); }
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_new(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  try {
-    return counted_new(size);
-  } catch (...) {
-    return nullptr;
-  }
-}
-
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete(void* ptr, const std::nothrow_t&) noexcept {
-  std::free(ptr);
-}
-void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
-  std::free(ptr);
-}
 
 #endif  // SIMGEN_NO_TELEMETRY

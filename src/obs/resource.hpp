@@ -1,56 +1,40 @@
 /// \file resource.hpp
-/// \brief Process resource accounting: peak/current RSS sampling plus an
-/// opt-in allocation counter.
+/// \brief Process resource accounting: peak/current RSS sampling.
 ///
 /// The metrics registry attributes *time*; this module attributes
 /// *memory*. `sample_resources()` reads the kernel's view of the process
-/// (Linux: /proc/self/status VmRSS/VmHWM, elsewhere: getrusage peak), and
-/// — when the process was started with SIMGEN_ALLOC_STATS set in the
-/// environment — the cumulative allocation count and bytes observed by
-/// the global operator new replacement in resource.cpp. Samples feed the
-/// sweep heartbeats, the kResourceSample journal events, the res.*
-/// gauges (and through them TelemetrySnapshot), and the BENCH_*.json
-/// peak_rss_mb field.
+/// (Linux: /proc/self/status VmRSS/VmHWM, elsewhere: getrusage peak).
+/// Samples feed the sweep heartbeats, the kResourceSample journal events,
+/// the res.* gauges (and through them TelemetrySnapshot), and the
+/// BENCH_*.json peak_rss_mb field.
 ///
 /// Under SIMGEN_NO_TELEMETRY everything here folds to constant-returning
-/// inline stubs and the allocation hooks are not compiled at all.
+/// inline stubs.
 #pragma once
 
 #include <cstdint>
 
 namespace simgen::obs {
 
-/// One point-in-time resource reading. RSS values are kilobytes (the
-/// kernel's unit); allocation fields are cumulative since process start
-/// and zero unless SIMGEN_ALLOC_STATS is set.
+/// One point-in-time resource reading, in kilobytes (the kernel's unit).
 struct ResourceSample {
   std::uint64_t current_rss_kb = 0;
   std::uint64_t peak_rss_kb = 0;
-  std::uint64_t alloc_count = 0;
-  std::uint64_t alloc_bytes = 0;
 };
 
 #ifndef SIMGEN_NO_TELEMETRY
-
-/// True when the process opted into allocation counting via the
-/// SIMGEN_ALLOC_STATS environment variable (checked once).
-[[nodiscard]] bool alloc_stats_enabled() noexcept;
 
 /// Samples the current process's resource usage. Cheap (one /proc read);
 /// fine to call from heartbeats. Never throws; unknown fields stay 0.
 [[nodiscard]] ResourceSample sample_resources() noexcept;
 
-/// Samples and publishes the reading as registry gauges —
-/// res.current_rss_mb, res.peak_rss_mb, and (when allocation counting is
-/// on) res.alloc_count / res.alloc_bytes — so resource state rides along
+/// Samples and publishes the reading as the registry gauges
+/// res.current_rss_mb and res.peak_rss_mb, so resource state rides along
 /// in every TelemetrySnapshot and metrics export. Returns the sample.
 ResourceSample sample_resource_gauges();
 
 #else
 
-[[nodiscard]] inline constexpr bool alloc_stats_enabled() noexcept {
-  return false;
-}
 [[nodiscard]] inline ResourceSample sample_resources() noexcept { return {}; }
 inline ResourceSample sample_resource_gauges() { return {}; }
 

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "obs/journal.hpp"
-#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "util/logging.hpp"
 
@@ -20,8 +19,7 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) {
       return true;
     };
     std::string number;
-    if (take_value("--trace-out", trace_out_) ||
-        take_value("--metrics-out", metrics_out_) ||
+    if (take_value("--metrics-out", metrics_out_) ||
         take_value("--journal-out", journal_out_)) {
       continue;
     }
@@ -36,7 +34,6 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) {
     argv[out++] = argv[i];
   }
   argc = out;
-  if (!trace_out_.empty()) Tracer::instance().enable();
   if (!journal_out_.empty() && !Journal::instance().open(journal_out_))
     std::fprintf(stderr, "error: cannot open journal file %s%s\n",
                  journal_out_.c_str(),
@@ -47,7 +44,7 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) {
     util::set_log_level(util::LogLevel::kInfo);
   // Outputs survive Ctrl-C / --timeout: the finalizer is registered with
   // atexit and also invoked by the watchdog and by our destructor.
-  set_exit_outputs(trace_out_, metrics_out_);
+  set_exit_outputs(metrics_out_);
   WatchdogOptions watchdog;
   watchdog.timeout_seconds = timeout_seconds_;
   start_watchdog(watchdog);
@@ -56,8 +53,6 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) {
 TelemetryCli::~TelemetryCli() {
   const bool journal_open = Journal::instance().is_open();
   flush_exit_outputs();
-  if (!trace_out_.empty())
-    std::printf("trace written to %s\n", trace_out_.c_str());
   if (!metrics_out_.empty())
     std::printf("metrics written to %s\n", metrics_out_.c_str());
   if (journal_open)

@@ -4,11 +4,11 @@
 /// Every driver binary (bench harnesses, examples, tools/simgen_fuzz)
 /// accepts the same telemetry flags; this class strips them from
 /// argc/argv at construction and wires up the corresponding outputs:
-///   --trace-out FILE       enable tracing; write Chrome trace JSON at exit
 ///   --metrics-out FILE     write the metrics registry as JSONL at exit
 ///   --journal-out FILE     record the sweep decision journal (binary, or
 ///                          JSONL with a ".jsonl" suffix); replay with
-///                          tools/sweep_inspect
+///                          tools/sweep_inspect (whose --chrome-trace
+///                          renders it as a Perfetto timeline)
 ///   --progress SECONDS     heartbeat interval for sweeps (implies info
 ///                          logging); read back via progress_interval()
 ///   --timeout SECONDS      watchdog deadline; dump + flush + exit 124
@@ -45,7 +45,6 @@ class TelemetryCli {
   }
 
  private:
-  std::string trace_out_;
   std::string metrics_out_;
   std::string journal_out_;
   double progress_interval_ = 0.0;

@@ -9,7 +9,6 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
-#include "obs/trace.hpp"
 #include "util/logging.hpp"
 #include "util/mutex.hpp"
 
@@ -23,7 +22,6 @@ namespace {
 
 struct ExitState {
   util::Mutex mutex;
-  std::string trace_path SIMGEN_GUARDED_BY(mutex);
   std::string metrics_path SIMGEN_GUARDED_BY(mutex);
   std::atomic<bool> flushed{false};
   std::atomic<bool> flush_done{false};
@@ -128,12 +126,10 @@ SweepProgress& sweep_progress() noexcept {
   return *progress;
 }
 
-void set_exit_outputs(const std::string& trace_path,
-                      const std::string& metrics_path) {
+void set_exit_outputs(const std::string& metrics_path) {
   ExitState& state = ExitState::get();
   {
     const util::LockGuard lock(state.mutex);
-    state.trace_path = trace_path;
     state.metrics_path = metrics_path;
   }
   if (!state.atexit_registered.exchange(true))
@@ -146,22 +142,18 @@ void flush_exit_outputs() {
     // Another thread (normal teardown vs watchdog vs atexit) is already
     // flushing. Wait for it: the watchdog re-raises a fatal signal right
     // after this returns, and returning early would kill the process with
-    // the journal/trace half-written. Bounded in case the flusher died.
+    // the journal/metrics half-written. Bounded in case the flusher died.
     for (int i = 0; i < 5000 && !state.flush_done.load(std::memory_order_acquire);
          ++i)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     return;
   }
   Journal::instance().close();
-  std::string trace_path, metrics_path;
+  std::string metrics_path;
   {
     const util::LockGuard lock(state.mutex);
-    trace_path = state.trace_path;
     metrics_path = state.metrics_path;
   }
-  if (!trace_path.empty() &&
-      !Tracer::instance().write_chrome_trace_file(trace_path))
-    util::errorf("cannot write trace file %s", trace_path.c_str());
   if (!metrics_path.empty() && !write_metrics_file(metrics_path))
     util::errorf("cannot write metrics file %s", metrics_path.c_str());
   state.flush_done.store(true, std::memory_order_release);

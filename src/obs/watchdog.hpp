@@ -4,11 +4,11 @@
 ///
 /// Three cooperating pieces so no run ever dies silently:
 ///
-///  * Exit outputs: `set_exit_outputs` records where the trace and
-///    metrics files should land; `flush_exit_outputs` (registered with
-///    `std::atexit`, called by the CLI teardown paths and by the
-///    watchdog) writes them exactly once and closes the journal, so an
-///    interrupted run still leaves valid JSON on disk.
+///  * Exit outputs: `set_exit_outputs` records where the metrics file
+///    should land; `flush_exit_outputs` (registered with `std::atexit`,
+///    called by the CLI teardown paths and by the watchdog) writes it
+///    exactly once and closes the journal, so an interrupted run still
+///    leaves a valid journal and metrics file on disk.
 ///  * SweepProgress: a struct of atomics the sweep loop updates in place;
 ///    the heartbeat printer and the watchdog's state dump read it from
 ///    another thread without synchronization beyond the atomics.
@@ -22,7 +22,7 @@
 ///
 /// Compiled in every build: under SIMGEN_NO_TELEMETRY the journal calls
 /// are no-ops but signal handling, the state dump, and the (empty but
-/// valid) metrics/trace files still work.
+/// valid) metrics file still work.
 #pragma once
 
 #include <atomic>
@@ -59,15 +59,14 @@ struct SweepProgress {
 
 [[nodiscard]] SweepProgress& sweep_progress() noexcept;
 
-/// Records the output paths the process should leave behind on any exit
+/// Records the metrics file the process should leave behind on any exit
 /// (empty string = not requested) and registers the atexit finalizer.
 /// Call once from the CLI after parsing flags.
-void set_exit_outputs(const std::string& trace_path,
-                      const std::string& metrics_path);
+void set_exit_outputs(const std::string& metrics_path);
 
-/// Writes the registered trace/metrics files, flushes and closes the
-/// journal. Idempotent: only the first call does work, so the atexit
-/// hook, CLI teardown, and the watchdog can all call it safely.
+/// Writes the registered metrics file, flushes and closes the journal.
+/// Idempotent: only the first call does work, so the atexit hook, CLI
+/// teardown, and the watchdog can all call it safely.
 void flush_exit_outputs();
 
 /// True once flush_exit_outputs has run (tests / diagnostics).

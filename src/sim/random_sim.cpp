@@ -4,13 +4,11 @@
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace simgen::sim {
 
 RandomSimResult run_random_simulation(Simulator& simulator, EquivClasses& classes,
                                       const RandomSimOptions& options) {
-  obs::Span span("random_sim.run");
   obs::PhaseScope phase(obs::PhaseId::kRandomSim);
   RandomSimResult result;
   util::Stopwatch watch;
@@ -59,8 +57,6 @@ RandomSimResult run_random_simulation(Simulator& simulator, EquivClasses& classe
   result.runtime_seconds = watch.seconds();
   static obs::Counter& rounds = obs::counter("sim.random_rounds");
   rounds.inc(result.rounds_run);
-  span.arg("rounds", static_cast<double>(result.rounds_run));
-  span.arg("final_cost", static_cast<double>(classes.cost()));
   phase.set_result(classes.cost(), classes.num_classes());
   return result;
 }

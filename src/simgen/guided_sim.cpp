@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 #include "obs/journal.hpp"
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
 
 namespace simgen::core {
@@ -122,7 +121,6 @@ GuidedSimResult run_guided_simulation(sim::Simulator& simulator,
                                       sim::EquivClasses& classes,
                                       const GuidedSimOptions& options) {
   const net::Network& network = simulator.network();
-  obs::Span run_span("guided_sim.run");
   obs::PhaseScope phase(obs::PhaseId::kGuidedSim);
   GuidedSimResult result;
   util::Stopwatch watch;
@@ -146,6 +144,15 @@ GuidedSimResult run_guided_simulation(sim::Simulator& simulator,
     generator = &*generator_storage;
   }
   util::Rng pair_rng(util::splitmix64(options.seed) ^ 0x9a1fu);
+  // Running implication and conflict totals of this run's engine, read
+  // only while the journal is open: each kGuidedIteration event reports
+  // the iteration's share.
+  const auto engine_totals = [&]() -> std::pair<std::uint64_t, std::uint64_t> {
+    if (generator != nullptr)
+      return {generator->stats().implications.value(),
+              generator->stats().conflicts.value()};
+    return {0, reverse->stats().conflicts.value()};
+  };
 
   // Per-class retry schedule, keyed by the class representative (the
   // lowest member id, which is stable while the class merely shrinks).
@@ -161,13 +168,13 @@ GuidedSimResult run_guided_simulation(sim::Simulator& simulator,
       result.cost_per_iteration.push_back(0);
       continue;
     }
-    // Per-iteration span whose args are the registry deltas produced by
-    // this iteration (vectors simulated, implications run, ...). The
-    // snapshot pair is only taken while tracing, so the steady-state
-    // cost remains one relaxed atomic load.
-    obs::Span iter_span("guided_sim.iteration");
-    std::optional<obs::TelemetrySnapshot> before;
-    if (obs::tracing_enabled()) before = obs::capture_snapshot();
+    const bool journal = obs::journal_enabled();
+    const std::uint64_t start_ns =
+        journal ? obs::Journal::instance().now_ns() : 0;
+    const std::uint64_t generated0 = result.vectors_generated;
+    const std::uint64_t skipped0 = result.vectors_skipped;
+    const auto [implications0, conflicts0] =
+        journal ? engine_totals() : std::pair<std::uint64_t, std::uint64_t>{};
     // Snapshot the class member lists: refinement during flushes changes
     // the partition, and targets staying valid for their class is only a
     // heuristic concern.
@@ -242,17 +249,16 @@ GuidedSimResult run_guided_simulation(sim::Simulator& simulator,
     }
     batcher.flush(/*force=*/true);
     result.cost_per_iteration.push_back(classes.cost());
-    iter_span.arg("iteration", static_cast<double>(iteration));
-    iter_span.arg("cost", static_cast<double>(classes.cost()));
-    if (before.has_value()) {
-      const obs::TelemetrySnapshot delta =
-          obs::diff_snapshots(*before, obs::capture_snapshot());
-      iter_span.arg("sim_words", static_cast<double>(delta.counter_value("sim.words")));
-      iter_span.arg("implications",
-                    static_cast<double>(delta.counter_value("simgen.implications")));
-      iter_span.arg("conflicts",
-                    static_cast<double>(delta.counter_value("simgen.conflicts") +
-                                        delta.counter_value("revs.conflicts")));
+    if (journal) {
+      const auto [implications, conflicts] = engine_totals();
+      const std::uint64_t end_ns = obs::Journal::instance().now_ns();
+      obs::journal_emit(
+          obs::EventKind::kGuidedIteration,
+          static_cast<std::uint8_t>(options.strategy), iteration,
+          result.vectors_generated - generated0, classes.cost(),
+          result.vectors_skipped - skipped0, implications - implications0,
+          conflicts - conflicts0,
+          obs::saturate_us(static_cast<double>(end_ns - start_ns) * 1e-9));
     }
   }
 
@@ -260,8 +266,6 @@ GuidedSimResult run_guided_simulation(sim::Simulator& simulator,
   if (reverse != nullptr) result.conflicts = reverse->stats().conflicts.value();
   watch.stop();
   result.runtime_seconds = watch.seconds();
-  run_span.arg("vectors_generated", static_cast<double>(result.vectors_generated));
-  run_span.arg("vectors_skipped", static_cast<double>(result.vectors_skipped));
   phase.set_result(classes.cost(), classes.num_classes());
   return result;
 }

@@ -41,7 +41,6 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_cli.hpp"
-#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/encoder.hpp"

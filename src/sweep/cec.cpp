@@ -2,12 +2,12 @@
 
 #include <array>
 #include <bit>
+#include <exception>
 #include <stdexcept>
 
 #include "check/lint.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "sim/random_sim.hpp"
 #include "util/stopwatch.hpp"
 
@@ -87,7 +87,6 @@ bool violates(sim::Simulator& simulator, const std::vector<bool>& vector) {
 
 CecResult check_equivalence(const net::Network& a, const net::Network& b,
                             const CecOptions& options) {
-  obs::Span cec_span("cec.check_equivalence");
   util::Stopwatch total;
   total.start();
   CecResult result;
@@ -104,13 +103,22 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
                       miter.network.num_nodes(), num_luts,
                       miter.network.num_pos());
   }
-  const auto journal_run_end = [](const CecResult& r) {
-    if (obs::journal_enabled())
-      obs::journal_emit(
-          obs::EventKind::kRunEnd,
-          r.undecided ? 2 : (r.equivalent ? std::uint8_t{1} : std::uint8_t{0}),
-          0, 0, r.outputs_proven, r.unresolved_outputs);
-  };
+  // Journals run_end on every return. Declared before the first
+  // PhaseScope, so it fires after the phase being returned from has
+  // journaled its phase_end. A run cut short by an exception (a failed
+  // certification) journals no outcome.
+  struct RunEnd {
+    const CecResult& result;
+    int exceptions = std::uncaught_exceptions();
+    ~RunEnd() {
+      if (!obs::journal_enabled() || std::uncaught_exceptions() > exceptions)
+        return;
+      const std::uint8_t outcome =
+          result.undecided ? 2 : (result.equivalent ? 1 : 0);
+      obs::journal_emit(obs::EventKind::kRunEnd, outcome, 0, 0,
+                        result.outputs_proven, result.unresolved_outputs);
+    }
+  } run_end{result};
 
   // Phase 1: random simulation. Any nonzero miter output word is already
   // a counterexample — report it without touching the solver. Rounds are
@@ -118,7 +126,6 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   // time, with word w of the block being global round `round + w` keyed
   // only by (seed, pi, round): partitions, journals, and the first
   // counterexample found are identical at every block width.
-  obs::Span random_span("cec.random_sim");
   {
     obs::PhaseScope random_phase(obs::PhaseId::kRandomSim);
     std::size_t round = 0;
@@ -141,7 +148,6 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
             result.equivalent = false;
             total.stop();
             result.total_seconds = total.seconds();
-            journal_run_end(result);
             return result;
           }
         }
@@ -150,21 +156,17 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
     random_phase.set_result(classes.cost(), classes.num_classes());
   }
 
-  random_span.arg("cost_after", static_cast<double>(classes.cost()));
-  random_span.close();
   obs::set_gauge("cec.cost_after_random", static_cast<double>(classes.cost()));
   SIMGEN_DEBUG_LINT(classes, miter.network, &simulator,
                     "cec: classes after random simulation");
 
   // Phase 2: guided simulation splits the classes random patterns cannot.
   if (options.use_guided_simulation && !classes.fully_refined()) {
-    obs::Span guided_span("cec.guided_sim");
     core::GuidedSimOptions guided;
     guided.strategy = options.guided_strategy;
     guided.iterations = options.guided_iterations;
     guided.seed = options.seed;
     run_guided_simulation(simulator, classes, guided);
-    guided_span.arg("cost_after", static_cast<double>(classes.cost()));
   }
 
   obs::set_gauge("cec.cost_after_guided", static_cast<double>(classes.cost()));
@@ -181,19 +183,14 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   sweep_options.strategy_code =
       static_cast<std::uint8_t>(options.guided_strategy);
   Sweeper sweeper(miter.network, sweep_options);
-  if (options.sweep_internal_nodes) {
-    obs::Span sweep_span("cec.sweep");
+  if (options.sweep_internal_nodes)
     result.sweep_stats = sweeper.run(classes, simulator);
-    sweep_span.arg("sat_calls",
-                   static_cast<double>(result.sweep_stats.sat_calls));
-  }
 
   // Phase 4: prove each miter output constant-0. Output proofs run under
   // their own conflict budget (output_proof_conflict_limit, unlimited by
   // default): a tight candidate-pair budget must not make the final
   // verdict undecidable, and a budgeted output proof that still times out
   // yields an "undecided" verdict instead of a crash.
-  obs::Span outputs_span("cec.output_proofs");
   obs::PhaseScope outputs_phase(obs::PhaseId::kOutputProofs);
   sweeper.solver().set_conflict_limit(
       sweep_options.output_proof_conflict_limit);
@@ -254,7 +251,6 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
       result.unresolved_outputs = 0;
       total.stop();
       result.total_seconds = total.seconds();
-      journal_run_end(result);
       return result;
     }
     if (verdict == sat::Result::kUnknown) {
@@ -278,7 +274,6 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   result.equivalent = !result.undecided;
   total.stop();
   result.total_seconds = total.seconds();
-  journal_run_end(result);
   return result;
 }
 

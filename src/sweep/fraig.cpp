@@ -2,13 +2,11 @@
 
 #include "check/lint.hpp"
 #include "obs/journal.hpp"
-#include "obs/trace.hpp"
 #include "sim/random_sim.hpp"
 
 namespace simgen::sweep {
 
 FraigResult fraig(const net::Network& network, const FraigOptions& options) {
-  obs::Span fraig_span("fraig.run");
   SIMGEN_DEBUG_LINT(network, "fraig: input network");
   sim::Simulator simulator(network);
   sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
@@ -20,13 +18,11 @@ FraigResult fraig(const net::Network& network, const FraigOptions& options) {
   const std::uint64_t cost_after_random = classes.cost();
 
   if (options.use_guided_simulation && !classes.fully_refined()) {
-    obs::Span guided_span("fraig.guided_sim");
     core::GuidedSimOptions guided;
     guided.strategy = options.guided_strategy;
     guided.iterations = options.guided_iterations;
     guided.seed = options.seed;
     core::run_guided_simulation(simulator, classes, guided);
-    guided_span.arg("cost_after", static_cast<double>(classes.cost()));
   }
   const std::uint64_t cost_after_guided = classes.cost();
 
@@ -41,16 +37,12 @@ FraigResult fraig(const net::Network& network, const FraigOptions& options) {
   ReductionStats reduction;
   net::Network reduced;
   {
-    obs::Span reduce_span("fraig.reduce");
     obs::PhaseScope reduce_phase(obs::PhaseId::kReduce);
     reduced = reduce_network(network, sweep_stats.proven_pairs, &reduction);
-    reduce_span.arg("merged_nodes", static_cast<double>(reduction.merged_nodes));
     reduce_phase.set_result(reduction.merged_nodes, 0);
   }
   SIMGEN_DEBUG_LINT(reduced, "fraig: reduced network");
 
-  fraig_span.arg("cost_after_random", static_cast<double>(cost_after_random));
-  fraig_span.arg("cost_after_guided", static_cast<double>(cost_after_guided));
   return FraigResult{std::move(reduced), std::move(sweep_stats), reduction,
                      cost_after_random, cost_after_guided};
 }

@@ -6,7 +6,6 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
-#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -28,13 +27,14 @@ obs::SatVerdict to_verdict(sat::Result result) noexcept {
 /// One counterexample as simulation words: pattern 0 is the SAT model
 /// (unencoded PIs filled from \p rng, so every PI has a deterministic
 /// value — nothing is inherited from whatever pattern occupied the word
-/// before), patterns 1..63 optionally flip one random PI each (1-distance
-/// neighbours, cf. Mishchenko et al.). \p rng must be freshly seeded per
-/// witness (Sweeper::witness_seed) to keep witnesses history-independent.
+/// before), patterns 1..63 flip one random PI each (1-distance
+/// neighbours, cf. Mishchenko et al.): the neighbourhood patterns split
+/// many classes per disproof and keep sweeping tractable. \p rng must be
+/// freshly seeded per witness (Sweeper::witness_seed) to keep witnesses
+/// history-independent.
 std::vector<sim::PatternWord> build_witness_words(const net::Network& network,
                                                   const sat::CnfEncoder& encoder,
                                                   const sat::Solver& solver,
-                                                  bool distance_one_fill,
                                                   util::Rng& rng) {
   const std::size_t num_pis = network.num_pis();
   std::vector<sim::PatternWord> words(num_pis, 0);
@@ -45,7 +45,7 @@ std::vector<sim::PatternWord> build_witness_words(const net::Network& network,
                          : rng.flip();
     if (bit) words[i] = ~sim::PatternWord{0};
   }
-  if (distance_one_fill && num_pis > 0) {
+  if (num_pis > 0) {
     for (unsigned pattern = 1; pattern < 64; ++pattern) {
       const std::size_t flip = rng.below(num_pis);
       words[flip] ^= sim::PatternWord{1} << pattern;
@@ -170,17 +170,7 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
 #endif
   util::Stopwatch watch;
   watch.start();
-  sat::Result verdict;
-  {
-    obs::Span solve_span("sweep.sat_solve");
-    // The solver's counter runs across the whole sweep; the span reports
-    // this call's share, like the kSatCall event.
-    const std::uint64_t conflicts_before = solver_.stats().conflicts.value();
-    verdict = solver_.solve({sat::pos(t)});
-    solve_span.arg("conflicts",
-                   static_cast<double>(solver_.stats().conflicts.value() -
-                                       conflicts_before));
-  }
+  const sat::Result verdict = solver_.solve({sat::pos(t)});
   watch.stop();
 #ifndef SIMGEN_NO_TELEMETRY
   solver_.clear_introspection_context();
@@ -206,7 +196,8 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
   switch (verdict) {
     case sat::Result::kUnsat: {
       // Certify before trusting: the merge (and the equality clauses
-      // strengthening later proofs) must rest on a checked derivation.
+      // strengthening later proofs, fraig-style) must rest on a checked
+      // derivation.
       const sat::Lit assumption = sat::pos(t);
       certify_unsat({&assumption, 1}, a, b);
       if (journal) obs::journal_emit(obs::EventKind::kClassMerged, 0, a, b);
@@ -214,12 +205,10 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
       totals_.proven_pairs.emplace_back(a, b);
       static obs::Counter& proven = obs::counter("sweep.proven");
       proven.inc();
-      if (options_.add_equality_clauses) {
-        solver_.add_clause({sat::pos(var_a), sat::neg(var_b)});
-        solver_.add_clause({sat::neg(var_a), sat::pos(var_b)});
-        static obs::Counter& eq_clauses = obs::counter("sweep.equality_clauses");
-        eq_clauses.inc(2);
-      }
+      solver_.add_clause({sat::pos(var_a), sat::neg(var_b)});
+      solver_.add_clause({sat::neg(var_a), sat::pos(var_b)});
+      static obs::Counter& eq_clauses = obs::counter("sweep.equality_clauses");
+      eq_clauses.inc(2);
       // The t-miter of a proven pair is dead weight; pin it false so the
       // solver never branches on it again.
       solver_.add_clause({sat::neg(t)});
@@ -272,13 +261,10 @@ void Sweeper::resimulate_counterexample(
   ++totals_.resimulations;
   static obs::Counter& resims = obs::counter("sweep.resimulations");
   resims.inc();
-  obs::Tracer::instance().instant("sweep.counterexample");
 }
 
 SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) {
-  obs::Span span("sweep.run");
   obs::PhaseScope phase(obs::PhaseId::kSweep);
-  span.arg("classes_in", static_cast<double>(classes.num_classes()));
   const SweepResult before = totals_;
 
   // Live progress, readable by the heartbeat below and by the watchdog
@@ -318,8 +304,7 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
         // witness stream is keyed per pair, never by sweep history.
         util::Rng rng(witness_seed(representative, candidate));
         resimulate_counterexample(
-            build_witness_words(network_, encoder_, solver_,
-                                options_.distance_one_fill, rng),
+            build_witness_words(network_, encoder_, solver_, rng),
             classes, simulator);
         break;
       }
@@ -374,8 +359,7 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
             totals_.sat_calls - before.sat_calls, obs::saturate_us(elapsed));
 #ifndef SIMGEN_NO_TELEMETRY
         obs::journal_emit(obs::EventKind::kResourceSample, 0,
-                          res.current_rss_kb, res.peak_rss_kb, res.alloc_count,
-                          res.alloc_bytes);
+                          res.current_rss_kb, res.peak_rss_kb);
 #endif
         // Keep the on-disk journal near-complete so a kill right after a
         // heartbeat loses almost nothing.
@@ -386,8 +370,6 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
 
   progress.end();
   phase.set_result(classes.cost(), classes.num_classes());
-  span.arg("sat_calls",
-           static_cast<double>(totals_.sat_calls - before.sat_calls));
   return delta_since(before);
 }
 

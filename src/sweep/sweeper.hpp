@@ -5,12 +5,12 @@
 /// the simulation-equivalence classes, picks (representative, candidate)
 /// pairs, and asks the SAT solver for an input on which they differ:
 ///  * UNSAT — the pair is proven equivalent; the candidate is merged into
-///    the representative (and, optionally, an equality clause strengthens
-///    future proofs, fraig-style);
+///    the representative, and an equality clause strengthens future
+///    proofs, fraig-style;
 ///  * SAT — the model is a counterexample the random generator could not
-///    produce; it is simulated back through the network to split this and
-///    other classes (with optional 1-distance neighbours, cf. Mishchenko
-///    et al.).
+///    produce; it is simulated back through the network, together with
+///    63 1-distance neighbours (cf. Mishchenko et al.), to split this and
+///    other classes.
 /// SAT calls and SAT time are counted exactly as reported in the paper's
 /// Table 2 / Figures 5-6.
 #pragma once
@@ -40,14 +40,6 @@ struct SweepOptions {
   /// budget. An output proof that still hits this budget makes the CEC
   /// verdict "undecided" (see CecResult), never a crash.
   std::uint64_t output_proof_conflict_limit = 0;
-  /// Add (a == b) clauses for proven pairs to speed up later proofs.
-  bool add_equality_clauses = true;
-  /// Fill the 63 spare pattern slots of a counterexample word with
-  /// 1-distance neighbours (single random PI flips, cf. Mishchenko et
-  /// al.) before resimulating. On by default: the neighbourhood patterns
-  /// split many classes per disproof and keep sweeping tractable, exactly
-  /// like the counterexample packing production sweepers perform.
-  bool distance_one_fill = true;
   /// Log a DRAT proof of every solver derivation and independently
   /// certify each UNSAT verdict with the in-repo backward checker before
   /// trusting it (see src/check/drat.hpp). An uncertifiable verdict

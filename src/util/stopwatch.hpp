@@ -18,7 +18,6 @@ class Stopwatch {
   /// Starts (or restarts) timing from zero.
   void start() noexcept {
     accumulated_ = Clock::duration::zero();
-    lap_mark_ = Clock::time_point{};
     running_ = true;
     begin_ = Clock::now();
   }
@@ -47,22 +46,9 @@ class Stopwatch {
   /// Total accumulated time in milliseconds.
   [[nodiscard]] double milliseconds() const noexcept { return seconds() * 1e3; }
 
-  /// Seconds elapsed since the previous lap() — or since start()/resume()
-  /// if none — and advances the lap marker. The watch keeps running; only
-  /// meaningful on a running watch. Used by the span tracer for
-  /// inter-event spacing and by the benches for per-phase splits.
-  [[nodiscard]] double lap() noexcept {
-    const Clock::time_point now = Clock::now();
-    const Clock::time_point mark =
-        lap_mark_ == Clock::time_point{} ? begin_ : lap_mark_;
-    lap_mark_ = now;
-    return std::chrono::duration<double>(now - mark).count();
-  }
-
  private:
   Clock::duration accumulated_{Clock::duration::zero()};
   Clock::time_point begin_{};
-  Clock::time_point lap_mark_{};
   bool running_ = false;
 };
 

@@ -1,11 +1,18 @@
 // Guided-simulation driver tests: every strategy arm runs, costs are
-// monotone non-increasing, and guided simulation splits classes that
-// random simulation left behind.
+// monotone non-increasing, guided simulation splits classes that random
+// simulation left behind, and a journaled run records every iteration.
 #include "simgen/guided_sim.hpp"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <vector>
+
 #include "benchgen/suite.hpp"
+#include "obs/inspect.hpp"
+#include "obs/journal.hpp"
+#include "obs/metrics.hpp"
 #include "sim/random_sim.hpp"
 
 namespace simgen::core {
@@ -186,6 +193,82 @@ TEST(GuidedSim, BackoffDoesNotChangeReachableCost) {
   const double lo = static_cast<double>(std::min(costs[0], costs[1]));
   EXPECT_LE(hi, lo * 1.15 + 3.0);
 }
+
+#ifndef SIMGEN_NO_TELEMETRY
+
+class GuidedSimJournal : public ::testing::TestWithParam<Strategy> {};
+
+/// A journaled run emits one kGuidedIteration event per iteration that
+/// ran, and the events' per-iteration shares add up to the run's totals.
+TEST_P(GuidedSimJournal, OneEventPerIterationThatRan) {
+  const net::Network network = test_network();
+  sim::Simulator simulator(network);
+  sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
+  sim::RandomSimOptions random_options;
+  random_options.max_rounds = 1;
+  run_random_simulation(simulator, classes, random_options);
+  const std::uint64_t cost_before = classes.cost();
+
+  GuidedSimOptions options;
+  options.strategy = GetParam();
+  options.iterations = 8;
+  // One file per arm: ctest runs the instances in parallel processes.
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("guided_iterations_" + std::to_string(static_cast<int>(GetParam())) +
+        ".jrnl"))
+          .string();
+  const obs::TelemetrySnapshot before = obs::capture_snapshot();
+  ASSERT_TRUE(obs::Journal::instance().open(path));
+  const GuidedSimResult result =
+      run_guided_simulation(simulator, classes, options);
+  obs::Journal::instance().close();
+  const obs::TelemetrySnapshot delta =
+      obs::diff_snapshots(before, obs::capture_snapshot());
+
+  std::vector<obs::JournalEvent> events;
+  std::string error;
+  ASSERT_TRUE(obs::read_journal_file(path, events, &error)) << error;
+  ASSERT_TRUE(obs::check_journal(events, &error)) << error;
+
+  // An iteration runs unless the classes were already fully refined.
+  std::vector<std::uint64_t> ran;
+  for (std::size_t i = 0; i < options.iterations; ++i)
+    if ((i == 0 ? cost_before : result.cost_per_iteration[i - 1]) > 0)
+      ran.push_back(i);
+  ASSERT_FALSE(ran.empty());
+  std::vector<std::uint64_t> journaled;
+  std::uint64_t generated = 0, skipped = 0, implications = 0, conflicts = 0;
+  for (const obs::JournalEvent& event : events) {
+    if (event.kind != obs::EventKind::kGuidedIteration) continue;
+    journaled.push_back(event.a);
+    ASSERT_LT(event.a, result.cost_per_iteration.size());
+    EXPECT_EQ(event.code, static_cast<std::uint8_t>(options.strategy));
+    EXPECT_EQ(event.v0, result.cost_per_iteration[event.a]);
+    generated += event.b;
+    skipped += event.v1;
+    implications += event.v2;
+    conflicts += event.v3;
+  }
+  EXPECT_EQ(journaled, ran);
+  EXPECT_EQ(generated, result.vectors_generated);
+  EXPECT_EQ(skipped, result.vectors_skipped);
+  EXPECT_EQ(conflicts, result.conflicts);
+  EXPECT_EQ(implications, delta.counter_value("simgen.implications"));
+  if (options.strategy == Strategy::kRevS)
+    EXPECT_EQ(implications, 0u);
+  else
+    EXPECT_GT(implications, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    JournaledArms, GuidedSimJournal,
+    ::testing::Values(Strategy::kAiDcMffc, Strategy::kRevS),
+    [](const ::testing::TestParamInfo<Strategy>& param) {
+      return param.param == Strategy::kRevS ? "RevS" : "AiDcMffc";
+    });
+
+#endif  // SIMGEN_NO_TELEMETRY
 
 }  // namespace
 }  // namespace simgen::core

@@ -178,9 +178,10 @@ TEST(JournalFile, SchedulerKindsRoundTripThroughJsonl) {
 }
 
 TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
-  // The format-2 solver-introspection kinds must survive the text format
-  // exactly like the scheduler kinds: kind_name() on the way out, the
-  // string registry on the way back in.
+  // The format-2 solver-introspection kinds and the format-4 guided
+  // iteration must survive the text format exactly like the scheduler
+  // kinds: kind_name() on the way out, the string registry on the way
+  // back in.
   std::vector<JournalEvent> events;
   const auto push = [&](EventKind kind, std::uint8_t code, std::uint64_t a,
                         std::uint64_t b, std::uint64_t v0, std::uint64_t v1,
@@ -204,6 +205,9 @@ TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
   push(EventKind::kSolverReduce, 0, 40, 77, 32, 64, 32, 0, 0);
   push(EventKind::kSolverBudget, 0, 40, 77, 1000, 1000, 0, 0, 0);
   push(EventKind::kSolverSolveStats, 0, 12, 0, 5, 14, 6, 2, /*flags=*/1);
+  push(EventKind::kGuidedIteration, /*arm=*/4, /*iteration=*/3,
+       /*generated=*/17, /*cost after=*/212, /*skipped=*/40,
+       /*implications=*/9000, /*conflicts=*/61, 0);
 
   const std::string path = temp_path("introspection_kinds.jsonl");
   ASSERT_TRUE(obs::write_journal_file(path, events));
@@ -220,6 +224,8 @@ TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
   EXPECT_STREQ(obs::kind_name(EventKind::kSolverBudget), "solver_budget");
   EXPECT_STREQ(obs::kind_name(EventKind::kSolverSolveStats),
                "solver_solve_stats");
+  EXPECT_STREQ(obs::kind_name(EventKind::kGuidedIteration),
+               "guided_iteration");
 }
 
 TEST(JournalFile, RetiredInprocessKindStillReads) {
@@ -744,24 +750,24 @@ TEST(JournalIntegration, CertifiedCecTotalsMatchRegistry) {
             result.sweep_stats.certified_unsat + result.certified_outputs);
   EXPECT_EQ(report.certified_fail, 0u);
 
-  // The run is bracketed and phase-attributed.
+  // The run is bracketed and phase-attributed: run_end comes after the
+  // phase_end of the output proofs it returns from.
   ASSERT_FALSE(events.empty());
   EXPECT_EQ(events.front().kind, EventKind::kRunBegin);
+  EXPECT_EQ(events.back().kind, EventKind::kRunEnd);
   EXPECT_GT(
       report.phases[static_cast<std::size_t>(PhaseId::kSweep)].enters, 0u);
   EXPECT_FALSE(report.folded.empty());
 }
 
 #if defined(__unix__)
-/// SIGINT mid-run must leave valid journal/trace/metrics files: the child
+/// SIGINT mid-run must leave valid journal/metrics files: the child
 /// raises SIGINT against itself while emitting, the watchdog flushes and
 /// re-raises, and the parent validates everything the child left behind.
 TEST(JournalWatchdog, SigintFlushLeavesValidFiles) {
   const std::string journal_path = temp_path("wd.jrnl");
-  const std::string trace_path = temp_path("wd.trace.json");
   const std::string metrics_path = temp_path("wd.metrics.jsonl");
   std::remove(journal_path.c_str());
-  std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
 
   const pid_t pid = fork();
@@ -769,9 +775,8 @@ TEST(JournalWatchdog, SigintFlushLeavesValidFiles) {
   if (pid == 0) {
     // Child: no gtest machinery from here on; _exit on any failure.
     alarm(30);
-    obs::Tracer::instance().enable();
     if (!obs::Journal::instance().open(journal_path)) _exit(10);
-    obs::set_exit_outputs(trace_path, metrics_path);
+    obs::set_exit_outputs(metrics_path);
     obs::WatchdogOptions watchdog;
     if (!obs::start_watchdog(watchdog)) _exit(11);
     obs::sweep_progress().begin(1000, 100);
@@ -800,15 +805,6 @@ TEST(JournalWatchdog, SigintFlushLeavesValidFiles) {
   const obs::JournalReport report = obs::build_report(events);
   EXPECT_GT(report.heartbeats, 0u);
   EXPECT_EQ(report.watchdog_fires, 1u);
-
-  // Trace: the file must exist and be complete JSON (balanced braces).
-  std::ifstream trace(trace_path);
-  ASSERT_TRUE(trace.good()) << "trace file missing after SIGINT";
-  std::stringstream trace_text;
-  trace_text << trace.rdbuf();
-  const std::string text = trace_text.str();
-  EXPECT_NE(text.find("traceEvents"), std::string::npos);
-  EXPECT_EQ(text.rfind("]}"), text.size() - 3) << "trace JSON not closed";
 
   // Metrics: every line is one complete JSON object.
   std::ifstream metrics(metrics_path);

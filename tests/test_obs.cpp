@@ -1,29 +1,30 @@
 // Telemetry subsystem tests: counter/gauge/histogram semantics, registry
-// aggregation and retirement, snapshot diffing, nested span recording,
-// Chrome-trace JSON export (validated with a minimal JSON parser), and an
-// end-to-end certified CEC run whose counters must land in the registry.
+// aggregation and retirement, snapshot diffing, the journal's Chrome-trace
+// rendering (validated with a minimal JSON parser), and an end-to-end
+// certified CEC run whose counters must land in the registry.
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "aig/aig_to_network.hpp"
 #include "benchgen/generator.hpp"
 #include "mapping/lut_mapper.hpp"
+#include "obs/inspect.hpp"
+#include "obs/journal.hpp"
 #include "sweep/cec.hpp"
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 namespace simgen::obs {
 namespace {
@@ -111,18 +112,205 @@ TEST(Histogram, BucketPercentileIsTheSharedEstimator) {
   EXPECT_EQ(bucket_percentile(buckets.data(), buckets.size(), 2.0), 512u);
 }
 
-TEST(Stopwatch, LapMeasuresSinceLastLap) {
-  util::Stopwatch watch;
-  watch.start();
-  const double first = watch.lap();
-  // A lap can only move forward, and the second lap restarts from the
-  // first lap's mark, so total elapsed >= first lap.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  const double second = watch.lap();
-  EXPECT_GE(first, 0.0);
-  EXPECT_GE(second, 0.002 * 0.5);  // allow coarse clocks some slack
-  EXPECT_GE(watch.seconds(), second);
+// ---------------------------------------------------------------------------
+// Chrome-trace rendering of the journal.
+
+/// Minimal JSON reader covering the subset the trace writer emits
+/// (objects, arrays, strings, numbers, booleans). Any malformed byte
+/// fails the parse.
+class MiniJson {
+ public:
+  explicit MiniJson(std::string_view text) : text_(text) {}
+
+  bool parse() {
+    skip_ws();
+    if (!value()) return false;
+    skip_ws();
+    return pos_ == text_.size();
+  }
+
+  /// Scalar members (key -> string value or number text) of every object,
+  /// in the order the objects close: an event's args before the event.
+  [[nodiscard]] const std::vector<std::map<std::string, std::string>>&
+  members() const noexcept {
+    return members_;
+  }
+
+ private:
+  bool value() {
+    if (pos_ >= text_.size()) return false;
+    const char c = text_[pos_];
+    if (c == '{') return object();
+    if (c == '[') return array();
+    if (c == '"') return string();
+    if (c == 't') return literal("true");
+    if (c == 'f') return literal("false");
+    if (c == 'n') return literal("null");
+    return number();
+  }
+
+  bool object() {
+    ++pos_;  // '{'
+    std::map<std::string, std::string> members;
+    skip_ws();
+    if (peek() == '}') {
+      ++pos_;
+      members_.push_back(std::move(members));
+      return true;
+    }
+    while (true) {
+      skip_ws();
+      if (!string()) return false;
+      const std::string key = last_string_;
+      skip_ws();
+      if (peek() != ':') return false;
+      ++pos_;
+      skip_ws();
+      const std::size_t start = pos_;
+      if (!value()) return false;
+      if (text_[start] == '"')
+        members[key] = last_string_;
+      else if (text_[start] != '{' && text_[start] != '[')
+        members[key] = std::string(text_.substr(start, pos_ - start));
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      if (peek() == '}') {
+        ++pos_;
+        members_.push_back(std::move(members));
+        return true;
+      }
+      return false;
+    }
+  }
+
+  bool array() {
+    ++pos_;  // '['
+    skip_ws();
+    if (peek() == ']') {
+      ++pos_;
+      return true;
+    }
+    while (true) {
+      skip_ws();
+      if (!value()) return false;
+      skip_ws();
+      if (peek() == ',') {
+        ++pos_;
+        continue;
+      }
+      if (peek() == ']') {
+        ++pos_;
+        return true;
+      }
+      return false;
+    }
+  }
+
+  bool string() {
+    if (peek() != '"') return false;
+    ++pos_;
+    std::string out;
+    while (pos_ < text_.size() && text_[pos_] != '"') {
+      if (text_[pos_] == '\\') {
+        ++pos_;
+        if (pos_ >= text_.size()) return false;
+      }
+      out.push_back(text_[pos_++]);
+    }
+    if (pos_ >= text_.size()) return false;
+    ++pos_;  // closing quote
+    last_string_ = std::move(out);
+    return true;
+  }
+
+  bool number() {
+    const std::size_t start = pos_;
+    if (peek() == '-') ++pos_;
+    while (pos_ < text_.size() &&
+           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
+            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
+            text_[pos_] == '+' || text_[pos_] == '-'))
+      ++pos_;
+    return pos_ > start;
+  }
+
+  bool literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  [[nodiscard]] char peek() const noexcept {
+    return pos_ < text_.size() ? text_[pos_] : '\0';
+  }
+  void skip_ws() {
+    while (pos_ < text_.size() &&
+           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
+      ++pos_;
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  std::string last_string_;  ///< Value of the string parsed last.
+  std::vector<std::map<std::string, std::string>> members_;
+};
+
+/// Complete ("X") spans of a rendered trace: name, begin and end in
+/// microseconds.
+struct TraceSpan {
+  std::string name;
+  double begin = 0.0;
+  double end = 0.0;
+};
+
+std::vector<TraceSpan> complete_spans(const MiniJson& parser) {
+  std::vector<TraceSpan> spans;
+  for (const auto& members : parser.members()) {
+    const auto phase = members.find("ph");
+    if (phase == members.end() || phase->second != "X") continue;
+    const double ts = std::stod(members.at("ts"));
+    spans.push_back(
+        {members.at("name"), ts, ts + std::stod(members.at("dur"))});
+  }
+  return spans;
 }
+
+TEST(ChromeTrace, SpanStartsAtStampMinusDuration) {
+  // A timed event is stamped when its work ends, so its span starts
+  // dur_us before t_ns.
+  std::vector<JournalEvent> events(3);
+  events[0].kind = EventKind::kGuidedIteration;
+  events[0].t_ns = 2'000'250;
+  events[0].dur_us = 75;
+  events[1].kind = EventKind::kSatCall;
+  events[1].t_ns = 4'500'500;
+  events[1].dur_us = 300;
+  events[2].kind = EventKind::kPhaseEnd;
+  events[2].code = static_cast<std::uint8_t>(PhaseId::kSweep);
+  events[2].t_ns = 5'000'000;
+  events[2].dur_us = 1'200;
+
+  std::ostringstream out;
+  write_chrome_trace(out, events, InspectOptions{});
+  const std::string json = out.str();
+  MiniJson parser(json);
+  ASSERT_TRUE(parser.parse()) << json;
+  const std::vector<TraceSpan> spans = complete_spans(parser);
+  ASSERT_EQ(spans.size(), 3u) << json;
+  const char* names[] = {"guided_iteration", "sat_call", "sweep"};
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].name, names[i]);
+    EXPECT_DOUBLE_EQ(spans[i].begin,
+                     static_cast<double>(events[i].t_ns) / 1000.0 -
+                         events[i].dur_us);
+    EXPECT_DOUBLE_EQ(spans[i].end - spans[i].begin, events[i].dur_us);
+  }
+  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
+}
+
 
 #ifndef SIMGEN_NO_TELEMETRY
 
@@ -302,229 +490,73 @@ TEST(Logging, ParseLogLevelAcceptsNamesAndDigits) {
 }
 
 // ---------------------------------------------------------------------------
-// Span tracer and Chrome-trace export.
+// Chrome trace of a recorded journal: the phases, iterations and SAT calls
+// of one certified CEC run on one timeline.
 
-/// Minimal JSON reader covering the subset the trace exporter emits
-/// (objects, arrays, strings, numbers, booleans). Any malformed byte
-/// fails the test via ADD_FAILURE + parse abort.
-class MiniJson {
- public:
-  explicit MiniJson(std::string_view text) : text_(text) {}
+TEST(ChromeTrace, RendersCertifiedCecJournal) {
+  benchgen::CircuitSpec spec;
+  spec.name = "obs_chrome_trace";
+  spec.num_pis = 8;
+  spec.num_pos = 4;
+  spec.num_gates = 120;
+  const aig::Aig graph = benchgen::generate_circuit(spec);
+  const net::Network mapped = mapping::map_to_luts(graph);
+  const net::Network direct = aig::to_network(graph);
 
-  bool parse() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) / "chrome_trace.jrnl")
+          .string();
+  ASSERT_TRUE(Journal::instance().open(path));
+  sweep::CecOptions options;
+  options.certify = true;
+  const sweep::CecResult result =
+      sweep::check_equivalence(mapped, direct, options);
+  Journal::instance().close();
+  ASSERT_TRUE(result.equivalent);
 
-  [[nodiscard]] std::size_t objects() const noexcept { return objects_; }
-  [[nodiscard]] const std::vector<std::string>& strings() const noexcept {
-    return strings_;
-  }
-
- private:
-  bool value() {
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-
-  bool object() {
-    ++objects_;
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-      }
-      out.push_back(text_[pos_++]);
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    strings_.push_back(std::move(out));
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
-    return pos_ > start;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  [[nodiscard]] char peek() const noexcept {
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t objects_ = 0;
-  std::vector<std::string> strings_;
-};
-
-TEST(Tracer, RecordsNestedSpansInCompletionOrder) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable();
-  {
-    Span outer("outer");
-    {
-      Span inner("inner");
-      inner.arg("depth_check", 1.0);
-    }
-    Span sibling("sibling");
-  }
-  tracer.instant("marker");
-  tracer.disable();
-
-  const std::vector<Tracer::Event> events = tracer.events();
-  ASSERT_EQ(events.size(), 4u);
-  // Events are recorded at begin time: outer, inner, sibling, marker.
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[2].name, "sibling");
-  EXPECT_EQ(events[3].name, "marker");
-  EXPECT_EQ(events[0].depth, 0);
-  EXPECT_EQ(events[1].depth, 1);
-  EXPECT_EQ(events[2].depth, 1);
-  EXPECT_EQ(events[0].phase, 'X');
-  EXPECT_EQ(events[3].phase, 'i');
-  // Nesting: inner starts after outer and ends before it.
-  EXPECT_GE(events[1].ts_us, events[0].ts_us);
-  EXPECT_LE(events[1].ts_us + events[1].dur_us,
-            events[0].ts_us + events[0].dur_us + 1e-3);
-  ASSERT_EQ(events[1].args.size(), 1u);
-  EXPECT_EQ(events[1].args[0].first, "depth_check");
-}
-
-TEST(Tracer, SpanCloseEndsEarlyAndIsIdempotent) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable();
-  {
-    Span span("closable");
-    span.close();
-    span.close();  // second close must be a no-op
-  }
-  tracer.disable();
-  const std::vector<Tracer::Event> events = tracer.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "closable");
-}
-
-TEST(Tracer, DisabledSpansRecordNothing) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable();
-  tracer.disable();
-  {
-    Span span("ghost");
-    tracer.instant("ghost_marker");
-  }
-  EXPECT_TRUE(tracer.events().empty());
-}
-
-TEST(Tracer, ChromeTraceJsonParsesBack) {
-  Tracer& tracer = Tracer::instance();
-  tracer.enable();
-  {
-    Span outer("phase \"quoted\"");  // exercise escaping
-    outer.arg("cost", 12.5);
-    Span inner("inner");
-  }
-  tracer.instant("event");
-  tracer.disable();
-
+  std::vector<JournalEvent> events;
+  std::string error;
+  ASSERT_TRUE(read_journal_file(path, events, &error)) << error;
   std::ostringstream out;
-  tracer.write_chrome_trace(out);
+  write_chrome_trace(out, events, InspectOptions{});
   const std::string json = out.str();
-
   MiniJson parser(json);
-  ASSERT_TRUE(parser.parse()) << json;
-  // Metadata event + 3 recorded events, each an object, plus args
-  // objects and the root.
-  EXPECT_GE(parser.objects(), 5u);
-  const auto& strings = parser.strings();
-  EXPECT_NE(std::find(strings.begin(), strings.end(), "traceEvents"),
-            strings.end());
-  EXPECT_NE(std::find(strings.begin(), strings.end(), "phase \"quoted\""),
-            strings.end());
-  // Chrome requires "ph" and "ts" keys on every event.
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
+  ASSERT_TRUE(parser.parse());
+
+  const std::vector<TraceSpan> spans = complete_spans(parser);
+  const auto named = [&spans](std::string_view name) {
+    return static_cast<std::uint64_t>(std::count_if(
+        spans.begin(), spans.end(),
+        [name](const TraceSpan& span) { return span.name == name; }));
+  };
+  for (const char* expected :
+       {"run", "random_sim", "guided_sim", "guided_iteration", "sweep",
+        "output_proofs", "sat_call", "certified"})
+    EXPECT_GT(named(expected), 0u) << expected;
+  ASSERT_EQ(named("run"), 1u);
+  EXPECT_EQ(named("sat_call"),
+            result.sweep_stats.sat_calls + result.output_sat_calls)
+      << "sweep calls and output proofs each render one span";
+
+  // Stamps are exact to the nanosecond; the slack only absorbs the
+  // rounding of ts + dur in double.
+  const auto inside = [](const TraceSpan& inner, const TraceSpan& outer) {
+    return inner.begin >= outer.begin - 1e-3 && inner.end <= outer.end + 1e-3;
+  };
+  const TraceSpan& run = *std::find_if(
+      spans.begin(), spans.end(),
+      [](const TraceSpan& span) { return span.name == "run"; });
+  for (const TraceSpan& span : spans) {
+    EXPECT_TRUE(inside(span, run)) << span.name << " leaves the run span";
+    if (span.name != "sat_call") continue;
+    EXPECT_TRUE(std::any_of(spans.begin(), spans.end(),
+                            [&](const TraceSpan& phase) {
+                              return (phase.name == "sweep" ||
+                                      phase.name == "output_proofs") &&
+                                     inside(span, phase);
+                            }))
+        << "sat_call at " << span.begin << " lies outside both SAT phases";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -532,8 +564,6 @@ TEST(Tracer, ChromeTraceJsonParsesBack) {
 
 TEST(EndToEnd, CertifiedCecPopulatesRegistry) {
   reset_all_metrics();
-  Tracer& tracer = Tracer::instance();
-  tracer.enable();
 
   benchgen::CircuitSpec spec;
   spec.name = "obs_e2e";
@@ -548,7 +578,6 @@ TEST(EndToEnd, CertifiedCecPopulatesRegistry) {
   options.certify = true;
   const sweep::CecResult result =
       sweep::check_equivalence(mapped, direct, options);
-  tracer.disable();
   EXPECT_TRUE(result.equivalent);
 
   const TelemetrySnapshot snapshot = capture_snapshot();
@@ -571,27 +600,6 @@ TEST(EndToEnd, CertifiedCecPopulatesRegistry) {
             result.sweep_stats.sat_calls);
   EXPECT_EQ(snapshot.counter_value("sweep.certified_unsat"),
             result.sweep_stats.certified_unsat + result.certified_outputs);
-
-  // The phase spans of the run must be in the trace.
-  std::vector<std::string> names;
-  for (const Tracer::Event& event : tracer.events()) names.push_back(event.name);
-  for (const char* expected :
-       {"cec.check_equivalence", "cec.random_sim", "cec.sweep",
-        "cec.output_proofs", "sweep.run", "sweep.sat_solve"})
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << expected;
-
-  // Each sweep.sat_solve span reports its own call's conflicts, not the
-  // sweep solver's running total, so the spans sum to at most the
-  // registry's count over every solver of the run.
-  double span_conflicts = 0.0;
-  for (const Tracer::Event& event : tracer.events()) {
-    if (event.name != "sweep.sat_solve") continue;
-    for (const auto& [key, value] : event.args)
-      if (key == "conflicts") span_conflicts += value;
-  }
-  EXPECT_LE(span_conflicts,
-            static_cast<double>(snapshot.counter_value("sat.conflicts")));
 }
 
 TEST(EndToEnd, SolverStatsViewMatchesRegistryDelta) {

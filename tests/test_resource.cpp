@@ -1,18 +1,7 @@
-// Resource-accounting tests: RSS sampling, the res.* gauge export, and
-// the SIMGEN_ALLOC_STATS allocation counter. The alloc-stats flag is
-// latched at the process's first allocation (inside the operator new
-// replacement, before main), so the opted-in case re-runs itself in a
-// child process with the environment set.
+// Resource-accounting tests: RSS sampling and the res.* gauge export.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
-#include <string>
 #include <vector>
-
-#if defined(__linux__)
-#include <unistd.h>
-#endif
 
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
@@ -56,55 +45,13 @@ TEST(Resource, GaugeExportPublishesRss) {
       << "resource gauges must ride along in every snapshot";
 }
 
-TEST(Resource, AllocStatsAreZeroWhenNotOptedIn) {
-  // ctest never sets SIMGEN_ALLOC_STATS, so the env-gated counters stay
-  // flat even though the operator new replacement is linked in.
-  if (std::getenv("SIMGEN_ALLOC_STATS") != nullptr)
-    GTEST_SKIP() << "environment opted in; covered by AllocStats below";
-  EXPECT_FALSE(obs::alloc_stats_enabled());
-  const obs::ResourceSample sample = obs::sample_resources();
-  EXPECT_EQ(sample.alloc_count, 0u);
-  EXPECT_EQ(sample.alloc_bytes, 0u);
-}
-
-TEST(Resource, AllocStatsCountWhenOptedIn) {
-  if (std::getenv("SIMGEN_ALLOC_STATS") != nullptr) {
-    // Child leg (or the whole suite ran opted in): counters must move.
-    ASSERT_TRUE(obs::alloc_stats_enabled());
-    const obs::ResourceSample before = obs::sample_resources();
-    auto block = std::make_unique<std::vector<unsigned char>>(1u << 20, 3);
-    const obs::ResourceSample after = obs::sample_resources();
-    block.reset();
-    EXPECT_GT(after.alloc_count, before.alloc_count);
-    EXPECT_GE(after.alloc_bytes, before.alloc_bytes + (1u << 20));
-    return;
-  }
-#if defined(__linux__)
-  // Parent leg: the flag was already latched off at our first
-  // allocation, so opt in by re-running this very test in a child with
-  // the environment set.
-  char exe[4096];
-  const ssize_t len = readlink("/proc/self/exe", exe, sizeof exe - 1);
-  ASSERT_GT(len, 0);
-  exe[static_cast<std::size_t>(len)] = '\0';
-  const std::string command =
-      std::string("SIMGEN_ALLOC_STATS=1 '") + exe +
-      "' --gtest_filter=Resource.AllocStatsCountWhenOptedIn >/dev/null 2>&1";
-  EXPECT_EQ(std::system(command.c_str()), 0)
-      << "opted-in child run failed: " << command;
-#else
-  GTEST_SKIP() << "needs /proc/self/exe to respawn with the env set";
-#endif
-}
-
 #else  // SIMGEN_NO_TELEMETRY
 
 TEST(ResourceStubs, ReturnEmptySamples) {
-  EXPECT_FALSE(obs::alloc_stats_enabled());
   const obs::ResourceSample sample = obs::sample_resources();
   EXPECT_EQ(sample.current_rss_kb, 0u);
   EXPECT_EQ(sample.peak_rss_kb, 0u);
-  EXPECT_EQ(obs::sample_resource_gauges().alloc_count, 0u);
+  EXPECT_EQ(obs::sample_resource_gauges().peak_rss_kb, 0u);
 }
 
 #endif  // SIMGEN_NO_TELEMETRY

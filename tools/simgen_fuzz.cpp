@@ -29,8 +29,8 @@
 ///   --quiet         no per-iteration echo
 ///
 /// Telemetry options (shared with every driver in this repo):
-///   --trace-out FILE, --metrics-out FILE, --journal-out FILE,
-///   --progress SECONDS, --timeout SECONDS
+///   --metrics-out FILE, --journal-out FILE, --progress SECONDS,
+///   --timeout SECONDS
 ///
 /// Exit status: 0 = clean, 1 = at least one oracle mismatch (repros
 /// written), 2 = usage or I/O error.

@@ -10,6 +10,7 @@
 ///   sweep_inspect --class 1234 run.journal       # one class's lifecycle
 ///   sweep_inspect --sat run.journal              # SAT hardness report
 ///   sweep_inspect --folded out.folded run.journal   # flamegraph.pl input
+///   sweep_inspect --chrome-trace t.json run.journal # Perfetto timeline
 ///   sweep_inspect --html report.html run.journal    # self-contained HTML
 ///   sweep_inspect --rewrite copy.jsonl run.journal  # binary <-> JSONL
 
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -38,6 +40,10 @@ void usage(std::FILE* out) {
                "                    fingerprints, restarts, LBD)\n"
                "  --folded FILE     write folded stacks for flamegraph "
                "tooling\n"
+               "  --chrome-trace FILE\n"
+               "                    write a Chrome trace-event timeline "
+               "(chrome://tracing,\n"
+               "                    ui.perfetto.dev)\n"
                "  --html FILE       write a self-contained HTML report\n"
                "  --rewrite FILE    re-serialize the journal (.jsonl selects "
                "JSONL)\n"
@@ -59,25 +65,21 @@ const char* strategy_namer(std::uint8_t code) {
 }
 
 bool write_stream_file(const std::string& path, const char* what,
-                       void (*writer)(std::ostream&,
-                                      const simgen::obs::JournalReport&,
-                                      const simgen::obs::InspectOptions&),
-                       const simgen::obs::JournalReport& report,
-                       const simgen::obs::InspectOptions& options) {
+                       const std::function<void(std::ostream&)>& writer) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "sweep_inspect: cannot write %s file %s\n", what,
                  path.c_str());
     return false;
   }
-  writer(out, report, options);
+  writer(out);
   return out.good();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string journal_path, folded_path, html_path, rewrite_path;
+  std::string journal_path, folded_path, html_path, rewrite_path, chrome_path;
   std::uint64_t class_rep = 0;
   bool check = false, timeline = false, quiet = false;
   bool sat = false;
@@ -101,6 +103,7 @@ int main(int argc, char** argv) {
     else if (arg == "--class") class_rep = std::strtoull(value("--class"), nullptr, 10);
     else if (arg == "--folded") folded_path = value("--folded");
     else if (arg == "--html") html_path = value("--html");
+    else if (arg == "--chrome-trace") chrome_path = value("--chrome-trace");
     else if (arg == "--rewrite") rewrite_path = value("--rewrite");
     else if (arg == "--help" || arg == "-h") { usage(stdout); return 0; }
     else if (!arg.empty() && arg[0] == '-') {
@@ -154,12 +157,19 @@ int main(int argc, char** argv) {
     simgen::obs::write_timeline(std::cout, report, class_rep, options);
   if (sat) simgen::obs::write_sat_report(std::cout, report, options);
   if (!folded_path.empty() &&
-      !write_stream_file(folded_path, "folded-stack",
-                         &simgen::obs::write_folded_stacks, report, options))
+      !write_stream_file(folded_path, "folded-stack", [&](std::ostream& out) {
+        simgen::obs::write_folded_stacks(out, report, options);
+      }))
+    return 2;
+  if (!chrome_path.empty() &&
+      !write_stream_file(chrome_path, "Chrome trace", [&](std::ostream& out) {
+        simgen::obs::write_chrome_trace(out, events, options);
+      }))
     return 2;
   if (!html_path.empty() &&
-      !write_stream_file(html_path, "HTML",
-                         &simgen::obs::write_html_report, report, options))
+      !write_stream_file(html_path, "HTML", [&](std::ostream& out) {
+        simgen::obs::write_html_report(out, report, options);
+      }))
     return 2;
   return 0;
 }
