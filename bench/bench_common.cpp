@@ -10,6 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "util/parallel_for.hpp"
+#include "util/parse_option.hpp"
 #include "util/stopwatch.hpp"
 
 namespace simgen::bench {
@@ -127,17 +128,11 @@ TelemetryCli::TelemetryCli(int& argc, char** argv) : cli_(argc, argv) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       // Hard cap far above any sane request: a typo'd or negative value
       // must become a usage error, not 4 billion spawned threads.
-      constexpr long kMaxThreads = 1024;
-      const char* number = argv[++i];
-      char* end = nullptr;
-      const long value = std::strtol(number, &end, 10);
-      if (end == number || *end != '\0' || value < 0 || value > kMaxThreads) {
-        std::fprintf(stderr,
-                     "error: --threads expects an integer in [0, %ld] "
-                     "(0 = auto), got '%s'\n",
-                     kMaxThreads, number);
+      // 0 means auto (util::resolve_num_threads).
+      constexpr std::uint64_t kMaxThreads = 1024;
+      std::uint64_t value = 0;
+      if (!util::parse_option("--threads", argv[++i], value, kMaxThreads))
         std::exit(2);
-      }
       set_num_threads(static_cast<unsigned>(value));
       continue;
     }
@@ -205,8 +200,8 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
   }
   flow_watch.stop();
   metrics.wall_seconds = flow_watch.seconds();
-  // Kernel-only simulation wall time accumulated across every phase that
-  // touched this flow's simulator (random, guided, cex resimulation).
+  // Simulate-call wall time accumulated across every phase that touched
+  // this flow's simulator (random, guided, cex resimulation).
   metrics.sim_wall_seconds = simulator.kernel_seconds();
   // Reads 0 under SIMGEN_NO_TELEMETRY, keeping the JSON schema identical
   // in both builds.

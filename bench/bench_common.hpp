@@ -25,7 +25,7 @@ struct FlowMetrics {
   std::uint64_t cost_after_random = 0;
   std::uint64_t cost = 0;          ///< Eq. 5 cost after the guided phase.
   double sim_seconds = 0.0;        ///< Guided-simulation runtime.
-  /// Wall time inside the simulation kernels (random + guided + cex
+  /// Wall time inside simulate calls (random + guided + cex
   /// resimulation), from Simulator::kernel_seconds(). A timing field like
   /// sat_seconds — perf_trend.py gates it via --gate sim_wall_seconds;
   /// compare_bench_json.py never count-gates it.

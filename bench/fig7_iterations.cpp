@@ -46,7 +46,7 @@ Trace run_trace(const net::Network& network, Mode mode) {
     // sweep_inspect --check would reject the journal.
     const obs::PatternScope scope(obs::PatternSource::kRandom, /*patterns=*/0);
     simulator.simulate_random_word(1, iteration);
-    classes.refine(simulator);
+    classes.refine(simulator.values());
     const std::uint64_t cost = classes.cost();
     trace.cost.push_back(cost);
     trace.cumulative_seconds.push_back(watch.seconds());

@@ -22,9 +22,10 @@ const net::Network& cached_network(const char* name) {
   return it->second;
 }
 
+/// One simulate call, as every simulation of the flow makes it.
 void BM_SimulateWord(benchmark::State& state, const char* name) {
   const net::Network& network = cached_network(name);
-  sim::Simulator simulator(network, /*block_words=*/1);
+  sim::Simulator simulator(network);
   std::uint64_t word = 0;
   for (auto _ : state) {
     simulator.simulate_random_word(1, word++);
@@ -36,41 +37,6 @@ void BM_SimulateWord(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_SimulateWord, alu4, "alu4");
 BENCHMARK_CAPTURE(BM_SimulateWord, b17_C, "b17_C");
-
-/// Throughput of one full wide block per kernel; patterns/s comparable
-/// with BM_SimulateWord (items = patterns * LUTs in both).
-void BM_SimulateBlock(benchmark::State& state, const char* name,
-                      sim::SimKernel kernel, std::size_t block_words) {
-  if (!sim::sim_kernel_available(kernel)) {
-    state.SkipWithError("kernel not available on this CPU/build");
-    return;
-  }
-  const net::Network& network = cached_network(name);
-  sim::Simulator simulator(network, block_words, kernel);
-  std::uint64_t round = 0;
-  for (auto _ : state) {
-    simulator.simulate_random_block(1, round, block_words);
-    round += block_words;
-    benchmark::DoNotOptimize(simulator.value_word(network.pos()[0], 0));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(block_words) * 64 *
-                          static_cast<std::int64_t>(network.num_luts()));
-  state.counters["luts"] = static_cast<double>(network.num_luts());
-  state.counters["block_words"] = static_cast<double>(block_words);
-}
-BENCHMARK_CAPTURE(BM_SimulateBlock, alu4_scalar, "alu4",
-                  sim::SimKernel::kScalar, 8);
-BENCHMARK_CAPTURE(BM_SimulateBlock, alu4_avx2, "alu4", sim::SimKernel::kAvx2,
-                  8);
-BENCHMARK_CAPTURE(BM_SimulateBlock, alu4_avx512, "alu4",
-                  sim::SimKernel::kAvx512, 8);
-BENCHMARK_CAPTURE(BM_SimulateBlock, b17_C_scalar, "b17_C",
-                  sim::SimKernel::kScalar, 8);
-BENCHMARK_CAPTURE(BM_SimulateBlock, b17_C_avx2, "b17_C", sim::SimKernel::kAvx2,
-                  8);
-BENCHMARK_CAPTURE(BM_SimulateBlock, b17_C_avx512, "b17_C",
-                  sim::SimKernel::kAvx512, 8);
 
 void BM_Isop(benchmark::State& state) {
   const auto num_vars = static_cast<unsigned>(state.range(0));

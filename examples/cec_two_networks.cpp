@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "simgen_all.hpp"
+#include "util/parse_option.hpp"
 
 using namespace simgen;
 
@@ -214,8 +215,9 @@ int main(int argc, char** argv) {
                      "error: --output-conflict-limit expects a value\n");
         return 1;
       }
-      options.sweep.output_proof_conflict_limit =
-          std::strtoull(argv[++i], nullptr, 10);
+      if (!util::parse_option("--output-conflict-limit", argv[++i],
+                              options.sweep.output_proof_conflict_limit))
+        return 1;
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       // Exit 1, not 2: exit 2 means UNDECIDED. Without this check a
       // mistyped flag would be read as a file name.

@@ -183,7 +183,6 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       pair_options.all_arms = options.all_arms;
       pair_options.arm = arm;
       pair_options.certify = options.certify;
-      pair_options.kernel_sweep = options.kernel_sweep;
 
       const auto check_mutant = [&](const Mutant& mutant,
                                     const char* tag) {
@@ -249,21 +248,18 @@ std::vector<OracleResult> replay_network(const net::Network& network,
   }
   for (OracleResult& roundtrip : check_roundtrips(network, seed))
     results.push_back(std::move(roundtrip));
-  // Width-sweep leg: replay the network against its const-0 miter
-  // reference under every available SIMD kernel and block width and
-  // demand byte-identical CEC results. Committed repro artifacts that
-  // stress counterexample resimulation (many disproven pairs per sweep)
-  // regress here if staged witness lanes ever leak between batches or
-  // the refinement order drifts with the lane width.
+  // Pair leg: check the network against its const-0 reference as a
+  // mutant pair, so the witness self-check and every pair oracle run on
+  // it. Committed repro artifacts that stress counterexample
+  // resimulation (many disproven pairs per sweep) regress here.
   {
     Mutant const0;
     const0.network = const0_reference(network);
     const0.equivalent = false;
     const0.witness.assign(network.num_pis(), false);
-    const0.description = "miter-vs-const0 width sweep";
-    PairOracleOptions sweep_options;
-    sweep_options.seed = seed;
-    sweep_options.kernel_sweep = true;
+    const0.description = "miter-vs-const0";
+    PairOracleOptions pair_options;
+    pair_options.seed = seed;
     // The artifact may genuinely be constant 0 (an EQ repro); probe the
     // ground truth with the trusted miter first.
     const0.equivalent = !miter_nonzero(network, seed);
@@ -282,7 +278,7 @@ std::vector<OracleResult> replay_network(const net::Network& network,
       }
       if (!found) return results;
     }
-    for (OracleResult& oracle : check_pair(network, const0, sweep_options))
+    for (OracleResult& oracle : check_pair(network, const0, pair_options))
       results.push_back(std::move(oracle));
   }
   return results;

@@ -50,10 +50,6 @@ struct CampaignOptions {
   bool all_arms = false;
   bool certify = true;
   bool shrink = true;
-  /// Width-sweep differential: rerun every sweeping oracle under every
-  /// available SIMD kernel at block widths 1 and 8 and demand
-  /// byte-identical results (see PairOracleOptions::kernel_sweep).
-  bool kernel_sweep = false;
   /// Where to write repro artifacts; empty disables writing.
   std::string artifact_dir;
   GenProfile profile;

@@ -10,7 +10,6 @@
 #include "io/aiger.hpp"
 #include "io/bench.hpp"
 #include "io/blif.hpp"
-#include "sim/pattern_block.hpp"
 #include "sim/simulator.hpp"
 #include "sweep/cec.hpp"
 
@@ -61,13 +60,10 @@ const char* verdict_str(const sweep::CecResult& verdict) {
 }
 
 /// Runs one sweeping-engine oracle on the pair and scores it against the
-/// expected verdict. With \p cross_check_kernels the check is rerun
-/// under every available SIMD kernel at block widths 1 and 8, and the
-/// rerun CecResult must be byte-identical to the default run's.
+/// expected verdict.
 OracleResult run_cec_oracle(std::string name, const Network& base,
                             const Mutant& mutant,
-                            const sweep::CecOptions& options,
-                            bool cross_check_kernels = false) {
+                            const sweep::CecOptions& options) {
   OracleResult result;
   result.name = std::move(name);
   try {
@@ -85,48 +81,6 @@ OracleResult run_cec_oracle(std::string name, const Network& base,
       result.pass = false;
       result.detail = "counterexample does not simulate to a difference";
       return result;
-    }
-    if (cross_check_kernels) {
-      // Width-sweep oracle: the whole CecResult must be a function of the
-      // seed alone, never of the kernel ISA or the block width, so every
-      // rerun is compared byte-for-byte — counterexample bits and all
-      // sweep counts included, not just the EQ/NEQ verdict.
-      for (const sim::SimKernel kernel :
-           {sim::SimKernel::kScalar, sim::SimKernel::kAvx2,
-            sim::SimKernel::kAvx512}) {
-        if (!sim::sim_kernel_available(kernel)) continue;
-        for (const std::size_t width : {std::size_t{1}, std::size_t{8}}) {
-          const sim::ScopedSimConfig scoped(kernel, width);
-          const sweep::CecResult swept =
-              sweep::check_equivalence(base, mutant.network, options);
-          const bool identical =
-              swept.equivalent == verdict.equivalent &&
-              swept.undecided == verdict.undecided &&
-              swept.counterexample == verdict.counterexample &&
-              swept.outputs_proven == verdict.outputs_proven &&
-              swept.unresolved_outputs == verdict.unresolved_outputs &&
-              swept.sweep_stats.sat_calls == verdict.sweep_stats.sat_calls &&
-              swept.sweep_stats.proven_equivalent ==
-                  verdict.sweep_stats.proven_equivalent &&
-              swept.sweep_stats.disproven == verdict.sweep_stats.disproven &&
-              swept.sweep_stats.unresolved == verdict.sweep_stats.unresolved &&
-              swept.sweep_stats.resimulations ==
-                  verdict.sweep_stats.resimulations &&
-              swept.sweep_stats.proven_pairs ==
-                  verdict.sweep_stats.proven_pairs;
-          if (!identical) {
-            result.pass = false;
-            result.detail = std::string("kernel ") +
-                            std::string(sim::sim_kernel_name(kernel)) +
-                            " width " + std::to_string(width) + " verdict " +
-                            verdict_str(swept) +
-                            " not byte-identical to default run " +
-                            verdict_str(verdict) + " [" + mutant.description +
-                            "]";
-            return result;
-          }
-        }
-      }
     }
     result.pass = true;
   } catch (const std::exception& error) {
@@ -251,20 +205,17 @@ std::vector<OracleResult> check_pair(const Network& base,
     for (const core::Strategy arm : core::kAllStrategies)
       results.push_back(run_cec_oracle(
           "cec[" + std::string(core::strategy_name(arm)) + "]", base, mutant,
-          arm_options(arm, options.seed, options.certify),
-          options.kernel_sweep));
+          arm_options(arm, options.seed, options.certify)));
   } else {
     results.push_back(run_cec_oracle(
         "cec[" + std::string(core::strategy_name(options.arm)) + "]", base,
-        mutant, arm_options(options.arm, options.seed, options.certify),
-        options.kernel_sweep));
+        mutant, arm_options(options.arm, options.seed, options.certify)));
   }
 
   // Plain SAT miter.
   results.push_back(run_cec_oracle(
       "sat-miter", base, mutant,
-      sat_miter_options(options.seed, options.certify),
-      options.kernel_sweep));
+      sat_miter_options(options.seed, options.certify)));
 
   // BDD engine. Node-limit blow-up is a pass (the engine is *allowed* to
   // give up), but a completed wrong verdict is a mismatch.

@@ -49,14 +49,6 @@ struct PairOracleOptions {
   /// BDD manager bound; blow-up is reported as a pass with detail
   /// "incomplete", never as a failure.
   std::size_t bdd_node_limit = 1u << 20;
-  /// Width-sweep differential: rerun every sweeping oracle under every
-  /// available simulation kernel (scalar/AVX2/AVX-512) at block widths 1
-  /// and 8 and demand *byte-identical* results — verdict, counterexample
-  /// bits, outputs proven, and every sweep count. The wide data path is
-  /// contractually invisible (DESIGN.md "Wide simulation"), so any drift
-  /// is a kernel or refinement-ordering bug. Unavailable ISAs are
-  /// skipped, keeping the campaign green on any host.
-  bool kernel_sweep = false;
 };
 
 /// Simulates \p network on one input vector; returns the PO value bits.

@@ -830,8 +830,8 @@ void write_chrome_trace(std::ostream& out,
              {{"source", str(strategy_label(e.code,
                                             static_cast<std::uint8_t>(e.flags),
                                             options))},
-              {"patterns", num(e.a)}, {"width_words", num(e.b)},
-              {"splits", num(e.v0)}, {"classes_live", num(e.v1)},
+              {"patterns", num(e.a)}, {"splits", num(e.v0)},
+              {"classes_live", num(e.v1)},
               {"cost_after", num(e.v2)}});
         break;
       case EventKind::kGuidedIteration:

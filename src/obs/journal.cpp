@@ -379,7 +379,7 @@ PatternScope::~PatternScope() {
   event.kind = EventKind::kPatternBatch;
   event.code = static_cast<std::uint8_t>(source_);
   event.a = patterns_;
-  event.b = width_words_;
+  event.b = 1;  // Always 1: once the batch width in words (DESIGN.md §8).
   event.v0 = splits_;
   event.v1 = classes_live_;
   event.v2 = cost_;
@@ -391,15 +391,13 @@ PatternScope::~PatternScope() {
 
 void PatternScope::record_refine(std::uint64_t splits,
                                  std::uint64_t classes_live,
-                                 std::uint64_t cost,
-                                 std::uint64_t width_words) noexcept {
+                                 std::uint64_t cost) noexcept {
   PatternScope* scope = t_pattern_scope;
   if (scope == nullptr) return;
   scope->refined_ = true;
   scope->splits_ += splits;
   scope->classes_live_ = classes_live;
   scope->cost_ = cost;
-  if (width_words > scope->width_words_) scope->width_words_ = width_words;
 }
 
 PatternSource PatternScope::current_source() noexcept {
@@ -424,7 +422,7 @@ void Journal::emit(JournalEvent) {}
 
 PatternScope::PatternScope(PatternSource, std::uint32_t, std::uint8_t) noexcept {}
 PatternScope::~PatternScope() = default;
-void PatternScope::record_refine(std::uint64_t, std::uint64_t, std::uint64_t,
+void PatternScope::record_refine(std::uint64_t, std::uint64_t,
                                  std::uint64_t) noexcept {}
 PatternSource PatternScope::current_source() noexcept {
   return PatternSource::kNone;

@@ -57,11 +57,11 @@ enum class EventKind : std::uint8_t {
                       ///< code=SatVerdict, v0=conflicts, v1=propagations,
                       ///< v2=decisions, v3=(cone_vars<<32)|learned, dur_us,
                       ///< flags bit0 = output proof.
-  kPatternBatch = 9,  ///< a=guided patterns in batch, b=widest refine in
-                      ///< 64-bit words (1 for single-word batches),
-                      ///< code=PatternSource, v0=classes split, v1=classes
-                      ///< live after, v2=cost after, dur_us=simulate+refine
-                      ///< time, flags=strategy.
+  kPatternBatch = 9,  ///< a=guided patterns in batch, b=always 1 (once
+                      ///< the batch width in words), code=PatternSource,
+                      ///< v0=classes split, v1=classes live after, v2=cost
+                      ///< after, dur_us=simulate+refine time,
+                      ///< flags=strategy.
   kCertified = 10,    ///< a,b=target pair, code=1 ok / 0 fail, v0=checked
                       ///< lemmas, v1=RUP checks, v2=checker propagations,
                       ///< dur_us, flags bit0 = output proof.
@@ -347,12 +347,8 @@ class PatternScope {
 
   /// Called by EquivClasses::refine: accumulates refine results into the
   /// innermost scope of the calling thread. No-op without one.
-  /// \p width_words is the refine's pattern width in 64-bit words (the
-  /// scope keeps the widest seen); per-word refinement passes 1, so the
-  /// flow's journals stay byte-identical across simulator block widths.
   static void record_refine(std::uint64_t splits, std::uint64_t classes_live,
-                            std::uint64_t cost,
-                            std::uint64_t width_words = 1) noexcept;
+                            std::uint64_t cost) noexcept;
 
   /// Source of the innermost active scope (kNone without one); used by
   /// refine to attribute per-class split events.
@@ -365,7 +361,6 @@ class PatternScope {
   std::uint64_t splits_ = 0;
   std::uint64_t classes_live_ = 0;
   std::uint64_t cost_ = 0;
-  std::uint64_t width_words_ = 0;
   std::uint32_t patterns_ = 0;
   PatternSource source_ = PatternSource::kNone;
   std::uint8_t strategy_code_ = 0;

@@ -25,32 +25,7 @@ EquivClasses EquivClasses::over_luts(const net::Network& network) {
   return EquivClasses(std::move(candidates));
 }
 
-std::size_t EquivClasses::refine(const Simulator& simulator) {
-  std::size_t splits = 0;
-  const std::size_t valid = simulator.valid_words();
-  for (std::size_t w = 0; w < valid; ++w) {
-    // Journal width is the whole block: one refine(simulator) call is one
-    // "pattern batch" of `valid` words, however many word passes it takes.
-    splits += refine_impl(
-        [&](net::NodeId node) { return simulator.value_word(node, w); },
-        valid);
-  }
-  return splits;
-}
-
-std::size_t EquivClasses::refine_word(const Simulator& simulator,
-                                      std::size_t w) {
-  return refine_impl(
-      [&](net::NodeId node) { return simulator.value_word(node, w); }, 1);
-}
-
 std::size_t EquivClasses::refine(std::span<const PatternWord> node_values) {
-  return refine_impl([&](net::NodeId node) { return node_values[node]; }, 1);
-}
-
-template <typename ValueOf>
-std::size_t EquivClasses::refine_impl(ValueOf&& value_of,
-                                      std::uint64_t width_words) {
   std::size_t splits = 0;
   const bool journal = obs::journal_enabled();
   const auto source =
@@ -68,7 +43,7 @@ std::size_t EquivClasses::refine_impl(ValueOf&& value_of,
     if (members.size() <= kLinearScanLimit) {
       keys.clear();
       for (net::NodeId node : members) {
-        const PatternWord word = value_of(node);
+        const PatternWord word = node_values[node];
         std::size_t bucket = 0;
         while (bucket < keys.size() && keys[bucket] != word) ++bucket;
         if (bucket == keys.size()) {
@@ -80,7 +55,7 @@ std::size_t EquivClasses::refine_impl(ValueOf&& value_of,
     } else {
       bucket_of.clear();
       for (net::NodeId node : members) {
-        const PatternWord word = value_of(node);
+        const PatternWord word = node_values[node];
         const auto [it, inserted] = bucket_of.emplace(word, buckets.size());
         if (inserted) buckets.emplace_back();
         buckets[it->second].push_back(node);
@@ -109,8 +84,7 @@ std::size_t EquivClasses::refine_impl(ValueOf&& value_of,
   split_count.inc(splits);
   obs::set_gauge("eq.classes_live", static_cast<double>(classes_.size()));
   if (journal)
-    obs::PatternScope::record_refine(splits, classes_.size(), cost(),
-                                     width_words);
+    obs::PatternScope::record_refine(splits, classes_.size(), cost());
   return splits;
 }
 

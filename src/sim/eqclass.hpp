@@ -44,20 +44,9 @@ class EquivClasses {
   /// result to check::lint_eqclasses to validate it.
   static EquivClasses from_classes(std::vector<std::vector<net::NodeId>> classes);
 
-  /// Splits every class according to the last simulation block in
-  /// \p simulator: refines with each valid word in order (word 0 first),
-  /// so the resulting partition — and the per-word split trajectory — is
-  /// exactly what block_words == 1 simulation of the same words produces.
-  /// The block stays cache-resident across the word passes, which is
-  /// where the wide data path pays off on the refinement side. Returns
-  /// the total number of class splits.
-  std::size_t refine(const Simulator& simulator);
-
-  /// Splits every class by value word \p w (< valid_words()) of the last
-  /// simulation block. Returns the number of classes that split.
-  std::size_t refine_word(const Simulator& simulator, std::size_t w);
-
-  /// Same, but with an externally supplied value array indexed by NodeId.
+  /// Splits every class by the nodes' value words \p node_values
+  /// (indexed by NodeId; a Simulator's values() after a simulate call).
+  /// Returns the number of classes that split.
   std::size_t refine(std::span<const PatternWord> node_values);
 
   /// Removes \p node from its class (used after a SAT proof of
@@ -83,11 +72,6 @@ class EquivClasses {
 
  private:
   void drop_singletons();
-
-  /// Shared refinement body over any NodeId -> PatternWord accessor;
-  /// \p width_words only annotates the journal's pattern-batch record.
-  template <typename ValueOf>
-  std::size_t refine_impl(ValueOf&& value_of, std::uint64_t width_words);
 
   std::vector<std::vector<net::NodeId>> classes_;
 };

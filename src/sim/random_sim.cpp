@@ -1,7 +1,5 @@
 #include "sim/random_sim.hpp"
 
-#include <algorithm>
-
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 
@@ -15,43 +13,25 @@ RandomSimResult run_random_simulation(Simulator& simulator, EquivClasses& classe
   watch.start();
   std::size_t flat = 0;
   std::uint64_t last_cost = classes.cost();
-  // Rounds are simulated a block at a time (word w of the block is global
-  // round `round + w`, keyed only by (seed, pi, round) — see
-  // Simulator::random_pattern_word) but refined and accounted one word at
-  // a time, so the cost trajectory, journal, and early-stop decisions are
-  // identical at every block width. A stagnation break mid-block leaves
-  // the rest of the block simulated but unconsumed.
-  std::size_t round = 0;
-  bool stop = false;
-  while (round < options.max_rounds && !stop) {
-    const std::size_t chunk =
-        std::min(simulator.block_words(), options.max_rounds - round);
-    simulator.simulate_random_block(options.seed, round, chunk);
-    for (std::size_t w = 0; w < chunk; ++w) {
-      {
-        obs::PatternScope batch(obs::PatternSource::kRandom, 0);
-        classes.refine_word(simulator, w);
-      }
-      // Downstream consumers (guided simulation's output-goal seeding)
-      // read node values of the last refined round.
-      simulator.set_observed_word(w);
-      ++result.rounds_run;
-      ++round;
-      const std::uint64_t cost = classes.cost();
-      result.cost_per_round.push_back(cost);
-      if (classes.fully_refined()) {
-        stop = true;
-        break;
-      }
-      if (options.stagnation_rounds > 0) {
-        flat = (cost == last_cost) ? flat + 1 : 0;
-        if (flat >= options.stagnation_rounds) {
-          stop = true;
-          break;
-        }
-      }
-      last_cost = cost;
+  // Round r simulates random word r, keyed only by (seed, pi, r) — see
+  // Simulator::random_pattern_word. Downstream consumers (guided
+  // simulation's output-goal seeding) read the node values of the last
+  // round through simulator.values().
+  for (std::size_t round = 0; round < options.max_rounds; ++round) {
+    {
+      obs::PatternScope batch(obs::PatternSource::kRandom, 0);
+      simulator.simulate_random_word(options.seed, round);
+      classes.refine(simulator.values());
     }
+    ++result.rounds_run;
+    const std::uint64_t cost = classes.cost();
+    result.cost_per_round.push_back(cost);
+    if (classes.fully_refined()) break;
+    if (options.stagnation_rounds > 0) {
+      flat = (cost == last_cost) ? flat + 1 : 0;
+      if (flat >= options.stagnation_rounds) break;
+    }
+    last_cost = cost;
   }
   watch.stop();
   result.runtime_seconds = watch.seconds();

@@ -1,16 +1,12 @@
 /// \file sim_tape.hpp
-/// \brief Compiled evaluation tape for wide simulation kernels.
+/// \brief Compiled evaluation tape of the Simulator.
 ///
 /// The Simulator flattens the network's topological evaluation order into
-/// a *tape*: a flat op array plus flat cube/literal side tables. The hot
-/// kernels then run the tape with zero pointer chasing into network
-/// structures — every ISA variant (scalar/AVX2/AVX-512) executes the same
-/// op stream over the same words in the same order, which is what makes
-/// their outputs bit-identical. Internal header: only simulator.cpp and
-/// the sim_kernel_*.cpp translation units include it.
+/// a *tape*: a flat op array plus flat cube/literal side tables, so
+/// Simulator::simulate_word runs with zero pointer chasing into network
+/// structures. Internal header: only the Simulator uses it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -18,24 +14,24 @@ namespace simgen::sim::detail {
 
 /// One ISOP cube of a LUT's ON-cover: the AND of the literals in
 /// [lit_begin, lit_end) of Tape::lits. A cube with no literals is the
-/// constant-true term (matches the single-word evaluator, where the AND
-/// accumulator starts at all-ones and is never narrowed).
+/// constant-true term (the AND accumulator starts at all-ones and is
+/// never narrowed).
 struct TapeCube {
   std::uint32_t lit_begin = 0;
   std::uint32_t lit_end = 0;
 };
 
-/// One node evaluation. `dst` is the node index (row in the value
-/// block array); `src` is the PI index for kPi, the fanin node index for
+/// One node evaluation. `dst` is the node index (slot in the value
+/// array); `src` is the PI index for kPi, the fanin node index for
 /// kCopy, and unused otherwise. kLut ORs the cubes in
 /// [cube_begin, cube_end) of Tape::cubes.
 struct TapeOp {
   enum class Kind : std::uint8_t {
     kConst0,  ///< dst <- 0...0
     kConst1,  ///< dst <- 1...1
-    kPi,      ///< dst <- pi_blocks[src]
+    kPi,      ///< dst <- pi_words[src]
     kCopy,    ///< dst <- values[src] (single positive unit cube)
-    kLut,     ///< dst <- OR of AND-cubes over fanin rows
+    kLut,     ///< dst <- OR of AND-cubes over fanin words
   };
   Kind kind = Kind::kConst0;
   std::uint32_t dst = 0;
@@ -65,33 +61,5 @@ struct Tape {
   std::vector<TapeCube> cubes;
   std::vector<TapeLit> lits;
 };
-
-/// Kernel entry point. Evaluates the tape over blocks of `block_words`
-/// 64-bit words per row, computing only the first `words` words of every
-/// row (1 <= words <= block_words). `pi_blocks` holds num_pis rows of
-/// block_words words; `values` holds num_nodes rows of block_words words.
-/// Words at index >= `words` are left untouched (their content is
-/// unspecified and must never be read back).
-using KernelFn = void (*)(const Tape& tape, const std::uint64_t* pi_blocks,
-                          std::uint64_t* values, std::size_t block_words,
-                          std::size_t words);
-
-/// The three compiled kernels. run_tape_scalar always exists;
-/// run_tape_avx2 / run_tape_avx512 exist only when the build enabled the
-/// matching SIMGEN_SIM_HAVE_* define (pattern_block.cpp guards the
-/// references).
-void run_tape_scalar(const Tape& tape, const std::uint64_t* pi_blocks,
-                     std::uint64_t* values, std::size_t block_words,
-                     std::size_t words);
-#if defined(SIMGEN_SIM_HAVE_AVX2)
-void run_tape_avx2(const Tape& tape, const std::uint64_t* pi_blocks,
-                   std::uint64_t* values, std::size_t block_words,
-                   std::size_t words);
-#endif
-#if defined(SIMGEN_SIM_HAVE_AVX512)
-void run_tape_avx512(const Tape& tape, const std::uint64_t* pi_blocks,
-                     std::uint64_t* values, std::size_t block_words,
-                     std::size_t words);
-#endif
 
 }  // namespace simgen::sim::detail

@@ -1,53 +1,23 @@
 #include "sim/simulator.hpp"
 
 #include <stdexcept>
-#include <string>
 
-#include "util/logging.hpp"
+#include "tt/isop.hpp"
 #include "util/rng.hpp"
 
 namespace simgen::sim {
-namespace {
 
-detail::KernelFn kernel_fn_for(SimKernel kernel) noexcept {
-  switch (kernel) {
-#if defined(SIMGEN_SIM_HAVE_AVX512)
-    case SimKernel::kAvx512: return &detail::run_tape_avx512;
-#endif
-#if defined(SIMGEN_SIM_HAVE_AVX2)
-    case SimKernel::kAvx2: return &detail::run_tape_avx2;
-#endif
-    default: return &detail::run_tape_scalar;
-  }
-}
-
-}  // namespace
-
-Simulator::Simulator(const net::Network& network, std::size_t block_words,
-                     SimKernel kernel)
+Simulator::Simulator(const net::Network& network)
     : network_(network),
-      block_words_(block_words == 0 ? default_block_words() : block_words),
-      kernel_(kernel == SimKernel::kAuto ? default_sim_kernel() : kernel) {
-  if (block_words_ > 64) block_words_ = 64;
-  if (!sim_kernel_available(kernel_)) {
-    util::warnf("Simulator: kernel %s unavailable; using %s",
-                std::string(sim_kernel_name(kernel_)).c_str(),
-                std::string(sim_kernel_name(default_sim_kernel())).c_str());
-    kernel_ = default_sim_kernel();
-  }
-  kernel_fn_ = kernel_fn_for(kernel_);
-  values_.assign(network.num_nodes() * block_words_, 0);
-  pi_scratch_.assign(network.num_pis() * block_words_, 0);
+      values_(network.num_nodes(), 0),
+      pi_scratch_(network.num_pis(), 0) {
   build_tape();
-  obs::set_gauge("sim.block_words", static_cast<double>(block_words_));
-  obs::set_gauge("sim.kernel_width_bits",
-                 static_cast<double>(sim_kernel_width_bits(kernel_)));
 }
 
 /// Flattens the network into the evaluation tape: one op per node in
 /// topological (creation) order, LUT covers expanded into the flat
 /// cube/literal tables with literals pre-resolved to fanin node indices.
-/// The kernels then run with zero network accesses.
+/// simulate_word then runs with zero network accesses.
 void Simulator::build_tape() {
   tape_.ops.reserve(network_.num_nodes());
   std::uint32_t pi_index = 0;
@@ -77,8 +47,7 @@ void Simulator::build_tape() {
           tape_cube.lit_begin = static_cast<std::uint32_t>(tape_.lits.size());
           for (unsigned v = 0; v < node.fanins.size(); ++v) {
             if (!cube.has_literal(v)) continue;
-            // literal_value(v) selects the fanin word, else its complement
-            // (the pre-tape evaluator's `term &= value ? w : ~w`).
+            // literal_value(v) selects the fanin word, else its complement.
             tape_.lits.push_back(detail::make_tape_lit(
                 static_cast<std::uint32_t>(node.fanins[v]),
                 !cube.literal_value(v)));
@@ -94,29 +63,43 @@ void Simulator::build_tape() {
   });
 }
 
-void Simulator::simulate_block(std::span<const PatternWord> pi_blocks,
-                               std::size_t valid_words) {
-  if (pi_blocks.size() != network_.num_pis() * block_words_)
-    throw std::invalid_argument("Simulator: wrong PI block size");
-  if (valid_words == 0 || valid_words > block_words_)
-    throw std::invalid_argument("Simulator: valid_words out of range");
-  words_.inc(valid_words);
-  blocks_.inc();
-  kernel_watch_.resume();
-  kernel_fn_(tape_, pi_blocks.data(), values_.data(), block_words_,
-             valid_words);
-  kernel_watch_.stop();
-  valid_words_ = valid_words;
-  observed_word_ = 0;
-  compat_dirty_ = true;
-}
-
 void Simulator::simulate_word(std::span<const PatternWord> pi_words) {
   if (pi_words.size() != network_.num_pis())
     throw std::invalid_argument("Simulator: wrong number of PI words");
-  for (std::size_t pi = 0; pi < pi_words.size(); ++pi)
-    pi_scratch_[pi * block_words_] = pi_words[pi];
-  simulate_block(pi_scratch_, 1);
+  words_.inc();
+  kernel_watch_.resume();
+  PatternWord* values = values_.data();
+  for (const detail::TapeOp& op : tape_.ops) {
+    PatternWord word = 0;
+    switch (op.kind) {
+      case detail::TapeOp::Kind::kConst0:
+        break;
+      case detail::TapeOp::Kind::kConst1:
+        word = ~PatternWord{0};
+        break;
+      case detail::TapeOp::Kind::kPi:
+        word = pi_words[op.src];
+        break;
+      case detail::TapeOp::Kind::kCopy:
+        word = values[op.src];
+        break;
+      case detail::TapeOp::Kind::kLut:
+        // OR of the cover's cubes; a cube with no literals is all-ones.
+        for (std::uint32_t c = op.cube_begin; c != op.cube_end; ++c) {
+          const detail::TapeCube& cube = tape_.cubes[c];
+          PatternWord term = ~PatternWord{0};
+          for (std::uint32_t l = cube.lit_begin; l != cube.lit_end; ++l) {
+            const detail::TapeLit lit = tape_.lits[l];
+            const PatternWord fanin = values[detail::tape_lit_node(lit)];
+            term &= detail::tape_lit_complemented(lit) ? ~fanin : fanin;
+          }
+          word |= term;
+        }
+        break;
+    }
+    values[op.dst] = word;
+  }
+  kernel_watch_.stop();
 }
 
 PatternWord Simulator::random_pattern_word(std::uint64_t seed,
@@ -124,7 +107,7 @@ PatternWord Simulator::random_pattern_word(std::uint64_t seed,
                                            std::uint64_t word_index) noexcept {
   // Three splitmix64 rounds keyed on (seed, pi, word) independently: the
   // stream constant decorrelates the axes so adjacent PIs/words share no
-  // affine structure. Pinned by SimulatorTest.RandomPatternWordsArePinned
+  // affine structure. Pinned by Simulator.RandomPatternWordsArePinned
   // — changing this function re-keys every random pattern in the system
   // (costs/baselines), so treat it as a wire format.
   const std::uint64_t stream =
@@ -134,41 +117,11 @@ PatternWord Simulator::random_pattern_word(std::uint64_t seed,
                           util::splitmix64(word_index ^ 0xd1b54a32d192ed03ull));
 }
 
-void Simulator::simulate_random_block(std::uint64_t seed,
-                                      std::uint64_t first_word_index,
-                                      std::size_t valid_words) {
-  if (valid_words == 0 || valid_words > block_words_)
-    throw std::invalid_argument("Simulator: valid_words out of range");
-  const std::size_t num_pis = network_.num_pis();
-  for (std::size_t pi = 0; pi < num_pis; ++pi)
-    for (std::size_t w = 0; w < valid_words; ++w)
-      pi_scratch_[pi * block_words_ + w] =
-          random_pattern_word(seed, pi, first_word_index + w);
-  simulate_block(pi_scratch_, valid_words);
-}
-
 void Simulator::simulate_random_word(std::uint64_t seed,
                                      std::uint64_t word_index) {
-  simulate_random_block(seed, word_index, 1);
-}
-
-std::span<const PatternWord> Simulator::values() const {
-  if (compat_dirty_) {
-    compat_values_.resize(network_.num_nodes());
-    for (std::size_t node = 0; node < compat_values_.size(); ++node)
-      compat_values_[node] = values_[node * block_words_ + observed_word_];
-    compat_dirty_ = false;
-  }
-  return compat_values_;
-}
-
-void Simulator::set_observed_word(std::size_t w) {
-  if (w >= valid_words_)
-    throw std::out_of_range("Simulator: observed word beyond valid words");
-  if (w != observed_word_) {
-    observed_word_ = w;
-    compat_dirty_ = true;
-  }
+  for (std::size_t pi = 0; pi < pi_scratch_.size(); ++pi)
+    pi_scratch_[pi] = random_pattern_word(seed, pi, word_index);
+  simulate_word(pi_scratch_);
 }
 
 }  // namespace simgen::sim

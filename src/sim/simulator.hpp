@@ -1,5 +1,5 @@
 /// \file simulator.hpp
-/// \brief Block-parallel circuit simulation (64*W patterns per pass).
+/// \brief Bit-parallel circuit simulation (64 patterns per call).
 ///
 /// Simulation is the workhorse of the sweeping flow (paper Section 2.3):
 /// it evaluates every node on a batch of input vectors so the equivalence
@@ -7,14 +7,10 @@
 /// ISOP covers of their functions, which is both faster than minterm
 /// enumeration for typical LUTs and shares the row machinery SimGen uses.
 ///
-/// The data path is *wide*: each node owns a pattern block of W
-/// consecutive 64-bit words (`values_[node*W + w]`), and one simulate
-/// call evaluates up to 64*W patterns through a compiled evaluation tape
-/// run by a scalar, AVX2, or AVX-512 kernel (runtime-dispatched; see
-/// pattern_block.hpp). All kernels are bit-identical, and callers that
-/// consume patterns word-by-word (class refinement, witness replay) see
-/// exactly the words they asked for — lanes beyond `valid_words` are
-/// unspecified and must never be read.
+/// Each node holds one 64-bit value word, and one simulate call runs the
+/// compiled evaluation tape (sim_tape.hpp) over 64 patterns. Every
+/// simulation of the flow is one such word: a random round, a guided
+/// batch of at most 64 vectors, a SAT counterexample (DESIGN.md §16).
 #pragma once
 
 #include <cstdint>
@@ -23,9 +19,7 @@
 
 #include "network/network.hpp"
 #include "obs/metrics.hpp"
-#include "sim/pattern_block.hpp"
 #include "sim/sim_tape.hpp"
-#include "tt/isop.hpp"
 #include "util/stopwatch.hpp"
 
 namespace simgen::sim {
@@ -34,91 +28,48 @@ namespace simgen::sim {
 /// the value of PI i in pattern p.
 using PatternWord = std::uint64_t;
 
-/// Evaluates a network on blocks of 64*W patterns at a time.
+/// Evaluates a network on 64 patterns at a time.
 ///
-/// The simulator owns per-node value blocks and the compiled evaluation
-/// tape; it is constructed once per network and reused across rounds.
-/// Word-granular readers pick which word of the last block they observe
-/// via set_observed_word(); value()/values()/value_bit() then read that
-/// word, which keeps every pre-block caller working unchanged (they
-/// observe word 0 of a one-word simulate_word call).
+/// The simulator owns the per-node value words and the compiled
+/// evaluation tape; it is constructed once per network and reused across
+/// rounds. value()/values()/value_bit() read the last simulated word.
 class Simulator {
  public:
-  /// \p block_words == 0 means default_block_words(); \p kernel kAuto
-  /// resolves via default_sim_kernel(). An explicitly requested kernel
-  /// that is unavailable falls back to the default with a warning.
-  explicit Simulator(const net::Network& network, std::size_t block_words = 0,
-                     SimKernel kernel = SimKernel::kAuto);
-
-  /// Simulates one block. \p pi_blocks must hold num_pis rows of
-  /// block_words() words (row-major: word w of PI i at [i*W + w]); only
-  /// the first \p valid_words words of each row are read, and only those
-  /// words of each node's value block are defined afterwards.
-  /// Resets the observed word to 0.
-  void simulate_block(std::span<const PatternWord> pi_blocks,
-                      std::size_t valid_words);
+  explicit Simulator(const net::Network& network);
 
   /// Simulates one batch of 64 patterns. \p pi_words must have one word
-  /// per PI, in PI order. Equivalent to a valid_words == 1 block.
+  /// per PI, in PI order.
   void simulate_word(std::span<const PatternWord> pi_words);
 
   /// The random pattern word for (seed, pi_index, word_index): a pure
-  /// function, so pattern content is independent of PI iteration order,
-  /// block width, and whatever any other consumer drew from a shared
-  /// generator earlier (the pre-block simulator drew per-PI words from
-  /// one stateful Rng in PI order, which silently re-keyed every pattern
-  /// when a reader changed — see DESIGN.md section 16).
+  /// function, so pattern content is independent of PI iteration order
+  /// and of whatever any other consumer drew from a shared generator
+  /// earlier (the first simulator drew per-PI words from one stateful Rng
+  /// in PI order, which silently re-keyed every pattern when a reader
+  /// changed — see DESIGN.md §16).
   [[nodiscard]] static PatternWord random_pattern_word(
       std::uint64_t seed, std::uint64_t pi_index,
       std::uint64_t word_index) noexcept;
 
-  /// Simulates \p valid_words consecutive random words: word w of the
-  /// block is random_pattern_word(seed, pi, first_word_index + w).
-  void simulate_random_block(std::uint64_t seed,
-                             std::uint64_t first_word_index,
-                             std::size_t valid_words);
-
-  /// One random word — a valid_words == 1 block at \p word_index.
+  /// Simulates random word \p word_index: PI i takes
+  /// random_pattern_word(seed, i, word_index).
   void simulate_random_word(std::uint64_t seed, std::uint64_t word_index);
 
-  /// Value word of \p node at word \p w of the last block.
-  [[nodiscard]] PatternWord value_word(net::NodeId node,
-                                       std::size_t w) const {
-    return values_[static_cast<std::size_t>(node) * block_words_ + w];
-  }
-
-  /// Value word of \p node at the observed word.
+  /// Value word of \p node.
   [[nodiscard]] PatternWord value(net::NodeId node) const {
-    return value_word(node, observed_word_);
+    return values_[node];
   }
 
-  /// All node values at the observed word (indexed by NodeId).
-  /// Materialized lazily into a side buffer on first use after a
-  /// simulate/set_observed_word; the span stays valid until then.
-  [[nodiscard]] std::span<const PatternWord> values() const;
+  /// All node values (indexed by NodeId) of the last simulate call; the
+  /// next call overwrites them.
+  [[nodiscard]] std::span<const PatternWord> values() const noexcept {
+    return values_;
+  }
 
-  /// Single pattern bit \p pattern (0..63) of \p node at the observed word.
+  /// Single pattern bit \p pattern (0..63) of \p node.
   [[nodiscard]] bool value_bit(net::NodeId node, unsigned pattern) const {
     return (value(node) >> pattern) & 1u;
   }
-
-  /// Selects which word of the last block value()/values()/value_bit()
-  /// read. Must be < valid_words().
-  void set_observed_word(std::size_t w);
-  [[nodiscard]] std::size_t observed_word() const noexcept {
-    return observed_word_;
-  }
-
-  /// Words per pattern block (W) this simulator was built with.
-  [[nodiscard]] std::size_t block_words() const noexcept {
-    return block_words_;
-  }
-  /// Defined words in the last simulated block (0 before the first call).
-  [[nodiscard]] std::size_t valid_words() const noexcept {
-    return valid_words_;
-  }
-  /// The resolved (never kAuto) evaluation kernel.
-  [[nodiscard]] SimKernel kernel() const noexcept { return kernel_; }
 
   /// Wall seconds spent inside simulate calls since construction — the
   /// sim-phase cost the BENCH_*.json `sim_wall_seconds` field reports.
@@ -134,24 +85,13 @@ class Simulator {
   void build_tape();
 
   const net::Network& network_;
-  std::size_t block_words_;
-  SimKernel kernel_;
-  detail::KernelFn kernel_fn_;
   detail::Tape tape_;
-  std::vector<PatternWord> values_;      ///< num_nodes rows of W words.
-  std::vector<PatternWord> pi_scratch_;  ///< num_pis rows of W words.
-  std::size_t valid_words_ = 0;
-  std::size_t observed_word_ = 0;
-  mutable std::vector<PatternWord> compat_values_;  ///< values() buffer.
-  mutable bool compat_dirty_ = true;
+  std::vector<PatternWord> values_;      ///< One word per node.
+  std::vector<PatternWord> pi_scratch_;  ///< One random word per PI.
   util::Stopwatch kernel_watch_;
-  /// Registered counters: "sim.words" counts 64-bit word-equivalents
-  /// (valid_words per block, so totals are comparable across lane widths
-  /// and block sizes), "sim.blocks" counts simulate calls. Members (not
-  /// function-local statics) so the hot path stays a plain add with no
-  /// static-init guard.
+  /// "sim.words" counts simulate calls. A member (not a function-local
+  /// static) so the hot path stays a plain add with no static-init guard.
   obs::Counter words_{"sim.words"};
-  obs::Counter blocks_{"sim.blocks"};
 };
 
 }  // namespace simgen::sim

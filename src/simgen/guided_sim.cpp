@@ -61,7 +61,7 @@ class PatternBatcher {
       }
     }
     simulator_.simulate_word(words);
-    classes_.refine(simulator_);
+    classes_.refine(simulator_.values());
     batch_.clear();
   }
 

@@ -121,35 +121,25 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   } run_end{result};
 
   // Phase 1: random simulation. Any nonzero miter output word is already
-  // a counterexample — report it without touching the solver. Rounds are
-  // simulated a block at a time but refined and scanned one word at a
-  // time, with word w of the block being global round `round + w` keyed
-  // only by (seed, pi, round): partitions, journals, and the first
-  // counterexample found are identical at every block width.
+  // a counterexample — report it without touching the solver. Round r
+  // simulates random word r, keyed only by (seed, pi, r).
   {
     obs::PhaseScope random_phase(obs::PhaseId::kRandomSim);
-    std::size_t round = 0;
-    while (round < options.random_rounds) {
-      const std::size_t chunk =
-          std::min(simulator.block_words(), options.random_rounds - round);
-      simulator.simulate_random_block(options.seed, round, chunk);
-      for (std::size_t w = 0; w < chunk; ++w) {
-        {
-          obs::PatternScope batch(obs::PatternSource::kRandom, 0);
-          classes.refine_word(simulator, w);
-        }
-        simulator.set_observed_word(w);
-        ++round;
-        for (net::NodeId po : miter.network.pos()) {
-          const sim::PatternWord word = simulator.value_word(po, w);
-          if (word != 0) {
-            const auto bit = static_cast<unsigned>(std::countr_zero(word));
-            result.counterexample = pattern_of_bit(simulator, bit);
-            result.equivalent = false;
-            total.stop();
-            result.total_seconds = total.seconds();
-            return result;
-          }
+    for (std::size_t round = 0; round < options.random_rounds; ++round) {
+      {
+        obs::PatternScope batch(obs::PatternSource::kRandom, 0);
+        simulator.simulate_random_word(options.seed, round);
+        classes.refine(simulator.values());
+      }
+      for (net::NodeId po : miter.network.pos()) {
+        const sim::PatternWord word = simulator.value(po);
+        if (word != 0) {
+          const auto bit = static_cast<unsigned>(std::countr_zero(word));
+          result.counterexample = pattern_of_bit(simulator, bit);
+          result.equivalent = false;
+          total.stop();
+          result.total_seconds = total.seconds();
+          return result;
         }
       }
     }

@@ -256,7 +256,7 @@ void Sweeper::resimulate_counterexample(
   {
     obs::PatternScope scope(obs::PatternSource::kCounterexample, 1);
     simulator.simulate_word(pi_words);
-    classes.refine(simulator);
+    classes.refine(simulator.values());
   }
   ++totals_.resimulations;
   static obs::Counter& resims = obs::counter("sweep.resimulations");

@@ -142,7 +142,7 @@ class Sweeper {
 
  private:
   /// Seed of the deterministic witness stream for one SAT outcome: a pure
-  /// function of (options.seed, a, b). The pre-block sweeper drew witness
+  /// function of (options.seed, a, b). An earlier sweeper drew witness
   /// fill bits from the shared member Rng, which made every witness
   /// depend on how many draws *earlier* pairs had consumed — disprove an
   /// unrelated pair first and the next witness changed bytes. Keying the

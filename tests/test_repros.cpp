@@ -24,8 +24,8 @@
 ///    resimulation staging could carry stale pattern lanes between
 ///    batches; four random-resistant near-miss pairs force back-to-back
 ///    SAT disproofs with an UNSAT merge in between, and the replay's
-///    width-sweep leg demands byte-identical results at every kernel and
-///    block width.
+///    const-0 pair leg checks every pair oracle's verdict and
+///    counterexample on them.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,5 +1,6 @@
 // Simulator tests: gate semantics, the cover-based LUT evaluation against
-// direct truth-table evaluation, PO transparency, constants.
+// direct truth-table evaluation, PO transparency, constants, and every
+// node of random LUT networks against a truth-table reference.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <array>
 
 #include "benchgen/generator.hpp"
+#include "fuzz/gen.hpp"
 #include "util/rng.hpp"
 
 namespace simgen::sim {
@@ -128,7 +130,7 @@ TEST(Simulator, RandomWordIsDeterministicPerSeed) {
   });
 }
 
-// Regression for the shared-Rng pattern bug: the pre-block simulator drew
+// Regression for the shared-Rng pattern bug: the first simulator drew
 // per-PI words in PI-iteration order from one stateful stream, so PI k's
 // word depended on how many PIs preceded it (add a PI, every stream
 // shifts). The stream is now a pure function of (seed, pi, word); these
@@ -162,46 +164,46 @@ TEST(Simulator, PiStreamsAreIndependentOfPiCount) {
   EXPECT_EQ(sim_big.value(a_big), Simulator::random_pattern_word(9, 1, 4));
 }
 
-TEST(Simulator, RandomBlockMatchesWordByWordRounds) {
-  benchgen::CircuitSpec spec;
-  spec.name = "sim_block_check";
-  spec.num_gates = 200;
-  const net::Network network =
-      mapping::map_to_luts(benchgen::generate_circuit(spec));
-  Simulator wide(network, /*block_words=*/8);
-  Simulator narrow(network, /*block_words=*/1);
-  wide.simulate_random_block(7, /*first_word_index=*/0, /*valid_words=*/8);
-  for (std::uint64_t w = 0; w < 8; ++w) {
-    narrow.simulate_random_word(7, w);
-    network.for_each_node([&](net::NodeId id) {
-      ASSERT_EQ(wide.value_word(id, w), narrow.value(id))
-          << "node " << id << " word " << w;
-    });
+// Reference property: on 1,000 random LUT networks (constant functions,
+// ignored and duplicate fanins included), every node's word equals a
+// pattern-by-pattern truth-table evaluation of the network.
+TEST(Simulator, MatchesTruthTableReferenceOnRandomNetworks) {
+  util::Rng rng(0xC0FFEEu);
+  const fuzz::GenProfile profile;
+  for (int round = 0; round < 1000; ++round) {
+    const net::Network network =
+        fuzz::random_lut_network(rng, fuzz::random_lut_options(rng, profile));
+    std::vector<PatternWord> pi_words(network.num_pis());
+    for (PatternWord& word : pi_words) word = rng();
+    Simulator sim(network);
+    sim.simulate_word(pi_words);
+
+    std::vector<net::NodeId> order;
+    network.for_each_node([&](net::NodeId id) { order.push_back(id); });
+    std::vector<PatternWord> expected(network.num_nodes(), 0);
+    for (unsigned pattern = 0; pattern < 64; ++pattern) {
+      std::vector<bool> bit(network.num_nodes(), false);
+      for (std::size_t i = 0; i < network.num_pis(); ++i)
+        bit[network.pis()[i]] = (pi_words[i] >> pattern) & 1u;
+      for (const net::NodeId id : order) {
+        const net::Node& node = network.node(id);
+        if (node.kind == net::NodeKind::kConstant) {
+          bit[id] = node.constant_value;
+        } else if (node.kind == net::NodeKind::kPo) {
+          bit[id] = bit[node.fanins[0]];
+        } else if (node.kind == net::NodeKind::kLut) {
+          std::uint64_t minterm = 0;
+          for (std::size_t v = 0; v < node.fanins.size(); ++v)
+            if (bit[node.fanins[v]]) minterm |= std::uint64_t{1} << v;
+          bit[id] = node.function.get_bit(minterm);
+        }
+        if (bit[id]) expected[id] |= PatternWord{1} << pattern;
+      }
+    }
+    for (const net::NodeId id : order)
+      ASSERT_EQ(sim.value(id), expected[id])
+          << "network " << round << " node " << id;
   }
-}
-
-TEST(Simulator, ObservedWordSelectsCompatView) {
-  net::Network network;
-  const net::NodeId a = network.add_pi();
-  Simulator sim(network, /*block_words=*/4);
-  const std::vector<PatternWord> block{10, 20, 30, 40};
-  sim.simulate_block(block, /*valid_words=*/4);
-  EXPECT_EQ(sim.value(a), PatternWord{10});  // resets to word 0
-  sim.set_observed_word(2);
-  EXPECT_EQ(sim.value(a), PatternWord{30});
-  EXPECT_EQ(sim.values()[a], PatternWord{30});
-  EXPECT_THROW(sim.set_observed_word(4), std::out_of_range);
-}
-
-TEST(Simulator, PartialBlockOnlyValidatesRequestedWords) {
-  net::Network network;
-  const net::NodeId a = network.add_pi();
-  Simulator sim(network, /*block_words=*/4);
-  const std::vector<PatternWord> block{1, 2, 0, 0};
-  sim.simulate_block(block, /*valid_words=*/2);
-  EXPECT_EQ(sim.valid_words(), 2u);
-  EXPECT_EQ(sim.value_word(a, 1), PatternWord{2});
-  EXPECT_THROW(sim.set_observed_word(2), std::out_of_range);
 }
 
 }  // namespace

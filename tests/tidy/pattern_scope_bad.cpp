@@ -6,5 +6,5 @@
 
 std::size_t unattributed_refine(simgen::sim::EquivClasses& classes,
                                 const simgen::sim::Simulator& simulator) {
-  return classes.refine(simulator);
+  return classes.refine(simulator.values());
 }

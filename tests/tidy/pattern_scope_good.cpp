@@ -10,5 +10,5 @@ std::size_t attributed_refine(simgen::sim::EquivClasses& classes,
                               const simgen::sim::Simulator& simulator) {
   const simgen::obs::PatternScope scope(simgen::obs::PatternSource::kRandom,
                                         /*patterns=*/0);
-  return classes.refine(simulator);
+  return classes.refine(simulator.values());
 }

@@ -20,9 +20,6 @@
 ///                   AI+DC+MFFC, AI+DC+SCOAP)
 ///   --all-arms      run every arm on every pair (slow, max coverage)
 ///   --no-certify    skip DRAT certification of UNSAT verdicts
-///   --kernel-sweep  rerun every sweeping oracle under every available
-///                   SIMD kernel at block widths 1 and 8 and fail unless
-///                   the results are byte-identical (the width-sweep leg)
 ///   --no-shrink     keep full-size repro artifacts
 ///   --out-dir DIR   write repro artifacts here (default: fuzz-artifacts)
 ///   --log FILE      also write the verdict log to FILE
@@ -41,6 +38,7 @@
 #include <string>
 
 #include "simgen_all.hpp"
+#include "util/parse_option.hpp"
 
 using namespace simgen;
 
@@ -50,8 +48,7 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--seed S] [--iters N] [--seconds T] [--arm NAME]"
                " [--all-arms]\n"
-               "       [--no-certify] [--kernel-sweep]"
-               " [--no-shrink] [--out-dir DIR]"
+               "       [--no-certify] [--no-shrink] [--out-dir DIR]"
                " [--log FILE] [--quiet]\n"
                "       %s --replay repro.blif\n"
                "       %s --shrink-demo [--seed S]\n",
@@ -147,15 +144,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A malformed number is a usage error, never a silent 0 (exit 2).
+    const auto number = [&](const char* flag, auto& into) {
+      if (!util::parse_option(flag, value(flag), into)) std::exit(2);
+    };
     if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = std::strtoull(value("--seed"), nullptr, 0);
+      number("--seed", options.seed);
     } else if (std::strcmp(argv[i], "--iters") == 0) {
-      options.iterations = std::strtoull(value("--iters"), nullptr, 0);
+      number("--iters", options.iterations);
     } else if (std::strcmp(argv[i], "--begin-iter") == 0) {
-      options.first_iteration =
-          std::strtoull(value("--begin-iter"), nullptr, 0);
+      number("--begin-iter", options.first_iteration);
     } else if (std::strcmp(argv[i], "--seconds") == 0) {
-      options.max_seconds = std::strtod(value("--seconds"), nullptr);
+      number("--seconds", options.max_seconds);
       if (options.max_seconds > 0.0)
         options.iterations = ~std::uint64_t{0};  // run until the clock
     } else if (std::strcmp(argv[i], "--arm") == 0) {
@@ -169,8 +169,6 @@ int main(int argc, char** argv) {
       options.all_arms = true;
     } else if (std::strcmp(argv[i], "--no-certify") == 0) {
       options.certify = false;
-    } else if (std::strcmp(argv[i], "--kernel-sweep") == 0) {
-      options.kernel_sweep = true;
     } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
       options.shrink = false;
     } else if (std::strcmp(argv[i], "--out-dir") == 0) {

@@ -14,6 +14,8 @@
 ///   sweep_inspect --html report.html run.journal    # self-contained HTML
 ///   sweep_inspect --rewrite copy.jsonl run.journal  # binary <-> JSONL
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +28,7 @@
 #include "obs/inspect.hpp"
 #include "obs/journal.hpp"
 #include "simgen/guided_sim.hpp"
+#include "util/parse_option.hpp"
 
 namespace {
 
@@ -80,7 +83,7 @@ bool write_stream_file(const std::string& path, const char* what,
 
 int main(int argc, char** argv) {
   std::string journal_path, folded_path, html_path, rewrite_path, chrome_path;
-  std::uint64_t class_rep = 0;
+  std::uint64_t class_rep = 0, top_k = 10;
   bool check = false, timeline = false, quiet = false;
   bool sat = false;
   simgen::obs::InspectOptions options;
@@ -95,12 +98,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A malformed number is a usage error, never a silent 0.
+    const auto number = [&](const char* flag, std::uint64_t& into,
+                            std::uint64_t max) {
+      if (!simgen::util::parse_option(flag, value(flag), into, max))
+        std::exit(1);
+    };
     if (arg == "--check") check = true;
     else if (arg == "--timeline") timeline = true;
     else if (arg == "--sat") sat = true;
     else if (arg == "--quiet") quiet = true;
-    else if (arg == "--top") options.top_k = std::atoi(value("--top"));
-    else if (arg == "--class") class_rep = std::strtoull(value("--class"), nullptr, 10);
+    else if (arg == "--top") number("--top", top_k, INT_MAX);
+    else if (arg == "--class") number("--class", class_rep, UINT64_MAX);
     else if (arg == "--folded") folded_path = value("--folded");
     else if (arg == "--html") html_path = value("--html");
     else if (arg == "--chrome-trace") chrome_path = value("--chrome-trace");
@@ -121,7 +130,7 @@ int main(int argc, char** argv) {
     usage(stderr);
     return 1;
   }
-  if (options.top_k <= 0) options.top_k = 10;
+  options.top_k = top_k == 0 ? 10 : static_cast<int>(top_k);
 
   std::vector<simgen::obs::JournalEvent> events;
   std::string error;
