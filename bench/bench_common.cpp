@@ -115,7 +115,8 @@ bool write_flow_metrics_json(const FlowMetrics& metrics) {
   return out.good();
 }
 
-TelemetryCli::TelemetryCli(int& argc, char** argv) : cli_(argc, argv) {
+TelemetryCli::TelemetryCli(int& argc, char** argv)
+    : cli_(argc, argv, /*usage_status=*/2) {
   // The generic flags are already stripped; pick off --bench-json-dir and
   // --threads, reject any other option, and forward the heartbeat
   // interval into the flow runner.
@@ -236,6 +237,34 @@ net::Network prepare_stacked(const benchgen::StackedSpec& spec,
 double ratio(double value, double baseline) {
   if (baseline == 0.0) return value == 0.0 ? 1.0 : 0.0;
   return value / baseline;
+}
+
+void print_figure_block(const char* figure,
+                        const std::vector<StrategyPair>& cells) {
+  std::printf("\n==== %s data (CSV, SimGen / RevS) ====\n", figure);
+  std::printf("benchmark,cost_ratio,sim_runtime_ratio,sat_calls_ratio,"
+              "sat_time_ratio\n");
+  double cost = 0.0, sim = 0.0, calls = 0.0, sat = 0.0;
+  for (const StrategyPair& cell : cells) {
+    const FlowMetrics& revs = cell.revs;
+    const FlowMetrics& sgen = cell.sgen;
+    const double row[4] = {
+        ratio(static_cast<double>(sgen.cost), static_cast<double>(revs.cost)),
+        ratio(sgen.sim_seconds, revs.sim_seconds),
+        ratio(static_cast<double>(sgen.sat_calls),
+              static_cast<double>(revs.sat_calls)),
+        ratio(sgen.sat_seconds, revs.sat_seconds)};
+    std::printf("%s,%.4f,%.4f,%.4f,%.4f\n", revs.benchmark.c_str(), row[0],
+                row[1], row[2], row[3]);
+    cost += row[0];
+    sim += row[1];
+    calls += row[2];
+    sat += row[3];
+  }
+  const double n = static_cast<double>(cells.size());
+  std::printf("means: cost %.3f, sim_runtime %.3f, sat_calls %.3f, "
+              "sat_time %.3f (RevS = 1.0)\n",
+              cost / n, sim / n, calls / n, sat / n);
 }
 
 }  // namespace simgen::bench

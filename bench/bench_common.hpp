@@ -1,6 +1,6 @@
 /// \file bench_common.hpp
-/// \brief Shared driver code for the experiment harnesses (one binary per
-/// paper table/figure; see DESIGN.md section 4 for the experiment index).
+/// \brief Shared driver code for the experiment harnesses (see DESIGN.md
+/// section 4 for the experiment index).
 ///
 /// Every harness runs the paper's Figure 2 flow: generate + 6-LUT-map a
 /// named benchmark, one round of random simulation, N iterations of a
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "obs/telemetry_cli.hpp"
 #include "simgen_all.hpp"
@@ -118,6 +119,21 @@ net::Network prepare_stacked(const benchgen::StackedSpec& spec,
 /// Ratio helper: a/b with the paper's convention that 0/0 compares equal.
 double ratio(double value, double baseline);
 
+/// The RevS and SimGen (AI+DC+MFFC) flows of one circuit: one cell of the
+/// Table 2 drivers.
+struct StrategyPair {
+  FlowMetrics revs;
+  FlowMetrics sgen;
+};
+
+/// Prints the data of paper Figure 5 (flat suite) or Figure 6 (stacked
+/// suite) for the Table 2 drivers, which run exactly the figures' flows:
+/// one CSV row per circuit with SimGen's cost, guided-simulation time,
+/// SAT calls and SAT time as ratios to RevS's (ratio(); 1.0 = parity,
+/// below 1.0 = SimGen better), then the means of the four columns.
+void print_figure_block(const char* figure,
+                        const std::vector<StrategyPair>& cells);
+
 /// Directory for per-run BENCH_<benchmark>__<strategy>.json files. When
 /// set (via TelemetryCli's --bench-json-dir or the SIMGEN_BENCH_JSON_DIR
 /// environment variable), run_strategy_flow writes one machine-readable
@@ -140,8 +156,10 @@ bool write_flow_metrics_json(const FlowMetrics& metrics);
 ///                          usage error (exit 2)
 /// (SIMGEN_BENCH_JSON_DIR in the environment also sets the JSON dir.)
 /// Any other argument starting with '-' is a usage error: the program
-/// prints "error: unknown option '...'" and exits 2. Arguments left over
-/// (benchmark names, for the harnesses that take them) stay in argv.
+/// prints "error: unknown option '...'" and exits 2, as it does for a
+/// generic flag without a value or a malformed --progress/--timeout.
+/// Arguments left over (benchmark names, for the harnesses that take
+/// them) stay in argv.
 /// --progress is forwarded into set_progress_interval (every
 /// run_strategy_flow sweep picks it up) and --threads into set_num_threads
 /// (for_each_cell picks it up). A driver needs only

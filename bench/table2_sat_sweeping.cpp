@@ -5,7 +5,10 @@
 ///
 /// Flow per benchmark and arm: 6-LUT map, 1 random round, 20 guided
 /// iterations, then SAT sweeping to fixpoint. SAT calls and SAT time
-/// count exactly the solver work of the sweeping phase. With --threads N
+/// count exactly the solver work of the sweeping phase. The same flows are
+/// paper Figure 5's, so a per-benchmark CSV block of SimGen/RevS ratios
+/// (cost, guided-simulation time, SAT calls, SAT time) follows the
+/// summary. With --threads N
 /// the per-benchmark cells run on N workers (results and row order are
 /// identical to the sequential run; see bench_common.hpp). Positional
 /// arguments restrict the run to the named benchmarks.
@@ -37,11 +40,7 @@ int main(int argc, char** argv) {
   std::printf("Table 2 (top): SAT calls and SAT time, RevS vs SimGen\n\n");
   std::printf("%-10s | %9s %9s | %12s %12s | %8s\n", "bmk", "RevS", "SGen",
               "RevS ms", "SGen ms", "dCalls%");
-  struct Cell {
-    bench::FlowMetrics revs;
-    bench::FlowMetrics sgen;
-  };
-  std::vector<Cell> cells(suite.size());
+  std::vector<bench::StrategyPair> cells(suite.size());
   util::Stopwatch wall;
   wall.start();
   bench::for_each_cell(suite.size(), [&](std::size_t i) {
@@ -99,5 +98,6 @@ int main(int argc, char** argv) {
               workers, workers == 1 ? "" : "s");
   std::printf("\nPaper reference: SimGen reduces SAT calls on the large\n");
   std::printf("majority of the 42 benchmarks (e.g. b21_C 1369 -> 271).\n");
+  bench::print_figure_block("Figure 5", cells);
   return 0;
 }

@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
   // The shared telemetry CLI strips --metrics-out/--journal-out/
   // --progress/--timeout, wires the exit finalizer and watchdog, and
   // flushes every requested output at destruction.
-  obs::TelemetryCli telemetry(argc, argv);
+  obs::TelemetryCli telemetry(argc, argv, /*usage_status=*/1);
   std::vector<std::string> args;
   sweep::CecOptions options;
   options.guided_strategy = core::Strategy::kAiDcMffc;

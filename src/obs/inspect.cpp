@@ -91,11 +91,6 @@ const char* timeline_verb(const TimelineEntry& entry) {
   }
 }
 
-void append_folded(JournalReport& report, const std::string& stack,
-                   std::uint64_t us) {
-  if (us > 0) report.folded[stack] += us;
-}
-
 /// Per-call log2 distribution in the shared bucket_of() layout, so the
 /// --sat report quotes p50/p90/p99 through the same bucket_percentile
 /// estimator as Histogram::percentile.
@@ -144,21 +139,6 @@ std::string call_target(const SatCallRecord& call) {
   return pair;
 }
 
-std::string html_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 JournalReport build_report(const std::vector<JournalEvent>& events,
@@ -187,11 +167,11 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
     if (event.t_ns > record.last_ns) record.last_ns = event.t_ns;
   };
 
-  // Solver-introspection events precede their kSatCall in every thread's
-  // ring (fingerprint before the solve, milestones and the solve-stats
-  // rollup inside it), and a join key only ever comes from one thread, so
-  // accumulating per key until the kSatCall arrives is order-safe even
-  // though the drain interleaves rings.
+  // Solver-introspection events precede their kSatCall in the emit order
+  // of the thread that solves (fingerprint before the solve, milestones
+  // and the solve-stats rollup inside it), and a join key only ever comes
+  // from one thread, so accumulating per key until the kSatCall arrives
+  // is order-safe even though the events of concurrent threads interleave.
   struct PendingSolve {
     bool has_fingerprint = false;
     std::uint8_t arm = 0;
@@ -309,10 +289,6 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
               {event.t_ns, event.kind, event.code, event.dur_us, event.b});
         }
         charge_phase(event.dur_us);
-        append_folded(report,
-                      std::string("simgen;") + phase_name(current_phase()) +
-                          ";sat;" + verdict_name(verdict),
-                      event.dur_us);
         break;
       }
       case EventKind::kPatternBatch: {
@@ -325,12 +301,6 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
         effect.splits += event.v0;
         effect.time_us += event.dur_us;
         charge_phase(event.dur_us);
-        std::string stack = std::string("simgen;") +
-                            phase_name(current_phase()) + ";pattern;" +
-                            source_name(static_cast<PatternSource>(event.code));
-        if (static_cast<PatternSource>(event.code) == PatternSource::kSimGen)
-          stack += ";arm" + std::to_string(event.flags);
-        append_folded(report, stack, event.dur_us);
         break;
       }
       case EventKind::kCertified: {
@@ -346,10 +316,6 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
               {event.t_ns, event.kind, event.code, event.dur_us, event.b});
         }
         charge_phase(event.dur_us);
-        append_folded(report,
-                      std::string("simgen;") + phase_name(current_phase()) +
-                          ";certify",
-                      event.dur_us);
         break;
       }
       case EventKind::kHeartbeat:
@@ -415,17 +381,6 @@ JournalReport build_report(const std::vector<JournalEvent>& events,
     }
   }
   if (max_ns >= min_ns && min_ns != ~0ull) report.span_ns = max_ns - min_ns;
-
-  // Phase self time = total minus attributed children (clamped: drains can
-  // attribute a child to a phase whose end event was lost to truncation).
-  for (std::size_t phase = 1; phase < kNumPhases; ++phase) {
-    const PhaseCost& cost = report.phases[phase];
-    const std::uint64_t self =
-        cost.total_us > cost.child_us ? cost.total_us - cost.child_us : 0;
-    append_folded(report,
-                  std::string("simgen;") + phase_name(static_cast<PhaseId>(phase)),
-                  self);
-  }
   return report;
 }
 
@@ -736,12 +691,6 @@ void write_timeline(std::ostream& out, const JournalReport& report,
       out << line;
     }
   }
-}
-
-void write_folded_stacks(std::ostream& out, const JournalReport& report,
-                         const InspectOptions&) {
-  for (const auto& [stack, us] : report.folded)
-    out << stack << ' ' << us << '\n';
 }
 
 void write_chrome_trace(std::ostream& out,
@@ -1057,227 +1006,6 @@ void write_sat_report(std::ostream& out, const JournalReport& report,
     }
     break;
   }
-}
-
-void write_html_report(std::ostream& out, const JournalReport& report,
-                       const InspectOptions& options) {
-  out << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n"
-         "<title>simgen sweep journal</title>\n<style>\n"
-         "body{font:14px/1.5 system-ui,sans-serif;margin:2em;color:#222}\n"
-         "h1{font-size:1.4em}h2{font-size:1.1em;margin-top:1.6em}\n"
-         "table{border-collapse:collapse;margin:0.5em 0}\n"
-         "td,th{border:1px solid #ccc;padding:3px 9px;text-align:right;"
-         "font-variant-numeric:tabular-nums}\n"
-         "th{background:#f2f2f2}td:first-child,th:first-child{text-align:left}\n"
-         ".bar{background:#4a90d9;height:11px;display:inline-block}\n"
-         ".warn{color:#b00;font-weight:bold}\n"
-         "</style></head><body>\n<h1>Sweep journal report</h1>\n";
-
-  char line[512];
-  std::snprintf(line, sizeof line,
-                "<p>%" PRIu64 " events spanning %s.%s</p>\n", report.num_events,
-                format_duration_us(report.span_ns / 1000).c_str(),
-                report.truncated
-                    ? " <span class=\"warn\">Journal is truncated: the run "
-                      "was interrupted mid-write.</span>"
-                    : "");
-  out << line;
-
-  out << "<h2>Run summary</h2>\n<table>\n"
-         "<tr><th>metric</th><th>value</th></tr>\n";
-  const auto row = [&](const char* name, std::uint64_t value) {
-    std::snprintf(line, sizeof line,
-                  "<tr><td>%s</td><td>%" PRIu64 "</td></tr>\n", name, value);
-    out << line;
-  };
-  row("SAT calls", report.sat_calls);
-  row("&nbsp;&nbsp;UNSAT (proved)", report.sat_unsat);
-  row("&nbsp;&nbsp;SAT (disproved)", report.sat_sat);
-  row("&nbsp;&nbsp;unknown (conflict limit)", report.sat_unknown);
-  row("&nbsp;&nbsp;output proofs", report.output_proofs);
-  row("conflicts", report.conflicts);
-  row("propagations", report.propagations);
-  row("decisions", report.decisions);
-  row("learned clauses", report.learned);
-  row("classes created", report.class_created);
-  row("class splits", report.class_split);
-  row("class merges", report.class_merged);
-  row("pattern batches", report.pattern_batches);
-  row("splits from patterns", report.pattern_splits);
-  row("certified ok", report.certified_ok);
-  row("certified failed", report.certified_fail);
-  row("heartbeats", report.heartbeats);
-  row("bench cells", report.task_runs);
-  if (report.resource_samples > 0) row("peak RSS (kB)", report.peak_rss_kb);
-  out << "</table>\n";
-
-  out << "<h2>Phases</h2>\n<table>\n"
-         "<tr><th>phase</th><th>total</th><th>self</th><th>enters</th>"
-         "<th></th></tr>\n";
-  std::uint64_t max_phase_us = 1;
-  for (std::size_t phase = 1; phase < kNumPhases; ++phase)
-    max_phase_us = std::max(max_phase_us, report.phases[phase].total_us);
-  for (std::size_t phase = 1; phase < kNumPhases; ++phase) {
-    const PhaseCost& cost = report.phases[phase];
-    if (cost.enters == 0) continue;
-    const std::uint64_t self =
-        cost.total_us > cost.child_us ? cost.total_us - cost.child_us : 0;
-    const int width = static_cast<int>(
-        200.0 * static_cast<double>(cost.total_us) /
-        static_cast<double>(max_phase_us));
-    std::snprintf(line, sizeof line,
-                  "<tr><td>%s</td><td>%s</td><td>%s</td><td>%" PRIu64
-                  "</td><td style=\"text-align:left\">"
-                  "<span class=\"bar\" style=\"width:%dpx\"></span></td></tr>\n",
-                  phase_name(static_cast<PhaseId>(phase)),
-                  format_duration_us(cost.total_us).c_str(),
-                  format_duration_us(self).c_str(), cost.enters, width);
-    out << line;
-  }
-  out << "</table>\n";
-
-  out << "<h2>Top classes by SAT time</h2>\n<table>\n"
-         "<tr><th>representative</th><th>SAT calls</th><th>SAT time</th>"
-         "<th>conflicts</th><th>merges</th><th>disproofs</th>"
-         "<th>max cone vars</th><th>created via</th></tr>\n";
-  int shown = 0;
-  for (const ClassRecord* record : rank_classes(report)) {
-    if (shown >= options.top_k) break;
-    if (record->sat_calls == 0 && record->splits == 0 && record->merges == 0)
-      continue;
-    std::snprintf(line, sizeof line,
-                  "<tr><td>%" PRIu64 "</td><td>%" PRIu64 "</td><td>%s</td>"
-                  "<td>%" PRIu64 "</td><td>%" PRIu64 "</td><td>%" PRIu64
-                  "</td><td>%" PRIu64 "</td><td>%s</td></tr>\n",
-                  record->rep, record->sat_calls,
-                  format_duration_us(record->sat_time_us).c_str(),
-                  record->conflicts, record->merges, record->disproofs,
-                  record->max_cone_vars, source_name(record->created_by));
-    out << line;
-    ++shown;
-  }
-  out << "</table>\n";
-
-  out << "<h2>Top SAT calls</h2>\n<table>\n"
-         "<tr><th>target</th><th>verdict</th><th>duration</th>"
-         "<th>conflicts</th><th>propagations</th><th>decisions</th>"
-         "<th>cone vars</th><th>learned</th></tr>\n";
-  shown = 0;
-  for (const SatCallRecord* call : rank_calls(report)) {
-    if (shown >= options.top_k) break;
-    char pair[48];
-    if (call->output_proof)
-      std::snprintf(pair, sizeof pair, "output %" PRIu64, call->a);
-    else
-      std::snprintf(pair, sizeof pair, "(%" PRIu64 ", %" PRIu64 ")", call->a,
-                    call->b);
-    std::snprintf(line, sizeof line,
-                  "<tr><td>%s</td><td>%s</td><td>%s</td><td>%" PRIu64
-                  "</td><td>%" PRIu64 "</td><td>%" PRIu64 "</td><td>%" PRIu64
-                  "</td><td>%" PRIu64 "</td></tr>\n",
-                  pair, verdict_name(call->verdict),
-                  format_duration_us(call->dur_us).c_str(), call->conflicts,
-                  call->propagations, call->decisions, call->cone_vars,
-                  call->learned);
-    out << line;
-    ++shown;
-  }
-  out << "</table>\n";
-
-  out << "<h2>Pattern effectiveness</h2>\n<table>\n"
-         "<tr><th>source</th><th>batches</th><th>guided patterns</th>"
-         "<th>splits</th><th>time</th><th>splits/batch</th></tr>\n";
-  for (const auto& [key, effect] : report.strategies) {
-    const double per_batch =
-        effect.batches == 0
-            ? 0.0
-            : static_cast<double>(effect.splits) /
-                  static_cast<double>(effect.batches);
-    std::snprintf(line, sizeof line,
-                  "<tr><td>%s</td><td>%" PRIu64 "</td><td>%" PRIu64
-                  "</td><td>%" PRIu64 "</td><td>%s</td><td>%.2f</td></tr>\n",
-                  html_escape(strategy_label(key.first, key.second, options))
-                      .c_str(),
-                  effect.batches, effect.patterns, effect.splits,
-                  format_duration_us(effect.time_us).c_str(), per_batch);
-    out << line;
-  }
-  out << "</table>\n";
-
-  if (report.solver_solve_stats > 0 || report.cone_fingerprints > 0) {
-    out << "<h2>SAT hardness</h2>\n<table>\n"
-           "<tr><th>metric</th><th>value</th></tr>\n";
-    row("solver restarts", report.solver_restarts);
-    row("learnt-DB reductions", report.solver_reduces);
-    row("&nbsp;&nbsp;clauses deleted", report.reduce_deleted);
-    row("budget hits", report.solver_budget_hits);
-    row("cone fingerprints", report.cone_fingerprints);
-    row("learnt clauses with LBD", report.lbd_count);
-    if (report.lbd_count > 0) {
-      std::snprintf(line, sizeof line,
-                    "<tr><td>mean LBD</td><td>%.2f</td></tr>\n",
-                    static_cast<double>(report.lbd_sum) /
-                        static_cast<double>(report.lbd_count));
-      out << line;
-      row("max LBD", report.lbd_max);
-    }
-    out << "</table>\n";
-
-    out << "<h2>Hardest cones</h2>\n<table>\n"
-           "<tr><th>target</th><th>verdict</th><th>duration</th>"
-           "<th>conflicts</th><th>restarts</th><th>support</th>"
-           "<th>nodes</th><th>depth</th><th>arm</th></tr>\n";
-    shown = 0;
-    for (const SatCallRecord* call : rank_calls(report)) {
-      if (shown >= options.top_k) break;
-      std::snprintf(
-          line, sizeof line,
-          "<tr><td>%s</td><td>%s</td><td>%s</td><td>%" PRIu64
-          "</td><td>%" PRIu64 "</td><td>%" PRIu64 "</td><td>%" PRIu64
-          "</td><td>%" PRIu64 "</td><td>%s</td></tr>\n",
-          call_target(*call).c_str(), verdict_name(call->verdict),
-          format_duration_us(call->dur_us).c_str(), call->conflicts,
-          call->restarts, call->cone_support, call->cone_nodes,
-          call->cone_depth,
-          call->has_fingerprint
-              ? html_escape(arm_label(call->strategy_arm, options)).c_str()
-              : "-");
-      out << line;
-      ++shown;
-    }
-    out << "</table>\n";
-
-    std::array<std::uint64_t, Histogram::kNumBuckets> size_time{};
-    std::array<std::uint64_t, Histogram::kNumBuckets> size_calls{};
-    for (const SatCallRecord& call : report.calls) {
-      if (!call.has_fingerprint) continue;
-      const std::size_t bucket = Histogram::bucket_of(call.cone_nodes);
-      size_time[bucket] += call.dur_us;
-      size_calls[bucket] += 1;
-    }
-    std::uint64_t max_bucket_time = 1;
-    for (const std::uint64_t t : size_time)
-      max_bucket_time = std::max(max_bucket_time, t);
-    out << "<h2>SAT time by cone size</h2>\n<table>\n"
-           "<tr><th>internal nodes</th><th>calls</th><th>time</th>"
-           "<th></th></tr>\n";
-    for (std::size_t i = 0; i < size_time.size(); ++i) {
-      if (size_calls[i] == 0) continue;
-      const int width =
-          static_cast<int>(200.0 * static_cast<double>(size_time[i]) /
-                           static_cast<double>(max_bucket_time));
-      std::snprintf(line, sizeof line,
-                    "<tr><td>%s</td><td>%" PRIu64 "</td><td>%s</td>"
-                    "<td style=\"text-align:left\"><span class=\"bar\" "
-                    "style=\"width:%dpx\"></span></td></tr>\n",
-                    bucket_range_label(i).c_str(), size_calls[i],
-                    format_duration_us(size_time[i]).c_str(), width);
-      out << line;
-    }
-    out << "</table>\n";
-  }
-
-  out << "</body></html>\n";
 }
 
 }  // namespace simgen::obs

@@ -1,9 +1,8 @@
 /// \file inspect.hpp
 /// \brief Post-mortem journal inspector: replays a sweep journal
 /// (journal.hpp) into per-class lifecycle timelines, top-K cost
-/// attributions, pattern-effectiveness breakdowns, folded stacks for
-/// flamegraph tooling, a Chrome/Perfetto timeline, and a self-contained
-/// HTML report.
+/// attributions, pattern-effectiveness breakdowns, a SAT hardness report,
+/// and a Chrome/Perfetto timeline.
 ///
 /// Compiled unconditionally (including under SIMGEN_NO_TELEMETRY) so
 /// `tools/sweep_inspect` can always replay journals recorded elsewhere.
@@ -153,10 +152,6 @@ struct JournalReport {
   /// Keyed by (PatternSource value, strategy code).
   std::map<std::pair<std::uint8_t, std::uint8_t>, StrategyEffect> strategies;
   PhaseCost phases[kNumPhases];
-
-  /// Folded flamegraph stacks (`frame;frame` → microseconds), built during
-  /// the scan because frames depend on the phase open at event time.
-  std::map<std::string, std::uint64_t> folded;
 };
 
 /// Options shared by the report writers.
@@ -190,11 +185,6 @@ void write_text_report(std::ostream& out, const JournalReport& report,
 void write_timeline(std::ostream& out, const JournalReport& report,
                     std::uint64_t rep, const InspectOptions& options);
 
-/// Folded stacks (`frame;frame value` per line) compatible with
-/// flamegraph.pl / speedscope. Values are microseconds.
-void write_folded_stacks(std::ostream& out, const JournalReport& report,
-                         const InspectOptions& options);
-
 /// Chrome trace-event JSON of the journal, loadable in chrome://tracing
 /// and https://ui.perfetto.dev: {"displayTimeUnit":"ms","traceEvents":
 /// [...]}, every event on one track. phase_end, sat_call, certified,
@@ -217,9 +207,5 @@ void write_chrome_trace(std::ostream& out,
 /// journals that predate the introspection events.
 void write_sat_report(std::ostream& out, const JournalReport& report,
                       const InspectOptions& options);
-
-/// Self-contained HTML report (inline CSS, no external assets).
-void write_html_report(std::ostream& out, const JournalReport& report,
-                       const InspectOptions& options);
 
 }  // namespace simgen::obs

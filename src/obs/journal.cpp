@@ -7,10 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string_view>
-#include <thread>
 
 #include "util/mutex.hpp"
 
@@ -141,20 +139,6 @@ const char* verdict_name(SatVerdict verdict) noexcept {
 
 namespace {
 
-/// Per-thread single-producer ring. The owning thread is the only writer
-/// of `head` and the ring slots below it; consumers (the drain thread, or
-/// a producer draining its own full ring) serialize on the sink mutex and
-/// are the only writers of `tail`.
-struct ThreadBuffer {
-  static constexpr std::size_t kCapacity = 1 << 13;  // 8192 events, 512 KiB
-  static constexpr std::uint64_t kMask = kCapacity - 1;
-
-  std::vector<JournalEvent> ring = std::vector<JournalEvent>(kCapacity);
-  std::atomic<std::uint64_t> head{0};
-  std::atomic<std::uint64_t> tail{0};
-  std::atomic<bool> retired{false};
-};
-
 /// Process-wide writer state. Leaked, like the metrics registry, so
 /// emits from static-storage destructors stay safe.
 struct JournalState {
@@ -163,89 +147,23 @@ struct JournalState {
   /// must load this with acquire (see now_ns/emit).
   std::atomic<bool> recording{false};
 
-  util::Mutex lifecycle_mutex;  ///< Serializes open/close.
-  util::Mutex sink_mutex;       ///< Guards the file and all consumer sides.
-  std::FILE* file SIMGEN_GUARDED_BY(sink_mutex) = nullptr;
-  bool jsonl SIMGEN_GUARDED_BY(sink_mutex) = false;
-  std::atomic<std::uint64_t> written{0};
+  /// Serializes open/close and every event write, so one thread's events
+  /// reach the file in its emit order and different threads' events
+  /// interleave in lock order.
+  util::Mutex mutex;
+  std::FILE* file SIMGEN_GUARDED_BY(mutex) = nullptr;
+  bool jsonl SIMGEN_GUARDED_BY(mutex) = false;
+  std::uint64_t written SIMGEN_GUARDED_BY(mutex) = 0;
   /// Written in open() before recording goes true (its release store
   /// publishes the value); read lock-free afterwards. Not guarded: the
   /// recording flag's acquire/release pair is the synchronization.
   std::chrono::steady_clock::time_point epoch{};
 
-  util::Mutex buffers_mutex;
-  std::vector<std::shared_ptr<ThreadBuffer>> buffers
-      SIMGEN_GUARDED_BY(buffers_mutex);
-
-  std::thread drain_thread SIMGEN_GUARDED_BY(lifecycle_mutex);
-  std::atomic<bool> stop_drain{false};
-
   static JournalState& get() {
     static JournalState* state = new JournalState();
     return *state;
   }
-
-  /// Moves every pending event to the file.
-  void drain_locked() SIMGEN_REQUIRES(sink_mutex) {
-    if (file == nullptr) return;
-    std::vector<std::shared_ptr<ThreadBuffer>> snapshot;
-    {
-      const util::LockGuard lock(buffers_mutex);
-      snapshot = buffers;
-    }
-    for (const auto& buffer : snapshot) {
-      const std::uint64_t head = buffer->head.load(std::memory_order_acquire);
-      std::uint64_t tail = buffer->tail.load(std::memory_order_relaxed);
-      std::uint64_t count = 0;
-      while (tail != head) {
-        const JournalEvent& event = buffer->ring[tail & ThreadBuffer::kMask];
-        if (jsonl)
-          write_event_jsonl(file, event);
-        else
-          write_event_binary(file, event);
-        ++tail;
-        ++count;
-      }
-      buffer->tail.store(tail, std::memory_order_release);
-      written.fetch_add(count, std::memory_order_relaxed);
-    }
-    // Retired (thread-exited) buffers that are fully drained can go.
-    const util::LockGuard lock(buffers_mutex);
-    std::erase_if(buffers, [](const std::shared_ptr<ThreadBuffer>& buffer) {
-      return buffer->retired.load(std::memory_order_acquire) &&
-             buffer->head.load(std::memory_order_acquire) ==
-                 buffer->tail.load(std::memory_order_acquire);
-    });
-  }
 };
-
-/// Registers this thread's ring on first use; marks it retired (for lazy
-/// removal after the final drain) at thread exit.
-struct ThreadBufferHolder {
-  std::shared_ptr<ThreadBuffer> buffer = std::make_shared<ThreadBuffer>();
-  ThreadBufferHolder() {
-    JournalState& state = JournalState::get();
-    const util::LockGuard lock(state.buffers_mutex);
-    state.buffers.push_back(buffer);
-  }
-  ~ThreadBufferHolder() { buffer->retired.store(true, std::memory_order_release); }
-};
-
-ThreadBuffer& local_buffer() {
-  thread_local ThreadBufferHolder holder;
-  return *holder.buffer;
-}
-
-void drain_loop() {
-  JournalState& state = JournalState::get();
-  while (!state.stop_drain.load(std::memory_order_acquire)) {
-    {
-      const util::LockGuard lock(state.sink_mutex);
-      state.drain_locked();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-}
 
 }  // namespace
 
@@ -260,11 +178,8 @@ Journal& Journal::instance() {
 
 bool Journal::open(const std::string& path, JournalFormat format) {
   JournalState& state = JournalState::get();
-  const util::LockGuard lifecycle(state.lifecycle_mutex);
-  {
-    const util::LockGuard lock(state.sink_mutex);
-    if (state.file != nullptr) return false;
-  }
+  const util::LockGuard lock(state.mutex);
+  if (state.file != nullptr) return false;
   const bool jsonl = path_is_jsonl(path, format);
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) return false;
@@ -272,41 +187,27 @@ bool Journal::open(const std::string& path, JournalFormat format) {
     write_jsonl_header(file);
   else
     write_binary_header(file);
-  {
-    const util::LockGuard lock(state.sink_mutex);
-    state.file = file;
-    state.jsonl = jsonl;
-    state.written.store(0, std::memory_order_relaxed);
-    state.epoch = std::chrono::steady_clock::now();
-  }
-  state.stop_drain.store(false, std::memory_order_release);
-  state.drain_thread = std::thread(drain_loop);
+  state.file = file;
+  state.jsonl = jsonl;
+  state.written = 0;
+  state.epoch = std::chrono::steady_clock::now();
   state.recording.store(true, std::memory_order_release);
   return true;
 }
 
 void Journal::close() {
   JournalState& state = JournalState::get();
-  const util::LockGuard lifecycle(state.lifecycle_mutex);
-  {
-    const util::LockGuard lock(state.sink_mutex);
-    if (state.file == nullptr) return;
-  }
+  const util::LockGuard lock(state.mutex);
+  if (state.file == nullptr) return;
   state.recording.store(false, std::memory_order_release);
-  state.stop_drain.store(true, std::memory_order_release);
-  if (state.drain_thread.joinable()) state.drain_thread.join();
-  const util::LockGuard lock(state.sink_mutex);
-  state.drain_locked();
   std::fclose(state.file);
   state.file = nullptr;
 }
 
 void Journal::flush() {
   JournalState& state = JournalState::get();
-  const util::LockGuard lock(state.sink_mutex);
-  if (state.file == nullptr) return;
-  state.drain_locked();
-  std::fflush(state.file);
+  const util::LockGuard lock(state.mutex);
+  if (state.file != nullptr) std::fflush(state.file);
 }
 
 bool Journal::is_open() const noexcept {
@@ -317,7 +218,7 @@ std::uint64_t Journal::now_ns() const noexcept {
   JournalState& state = JournalState::get();
   // Acquire pairs with the release store in open(): seeing recording ==
   // true guarantees the epoch written just before is visible. A relaxed
-  // load here could read a stale epoch on a thread that never took a
+  // load here could read a stale epoch on a thread that never took the
   // journal lock (first emit after another thread opened the journal).
   if (!state.recording.load(std::memory_order_acquire)) return 0;
   return static_cast<std::uint64_t>(
@@ -327,7 +228,9 @@ std::uint64_t Journal::now_ns() const noexcept {
 }
 
 std::uint64_t Journal::events_written() const noexcept {
-  return JournalState::get().written.load(std::memory_order_relaxed);
+  JournalState& state = JournalState::get();
+  const util::LockGuard lock(state.mutex);
+  return state.written;
 }
 
 void Journal::emit(JournalEvent event) {
@@ -336,17 +239,13 @@ void Journal::emit(JournalEvent event) {
   // stamp below computes against state.epoch.
   if (!state.recording.load(std::memory_order_acquire)) return;
   if (event.t_ns == 0) event.t_ns = now_ns();
-  ThreadBuffer& buffer = local_buffer();
-  const std::uint64_t head = buffer.head.load(std::memory_order_relaxed);
-  if (head - buffer.tail.load(std::memory_order_acquire) >=
-      ThreadBuffer::kCapacity) {
-    // Ring full: the drain thread fell behind. Drain synchronously (cold
-    // path); afterwards the ring is empty again.
-    const util::LockGuard lock(state.sink_mutex);
-    state.drain_locked();
-  }
-  buffer.ring[head & ThreadBuffer::kMask] = event;
-  buffer.head.store(head + 1, std::memory_order_release);
+  const util::LockGuard lock(state.mutex);
+  if (state.file == nullptr) return;  // close() ran since the check above.
+  if (state.jsonl)
+    write_event_jsonl(state.file, event);
+  else
+    write_event_binary(state.file, event);
+  ++state.written;
 }
 
 // ---------------------------------------------------------------------------

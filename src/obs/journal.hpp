@@ -16,10 +16,10 @@
 ///
 /// Design constraints:
 ///  * The hot path is allocation-free: an event is a trivially-copyable
-///    64-byte struct written into a per-thread lock-free SPSC ring; a
-///    background drain thread moves filled rings to the file. When the
-///    journal is closed (the default), emitting costs one acquire atomic
-///    load (free on x86; the acquire publishes the epoch, see journal.cpp).
+///    64-byte struct that the emitting thread writes, under one mutex,
+///    straight into the file's stdio buffer. When the journal is closed
+///    (the default), emitting costs one acquire atomic load (free on x86;
+///    the acquire publishes the epoch, see journal.cpp).
 ///  * Two on-disk formats share one event model: a binary framing (32-byte
 ///    file header + raw little-endian event records, the default) and a
 ///    JSON-Lines fallback (chosen by a ".jsonl" path suffix) for ad-hoc
@@ -31,6 +31,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -166,9 +167,9 @@ inline constexpr std::size_t kNumPhases = 6;
 [[nodiscard]] const char* verdict_name(SatVerdict verdict) noexcept;
 
 /// One journal record. Fixed 64-byte layout so the hot-path write is a
-/// single struct copy into a preallocated ring and the binary file format
-/// is the in-memory representation. Field meaning depends on `kind` (see
-/// EventKind); unused fields are zero.
+/// single 64-byte fwrite and the binary file format is the in-memory
+/// representation. Field meaning depends on `kind` (see EventKind);
+/// unused fields are zero.
 struct JournalEvent {
   std::uint64_t t_ns = 0;  ///< Nanoseconds since the journal epoch (open()).
   std::uint64_t a = 0;     ///< Primary operand (node/class id, counts).
@@ -184,8 +185,24 @@ struct JournalEvent {
 
   friend bool operator==(const JournalEvent&, const JournalEvent&) = default;
 };
+// The binary journal is this struct byte for byte: changing a field's
+// type, order or offset changes the on-disk format and needs a bump of
+// kFormatVersion in journal.cpp.
 static_assert(sizeof(JournalEvent) == 64, "events are 64-byte records");
 static_assert(std::is_trivially_copyable_v<JournalEvent>);
+static_assert(std::is_standard_layout_v<JournalEvent>);
+static_assert(offsetof(JournalEvent, t_ns) == 0 &&
+                  offsetof(JournalEvent, a) == 8 &&
+                  offsetof(JournalEvent, b) == 16 &&
+                  offsetof(JournalEvent, v0) == 24 &&
+                  offsetof(JournalEvent, v1) == 32 &&
+                  offsetof(JournalEvent, v2) == 40 &&
+                  offsetof(JournalEvent, v3) == 48 &&
+                  offsetof(JournalEvent, dur_us) == 56 &&
+                  offsetof(JournalEvent, flags) == 60 &&
+                  offsetof(JournalEvent, kind) == 62 &&
+                  offsetof(JournalEvent, code) == 63,
+              "a JournalEvent layout change needs a journal format-version bump");
 
 /// kSatCall packs two 32-bit quantities into v3.
 [[nodiscard]] constexpr std::uint64_t pack_cone_learned(
@@ -226,26 +243,26 @@ enum class JournalFormat : std::uint8_t {
 [[nodiscard]] bool journal_enabled() noexcept;
 #endif
 
-/// Process-wide journal writer. Events from any thread funnel through
-/// per-thread SPSC rings into one file; a background drain thread owns
-/// the file writes so emitters never block on IO (a producer only drains
-/// synchronously in the rare case its ring fills between drain passes).
+/// Process-wide journal writer. Events from any thread are written into
+/// one file under one mutex: one thread's events keep its emit order, and
+/// the events of different threads interleave in lock order. A killed
+/// run loses at most what still sits in the stdio buffer.
 class Journal {
  public:
   static Journal& instance();
 
-  /// Opens \p path and starts recording (spawning the drain thread).
-  /// Returns false if the file cannot be created, a journal is already
-  /// open, or the writer is compiled out (SIMGEN_NO_TELEMETRY).
+  /// Opens \p path and starts recording. Returns false if the file cannot
+  /// be created, a journal is already open, or the writer is compiled out
+  /// (SIMGEN_NO_TELEMETRY).
   bool open(const std::string& path, JournalFormat format = JournalFormat::kAuto);
 
-  /// Stops recording, drains every buffer, and closes the file. Safe to
-  /// call when not open (no-op) and from the watchdog thread.
+  /// Stops recording and closes the file; later emits are dropped. Safe
+  /// to call when not open (no-op) and from the watchdog thread.
   void close();
 
-  /// Drains all pending events to the file and flushes it, without
-  /// closing. Used by heartbeats and the watchdog so the on-disk journal
-  /// is near-complete at any moment.
+  /// Flushes the stdio buffer to the file without closing it. Used by
+  /// heartbeats and the watchdog so the on-disk journal is near-complete
+  /// at any moment.
   void flush();
 
   [[nodiscard]] bool is_open() const noexcept;
@@ -257,7 +274,7 @@ class Journal {
   /// Nanoseconds since open(); 0 when closed.
   [[nodiscard]] std::uint64_t now_ns() const noexcept;
 
-  /// Events written to the file so far (drained, not still in rings).
+  /// Events written since open() (some may still sit in the stdio buffer).
   [[nodiscard]] std::uint64_t events_written() const noexcept;
 
  private:

@@ -7,31 +7,30 @@
 #include "obs/journal.hpp"
 #include "obs/watchdog.hpp"
 #include "util/logging.hpp"
+#include "util/parse_option.hpp"
 
 namespace simgen::obs {
 
-TelemetryCli::TelemetryCli(int& argc, char** argv) {
+TelemetryCli::TelemetryCli(int& argc, char** argv, int usage_status) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    const auto take_value = [&](const char* flag, std::string& into) {
-      if (std::strcmp(argv[i], flag) != 0 || i + 1 >= argc) return false;
-      into = argv[++i];
-      return true;
+    const char* flag = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %s needs a value\n", flag);
+        std::exit(usage_status);
+      }
+      return argv[++i];
     };
-    std::string number;
-    if (take_value("--metrics-out", metrics_out_) ||
-        take_value("--journal-out", journal_out_)) {
-      continue;
-    }
-    if (take_value("--progress", number)) {
-      progress_interval_ = std::atof(number.c_str());
-      continue;
-    }
-    if (take_value("--timeout", number)) {
-      timeout_seconds_ = std::atof(number.c_str());
-      continue;
-    }
-    argv[out++] = argv[i];
+    // A malformed number is a usage error, never a silent 0.
+    const auto seconds = [&](double& into) {
+      if (!util::parse_option(flag, value(), into)) std::exit(usage_status);
+    };
+    if (std::strcmp(flag, "--metrics-out") == 0) metrics_out_ = value();
+    else if (std::strcmp(flag, "--journal-out") == 0) journal_out_ = value();
+    else if (std::strcmp(flag, "--progress") == 0) seconds(progress_interval_);
+    else if (std::strcmp(flag, "--timeout") == 0) seconds(timeout_seconds_);
+    else argv[out++] = argv[i];
   }
   argc = out;
   if (!journal_out_.empty() && !Journal::instance().open(journal_out_))

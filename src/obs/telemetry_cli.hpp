@@ -12,11 +12,14 @@
 ///   --progress SECONDS     heartbeat interval for sweeps (implies info
 ///                          logging); read back via progress_interval()
 ///   --timeout SECONDS      watchdog deadline; dump + flush + exit 124
+/// A flag without a value, or a SECONDS value that is not a whole
+/// non-negative decimal number, is a usage error: the program prints
+/// "error: ..." and exits with its usage status.
 /// Construction registers the exit finalizer and (when any output or a
 /// timeout is requested) the signal watchdog, so the requested files are
 /// valid even if the run is interrupted. The destructor writes them on
 /// the normal path. A driver needs only
-///   int main(int argc, char** argv) { obs::TelemetryCli telemetry(argc, argv); ... }
+///   int main(int argc, char** argv) { obs::TelemetryCli telemetry(argc, argv, 1); ... }
 /// Domain-specific wrappers layer extra flags on top: bench::TelemetryCli
 /// adds --bench-json-dir and --threads (bench cell sharding).
 #pragma once
@@ -29,7 +32,9 @@ class TelemetryCli {
  public:
   /// Parses and removes the telemetry flags from \p argc/\p argv, then
   /// enables the requested outputs, the exit finalizer, and the watchdog.
-  TelemetryCli(int& argc, char** argv);
+  /// A malformed flag exits with \p usage_status, the program's own
+  /// usage-error code (cec_two_networks uses 2 for UNDECIDED, so 1).
+  TelemetryCli(int& argc, char** argv, int usage_status);
   /// Flushes all requested outputs and reports where they were written.
   ~TelemetryCli();
   TelemetryCli(const TelemetryCli&) = delete;

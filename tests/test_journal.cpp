@@ -240,9 +240,7 @@ TEST(JournalFile, RetiredInprocessKindStillReads) {
     const obs::InspectOptions options;
     obs::write_text_report(out, report, options);
     obs::write_timeline(out, report, 0, options);
-    obs::write_folded_stacks(out, report, options);
     obs::write_sat_report(out, report, options);
-    obs::write_html_report(out, report, options);
     return out.str();
   };
   for (const EventKind kind :
@@ -549,7 +547,6 @@ TEST(JournalReportTest, AggregatesSampleSequence) {
       report.phases[static_cast<std::size_t>(PhaseId::kSweep)];
   EXPECT_EQ(sweep_phase.enters, 1u);
   EXPECT_EQ(sweep_phase.total_us, 900u);
-  EXPECT_FALSE(report.folded.empty());
 
   // Solver-introspection totals and the per-call join.
   EXPECT_EQ(report.cone_fingerprints, 1u);
@@ -595,12 +592,9 @@ TEST(JournalReportTest, AggregatesSampleSequence) {
   const obs::InspectOptions options;
   obs::write_text_report(out, report, options);
   obs::write_timeline(out, report, 0, options);
-  obs::write_folded_stacks(out, report, options);
   obs::write_sat_report(out, report, options);
-  obs::write_html_report(out, report, options);
   EXPECT_NE(out.str().find("pattern effectiveness"), std::string::npos);
   EXPECT_NE(out.str().find("SAT hardness"), std::string::npos);
-  EXPECT_NE(out.str().find("<html"), std::string::npos);
 }
 
 #ifndef SIMGEN_NO_TELEMETRY
@@ -682,6 +676,40 @@ TEST(JournalWriter, ConcurrentEmitDuringOpenSeesFreshEpoch) {
     EXPECT_LT(event.t_ns, 60ull * 1000 * 1000 * 1000);
 }
 
+/// Concurrent emitters share one locked writer: no event is lost or torn,
+/// and each thread's events reach the file in its own emit order.
+TEST(JournalWriter, ConcurrentEmittersLoseNoEvent) {
+  const std::string path = temp_path("concurrent.jrnl");
+  constexpr std::uint64_t kThreads = 4;
+  constexpr std::uint64_t kPerThread = 20000;
+  ASSERT_TRUE(obs::Journal::instance().open(path));
+  std::vector<std::thread> emitters;
+  emitters.reserve(kThreads);
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    emitters.emplace_back([t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i)
+        obs::journal_emit(EventKind::kHeartbeat, 0, /*a=*/t, /*b=*/i);
+    });
+  }
+  for (std::thread& thread : emitters) thread.join();
+  EXPECT_EQ(obs::Journal::instance().events_written(), kThreads * kPerThread);
+  obs::Journal::instance().close();
+
+  std::vector<JournalEvent> loaded;
+  std::string error;
+  bool truncated = true;
+  ASSERT_TRUE(obs::read_journal_file(path, loaded, &error, &truncated)) << error;
+  EXPECT_FALSE(truncated);
+  ASSERT_EQ(loaded.size(), kThreads * kPerThread);
+  std::vector<std::uint64_t> next(kThreads, 0);
+  for (const JournalEvent& event : loaded) {
+    ASSERT_EQ(event.kind, EventKind::kHeartbeat);
+    ASSERT_LT(event.a, kThreads);
+    ASSERT_EQ(event.b, next[event.a]) << "thread " << event.a << " out of order";
+    ++next[event.a];
+  }
+}
+
 /// The acceptance bar for the whole subsystem: a certified CEC run's
 /// journal, replayed through build_report, must agree with the metrics
 /// registry and the CecResult for the same run.
@@ -757,7 +785,6 @@ TEST(JournalIntegration, CertifiedCecTotalsMatchRegistry) {
   EXPECT_EQ(events.back().kind, EventKind::kRunEnd);
   EXPECT_GT(
       report.phases[static_cast<std::size_t>(PhaseId::kSweep)].enters, 0u);
-  EXPECT_FALSE(report.folded.empty());
 }
 
 #if defined(__unix__)

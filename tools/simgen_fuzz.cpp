@@ -127,7 +127,7 @@ int run_shrink_demo(std::uint64_t seed, const std::string& out_dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  obs::TelemetryCli telemetry(argc, argv);
+  obs::TelemetryCli telemetry(argc, argv, /*usage_status=*/2);
 
   fuzz::CampaignOptions options;
   options.artifact_dir = "fuzz-artifacts";

@@ -16,7 +16,6 @@
 
 #include "ArenaRefCheck.h"
 #include "IdTypeMixingCheck.h"
-#include "JournalEventLayoutCheck.h"
 #include "NoNakedMutexCheck.h"
 #include "PatternScopeCheck.h"
 
@@ -28,8 +27,6 @@ class SimGenTidyModule : public clang::tidy::ClangTidyModule {
       clang::tidy::ClangTidyCheckFactories &Factories) override {
     Factories.registerCheck<ArenaRefCheck>("simgen-arena-ref");
     Factories.registerCheck<IdTypeMixingCheck>("simgen-id-type-mixing");
-    Factories.registerCheck<JournalEventLayoutCheck>(
-        "simgen-journal-event-layout");
     Factories.registerCheck<NoNakedMutexCheck>("simgen-no-naked-mutex");
     Factories.registerCheck<PatternScopeCheck>("simgen-pattern-scope");
   }

@@ -9,9 +9,7 @@
 ///   sweep_inspect --timeline run.journal         # top-K class lifecycles
 ///   sweep_inspect --class 1234 run.journal       # one class's lifecycle
 ///   sweep_inspect --sat run.journal              # SAT hardness report
-///   sweep_inspect --folded out.folded run.journal   # flamegraph.pl input
 ///   sweep_inspect --chrome-trace t.json run.journal # Perfetto timeline
-///   sweep_inspect --html report.html run.journal    # self-contained HTML
 ///   sweep_inspect --rewrite copy.jsonl run.journal  # binary <-> JSONL
 
 #include <climits>
@@ -20,7 +18,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -41,13 +38,10 @@ void usage(std::FILE* out) {
                "  --class REP       print one class's lifecycle\n"
                "  --sat             print the SAT hardness report (cone\n"
                "                    fingerprints, restarts, LBD)\n"
-               "  --folded FILE     write folded stacks for flamegraph "
-               "tooling\n"
                "  --chrome-trace FILE\n"
                "                    write a Chrome trace-event timeline "
                "(chrome://tracing,\n"
                "                    ui.perfetto.dev)\n"
-               "  --html FILE       write a self-contained HTML report\n"
                "  --rewrite FILE    re-serialize the journal (.jsonl selects "
                "JSONL)\n"
                "  --quiet           suppress the default text report\n");
@@ -67,22 +61,10 @@ const char* strategy_namer(std::uint8_t code) {
   return nullptr;
 }
 
-bool write_stream_file(const std::string& path, const char* what,
-                       const std::function<void(std::ostream&)>& writer) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "sweep_inspect: cannot write %s file %s\n", what,
-                 path.c_str());
-    return false;
-  }
-  writer(out);
-  return out.good();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string journal_path, folded_path, html_path, rewrite_path, chrome_path;
+  std::string journal_path, rewrite_path, chrome_path;
   std::uint64_t class_rep = 0, top_k = 10;
   bool check = false, timeline = false, quiet = false;
   bool sat = false;
@@ -110,8 +92,6 @@ int main(int argc, char** argv) {
     else if (arg == "--quiet") quiet = true;
     else if (arg == "--top") number("--top", top_k, INT_MAX);
     else if (arg == "--class") number("--class", class_rep, UINT64_MAX);
-    else if (arg == "--folded") folded_path = value("--folded");
-    else if (arg == "--html") html_path = value("--html");
     else if (arg == "--chrome-trace") chrome_path = value("--chrome-trace");
     else if (arg == "--rewrite") rewrite_path = value("--rewrite");
     else if (arg == "--help" || arg == "-h") { usage(stdout); return 0; }
@@ -165,20 +145,15 @@ int main(int argc, char** argv) {
   if (timeline || class_rep != 0)
     simgen::obs::write_timeline(std::cout, report, class_rep, options);
   if (sat) simgen::obs::write_sat_report(std::cout, report, options);
-  if (!folded_path.empty() &&
-      !write_stream_file(folded_path, "folded-stack", [&](std::ostream& out) {
-        simgen::obs::write_folded_stacks(out, report, options);
-      }))
-    return 2;
-  if (!chrome_path.empty() &&
-      !write_stream_file(chrome_path, "Chrome trace", [&](std::ostream& out) {
-        simgen::obs::write_chrome_trace(out, events, options);
-      }))
-    return 2;
-  if (!html_path.empty() &&
-      !write_stream_file(html_path, "HTML", [&](std::ostream& out) {
-        simgen::obs::write_html_report(out, report, options);
-      }))
-    return 2;
+  if (!chrome_path.empty()) {
+    std::ofstream out(chrome_path);
+    if (out) simgen::obs::write_chrome_trace(out, events, options);
+    if (!out.good()) {
+      std::fprintf(stderr,
+                   "sweep_inspect: cannot write Chrome trace file %s\n",
+                   chrome_path.c_str());
+      return 2;
+    }
+  }
   return 0;
 }
