@@ -122,25 +122,33 @@ TelemetryCli::TelemetryCli(int& argc, char** argv)
   // interval into the flow runner.
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-json-dir") == 0 && i + 1 < argc) {
-      set_bench_json_dir(argv[++i]);
+    const char* flag = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "error: %s needs a value\n", flag);
+        std::exit(2);
+      }
+      return argv[++i];
+    };
+    if (std::strcmp(flag, "--bench-json-dir") == 0) {
+      set_bench_json_dir(value());
       continue;
     }
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(flag, "--threads") == 0) {
       // Hard cap far above any sane request: a typo'd or negative value
       // must become a usage error, not 4 billion spawned threads.
       // 0 means auto (util::resolve_num_threads).
       constexpr std::uint64_t kMaxThreads = 1024;
-      std::uint64_t value = 0;
-      if (!util::parse_option("--threads", argv[++i], value, kMaxThreads))
+      std::uint64_t threads = 0;
+      if (!util::parse_option("--threads", value(), threads, kMaxThreads))
         std::exit(2);
-      set_num_threads(static_cast<unsigned>(value));
+      set_num_threads(static_cast<unsigned>(threads));
       continue;
     }
-    if (argv[i][0] == '-') {
+    if (flag[0] == '-') {
       // A mistyped or retired flag must not run the whole suite as if
       // it were absent.
-      std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
+      std::fprintf(stderr, "error: unknown option '%s'\n", flag);
       std::exit(2);
     }
     argv[out++] = argv[i];
@@ -182,6 +190,7 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
     sweep_options.seed = config.seed;
     sweep_options.conflict_limit = config.sat_conflict_limit;
     sweep_options.progress_interval = progress_interval();
+    sweep_options.strategy_code = static_cast<std::uint8_t>(strategy);
     // Benches parallelize across cells (see for_each_cell); the sweep
     // inside a cell is sequential, so metrics stay byte-identical to a
     // single-thread run and workers are never nested.

@@ -6,7 +6,9 @@
 /// named benchmark, one round of random simulation, N iterations of a
 /// guided strategy, then (optionally) SAT sweeping to fixpoint, with the
 /// paper's metrics recorded: Eq. 5 cost, simulation runtime, SAT calls,
-/// SAT time.
+/// SAT time. The counts come from the flow's own result structs; with
+/// --journal-out, every SAT call is also journaled under the strategy
+/// arm of its flow, so `sweep_inspect --sat` splits SAT time by arm.
 #pragma once
 
 #include <cstdint>
@@ -102,7 +104,9 @@ void set_num_threads(unsigned num_threads);
 void for_each_cell(std::size_t count,
                    const std::function<void(std::size_t)>& fn);
 
-/// Runs the flow for one strategy on a prepared LUT network.
+/// Runs the flow for one strategy on a prepared LUT network. The sweep
+/// stamps \p strategy into every journaled cone fingerprint
+/// (SweepOptions::strategy_code).
 FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strategy,
                               const FlowConfig& config);
 
@@ -155,9 +159,11 @@ bool write_flow_metrics_json(const FlowMetrics& metrics);
 ///                          thread); an integer outside [0, 1024] is a
 ///                          usage error (exit 2)
 /// (SIMGEN_BENCH_JSON_DIR in the environment also sets the JSON dir.)
-/// Any other argument starting with '-' is a usage error: the program
-/// prints "error: unknown option '...'" and exits 2, as it does for a
-/// generic flag without a value or a malformed --progress/--timeout.
+/// Either flag without a value prints "error: --threads needs a value"
+/// (or --bench-json-dir) and exits 2, as a generic flag without a value
+/// or a malformed --progress/--timeout does. Any other argument starting
+/// with '-' is a usage error too: the program prints "error: unknown
+/// option '...'" and exits 2.
 /// Arguments left over (benchmark names, for the harnesses that take
 /// them) stay in argv.
 /// --progress is forwarded into set_progress_interval (every

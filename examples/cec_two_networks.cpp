@@ -13,14 +13,15 @@
 ///                        (0 = unlimited, the default); a proof that
 ///                        hits the budget makes the verdict UNDECIDED
 ///                        (exit 2) instead of running forever
-///   --metrics-out FILE   write all telemetry counters/gauges/histograms
-///                        as JSON Lines, one metric per line
+///   --metrics-out FILE   write the telemetry counters and gauges as JSON
+///                        Lines, one metric per line
 ///   --journal-out FILE   record every sweeping decision (class events,
 ///                        SAT calls, pattern batches, certifications) to a
-///                        journal; replay with tools/sweep_inspect
+///                        binary journal; replay with tools/sweep_inspect
 ///                        (--chrome-trace renders a timeline for
-///                        chrome://tracing or ui.perfetto.dev).
-///                        ".jsonl" suffix selects the text format.
+///                        chrome://tracing or ui.perfetto.dev; --rewrite
+///                        FILE.jsonl exports JSON Lines). A ".jsonl" FILE
+///                        here is a usage error.
 ///   --progress SECONDS   print a heartbeat line (classes live, nodes
 ///                        resolved, SAT calls, ETA) on this interval
 ///   --timeout SECONDS    watchdog deadline: dump state, flush all
@@ -31,8 +32,9 @@
 /// other argument starting with "--" is rejected as an unknown option.
 ///
 /// Exit codes: 0 = checked (equivalent or a verified counterexample),
-/// 1 = error (including an unknown option), 2 = undecided (an output
-/// proof hit the conflict budget).
+/// 1 = error (including an unknown option, and a journal that could not
+/// be written completely: "error: cannot write journal file FILE"),
+/// 2 = undecided (an output proof hit the conflict budget).
 ///
 /// Accepts BLIF (.blif), BENCH (.bench), and AIGER (.aig/.aag; mapped to
 /// 6-LUTs before checking), or the name of a seed benchmark — the latter

@@ -12,7 +12,6 @@
 #include "fuzz/mutate.hpp"
 #include "fuzz/shrink.hpp"
 #include "mapping/lut_mapper.hpp"
-#include "obs/metrics.hpp"
 #include "sweep/cec.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -20,16 +19,6 @@
 namespace simgen::fuzz {
 
 namespace {
-
-/// Campaign-wide telemetry; visible in --metrics-out dumps next to the
-/// engine counters (eq.*, sat.*) the campaign exercises.
-struct CampaignCounters {
-  obs::Counter iterations{"fuzz.iterations"};
-  obs::Counter checks{"fuzz.checks"};
-  obs::Counter failures{"fuzz.failures"};
-  obs::Counter artifacts{"fuzz.artifacts"};
-  obs::Counter shrink_reductions{"fuzz.shrink.reductions"};
-};
 
 std::string interface_summary(const net::Network& network) {
   return "pis " + std::to_string(network.num_pis()) + " pos " +
@@ -41,7 +30,6 @@ std::string interface_summary(const net::Network& network) {
 
 CampaignResult run_campaign(const CampaignOptions& options) {
   CampaignResult result;
-  CampaignCounters counters;
   util::Stopwatch timer;
   timer.start();
 
@@ -56,7 +44,6 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       break;
     }
     ++result.iterations;
-    counters.iterations.inc();
 
     // Every iteration is a pure function of (seed, iter): its RNG stream
     // and the engines' internal seeds both derive from this split, so a
@@ -87,32 +74,27 @@ CampaignResult run_campaign(const CampaignOptions& options) {
                                sanitize_stem(failure.name);
       result.artifacts.push_back(
           write_blif_repro(options.artifact_dir, stem, info, network));
-      counters.artifacts.inc();
       if (options.shrink && still_fails && still_fails(network)) {
         const ShrinkResult shrunk = shrink_network(network, still_fails);
-        counters.shrink_reductions.inc(shrunk.reductions);
         ReproInfo shrunk_info = info;
         shrunk_info.shrunk_from = network.num_nodes();
         result.artifacts.push_back(write_blif_repro(
             options.artifact_dir, stem + "_shrunk", shrunk_info,
             shrunk.network));
-        counters.artifacts.inc();
       }
     };
 
-    /// Scores one oracle result into the log/counters; \p on_fail runs
+    /// Scores one oracle result into the log and result; \p on_fail runs
     /// artifact writing for mismatches.
     const auto record = [&](const OracleResult& oracle,
                             const std::function<void()>& on_fail) {
       ++result.checks;
-      counters.checks.inc();
       line += " " + oracle.name;
       if (oracle.pass) {
         line += "=ok";
       } else {
         line += "=FAIL(" + oracle.detail + ")";
         ++result.failures;
-        counters.failures.inc();
         if (on_fail) on_fail();
       }
     };
@@ -166,7 +148,6 @@ CampaignResult run_campaign(const CampaignOptions& options) {
                       std::to_string(iter) + "_" +
                       sanitize_stem(oracle.name),
                   info, *graph));
-              counters.artifacts.inc();
             }
             return;
           }
@@ -217,7 +198,6 @@ CampaignResult run_campaign(const CampaignOptions& options) {
       // A throwing generator/harness step is itself a fuzz finding.
       line += std::string(" harness=FAIL(exception: ") + error.what() + ")";
       ++result.failures;
-      counters.failures.inc();
     }
 
     result.verdict_log += line + "\n";

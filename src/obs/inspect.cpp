@@ -91,17 +91,16 @@ const char* timeline_verb(const TimelineEntry& entry) {
   }
 }
 
-/// Per-call log2 distribution in the shared bucket_of() layout, so the
-/// --sat report quotes p50/p90/p99 through the same bucket_percentile
-/// estimator as Histogram::percentile.
+/// Per-call distribution in the log2_bucket() layout, so the --sat report
+/// quotes every p50/p90/p99 through the one bucket_percentile estimator.
 struct CallDistribution {
-  std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
+  std::array<std::uint64_t, kNumLog2Buckets> buckets{};
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
   std::uint64_t max = 0;
 
   void observe(std::uint64_t value) {
-    ++buckets[Histogram::bucket_of(value)];
+    ++buckets[log2_bucket(value)];
     ++count;
     sum += value;
     max = std::max(max, value);
@@ -903,8 +902,8 @@ void write_sat_report(std::ostream& out, const JournalReport& report,
   if (shown == 0) out << "  (none)\n";
 
   // SAT time bucketed by cone size (internal nodes, log2 buckets).
-  std::array<std::uint64_t, Histogram::kNumBuckets> size_time{};
-  std::array<std::uint64_t, Histogram::kNumBuckets> size_calls{};
+  std::array<std::uint64_t, kNumLog2Buckets> size_time{};
+  std::array<std::uint64_t, kNumLog2Buckets> size_calls{};
   std::uint64_t unfingerprinted_time = 0, unfingerprinted_calls = 0;
   for (const SatCallRecord& call : report.calls) {
     if (!call.has_fingerprint) {
@@ -912,7 +911,7 @@ void write_sat_report(std::ostream& out, const JournalReport& report,
       ++unfingerprinted_calls;
       continue;
     }
-    const std::size_t bucket = Histogram::bucket_of(call.cone_nodes);
+    const std::size_t bucket = log2_bucket(call.cone_nodes);
     size_time[bucket] += call.dur_us;
     size_calls[bucket] += 1;
   }

@@ -1,14 +1,11 @@
 #include "obs/journal.hpp"
 
-#include <cctype>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <string_view>
 
 #include "util/mutex.hpp"
 
@@ -36,14 +33,6 @@ struct FileHeader {
 };
 static_assert(sizeof(FileHeader) == 32);
 
-bool path_is_jsonl(const std::string& path, JournalFormat format) {
-  if (format == JournalFormat::kJsonl) return true;
-  if (format == JournalFormat::kBinary) return false;
-  const std::string_view suffix = ".jsonl";
-  return path.size() >= suffix.size() &&
-         path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 void write_binary_header(std::FILE* file) {
   FileHeader header{};
   std::memcpy(header.magic, kMagic, sizeof kMagic);
@@ -52,24 +41,11 @@ void write_binary_header(std::FILE* file) {
   std::fwrite(&header, sizeof header, 1, file);
 }
 
-void write_jsonl_header(std::FILE* file) {
-  std::fprintf(file, "{\"simgen_journal\":%u,\"event_size\":%zu}\n",
-               kFormatVersion, sizeof(JournalEvent));
-}
-
-void write_event_binary(std::FILE* file, const JournalEvent& event) {
-  std::fwrite(&event, sizeof event, 1, file);
-}
-
-void write_event_jsonl(std::FILE* file, const JournalEvent& event) {
-  std::fprintf(file,
-               "{\"kind\":\"%s\",\"t_ns\":%" PRIu64 ",\"code\":%u,\"a\":%" PRIu64
-               ",\"b\":%" PRIu64 ",\"v0\":%" PRIu64 ",\"v1\":%" PRIu64
-               ",\"v2\":%" PRIu64 ",\"v3\":%" PRIu64
-               ",\"dur_us\":%u,\"flags\":%u}\n",
-               kind_name(event.kind), event.t_ns, event.code, event.a, event.b,
-               event.v0, event.v1, event.v2, event.v3, event.dur_us,
-               event.flags);
+/// Flushes and closes \p file; false if any write to it failed (stdio's
+/// error indicator remembers a failed fwrite or fflush) or the close did.
+bool finish_file(std::FILE* file) {
+  const bool ok = std::fflush(file) == 0 && std::ferror(file) == 0;
+  return std::fclose(file) == 0 && ok;
 }
 
 }  // namespace
@@ -152,8 +128,10 @@ struct JournalState {
   /// interleave in lock order.
   util::Mutex mutex;
   std::FILE* file SIMGEN_GUARDED_BY(mutex) = nullptr;
-  bool jsonl SIMGEN_GUARDED_BY(mutex) = false;
   std::uint64_t written SIMGEN_GUARDED_BY(mutex) = 0;
+  /// A write, flush or close of the last closed file failed; reset by
+  /// open().
+  bool failed SIMGEN_GUARDED_BY(mutex) = false;
   /// Written in open() before recording goes true (its release store
   /// publishes the value); read lock-free afterwards. Not guarded: the
   /// recording flag's acquire/release pair is the synchronization.
@@ -176,19 +154,15 @@ Journal& Journal::instance() {
   return *journal;
 }
 
-bool Journal::open(const std::string& path, JournalFormat format) {
+bool Journal::open(const std::string& path) {
   JournalState& state = JournalState::get();
   const util::LockGuard lock(state.mutex);
   if (state.file != nullptr) return false;
-  const bool jsonl = path_is_jsonl(path, format);
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) return false;
-  if (jsonl)
-    write_jsonl_header(file);
-  else
-    write_binary_header(file);
+  write_binary_header(file);
   state.file = file;
-  state.jsonl = jsonl;
+  state.failed = false;
   state.written = 0;
   state.epoch = std::chrono::steady_clock::now();
   state.recording.store(true, std::memory_order_release);
@@ -200,8 +174,14 @@ void Journal::close() {
   const util::LockGuard lock(state.mutex);
   if (state.file == nullptr) return;
   state.recording.store(false, std::memory_order_release);
-  std::fclose(state.file);
+  state.failed = !finish_file(state.file);
   state.file = nullptr;
+}
+
+bool Journal::failed() const noexcept {
+  JournalState& state = JournalState::get();
+  const util::LockGuard lock(state.mutex);
+  return state.failed;
 }
 
 void Journal::flush() {
@@ -241,10 +221,7 @@ void Journal::emit(JournalEvent event) {
   if (event.t_ns == 0) event.t_ns = now_ns();
   const util::LockGuard lock(state.mutex);
   if (state.file == nullptr) return;  // close() ran since the check above.
-  if (state.jsonl)
-    write_event_jsonl(state.file, event);
-  else
-    write_event_binary(state.file, event);
+  std::fwrite(&event, sizeof event, 1, state.file);
   ++state.written;
 }
 
@@ -311,8 +288,9 @@ Journal& Journal::instance() {
   return *journal;
 }
 
-bool Journal::open(const std::string&, JournalFormat) { return false; }
+bool Journal::open(const std::string&) { return false; }
 void Journal::close() {}
+bool Journal::failed() const noexcept { return false; }
 void Journal::flush() {}
 bool Journal::is_open() const noexcept { return false; }
 std::uint64_t Journal::now_ns() const noexcept { return 0; }
@@ -333,107 +311,6 @@ PatternSource PatternScope::current_source() noexcept {
 // Reader / standalone writer (available in every build)
 
 namespace {
-
-EventKind kind_from_name(std::string_view name) {
-  for (std::uint8_t k = 0;
-       k <= static_cast<std::uint8_t>(EventKind::kGuidedIteration); ++k) {
-    const auto kind = static_cast<EventKind>(k);
-    if (name == kind_name(kind)) return kind;
-  }
-  return EventKind::kNone;
-}
-
-/// Minimal parser for the journal's own JSONL lines: a flat object of
-/// string/number values. Strict enough to catch truncation/corruption.
-class LineParser {
- public:
-  explicit LineParser(std::string_view text) : text_(text) {}
-
-  bool parse(JournalEvent& event, bool& is_header) {
-    skip_ws();
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return true;  // empty object
-    while (true) {
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      if (key == "simgen_journal") is_header = true;
-      if (peek() == '"') {
-        std::string value;
-        if (!parse_string(value)) return false;
-        if (key == "kind") event.kind = kind_from_name(value);
-      } else {
-        std::uint64_t value = 0;
-        if (!parse_number(value)) return false;
-        assign(event, key, value);
-      }
-      skip_ws();
-      if (consume(',')) {
-        skip_ws();
-        continue;
-      }
-      if (consume('}')) break;
-      return false;
-    }
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  static void assign(JournalEvent& event, const std::string& key,
-                     std::uint64_t value) {
-    if (key == "t_ns") event.t_ns = value;
-    else if (key == "code") event.code = static_cast<std::uint8_t>(value);
-    else if (key == "a") event.a = value;
-    else if (key == "b") event.b = value;
-    else if (key == "v0") event.v0 = value;
-    else if (key == "v1") event.v1 = value;
-    else if (key == "v2") event.v2 = value;
-    else if (key == "v3") event.v3 = value;
-    else if (key == "dur_us") event.dur_us = static_cast<std::uint32_t>(value);
-    else if (key == "flags") event.flags = static_cast<std::uint16_t>(value);
-    // Unknown numeric keys are tolerated (forward compatibility).
-  }
-
-  [[nodiscard]] char peek() const {
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\' && pos_ + 1 < text_.size()) ++pos_;
-      out += text_[pos_++];
-    }
-    return consume('"');
-  }
-  bool parse_number(std::uint64_t& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0))
-      ++pos_;
-    if (pos_ == start) return false;
-    out = std::strtoull(std::string(text_.substr(start, pos_ - start)).c_str(),
-                        nullptr, 10);
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
@@ -476,59 +353,35 @@ bool read_journal_file(const std::string& path, std::vector<JournalEvent>& out,
     return true;
   }
 
-  if (data[0] == '{') {
-    std::size_t line_no = 0;
-    std::size_t begin = 0;
-    while (begin < data.size()) {
-      std::size_t end = data.find('\n', begin);
-      const bool has_newline = end != std::string::npos;
-      if (!has_newline) end = data.size();
-      const std::string_view line(data.data() + begin, end - begin);
-      begin = end + 1;
-      ++line_no;
-      if (line.empty() ||
-          line.find_first_not_of(" \t\r") == std::string_view::npos)
-        continue;
-      JournalEvent event;
-      bool is_header = false;
-      LineParser parser(line);
-      if (!parser.parse(event, is_header)) {
-        // An unterminated final line is an interrupted write, not
-        // corruption: report truncation and keep what parsed. A
-        // newline-terminated line was fully written, so a parse failure
-        // there is corruption no matter where it sits.
-        if (!has_newline) {
-          if (truncated != nullptr) *truncated = true;
-          return true;
-        }
-        return fail(error, "malformed JSONL at line " + std::to_string(line_no));
-      }
-      if (!is_header) out.push_back(event);
-    }
-    return true;
-  }
+  if (data[0] == '{')
+    return fail(error, "a JSONL export, not a binary journal");
   return fail(error, "not a simgen journal (bad magic)");
 }
 
 bool write_journal_file(const std::string& path,
-                        const std::vector<JournalEvent>& events,
-                        JournalFormat format) {
-  const bool jsonl = path_is_jsonl(path, format);
+                        const std::vector<JournalEvent>& events) {
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) return false;
-  if (jsonl)
-    write_jsonl_header(file);
-  else
+  if (path.ends_with(".jsonl")) {
+    // The JSON-Lines export: a header object, then one object per event
+    // with the kind by name and every other field as in JournalEvent.
+    std::fprintf(file, "{\"simgen_journal\":%u,\"event_size\":%zu}\n",
+                 kFormatVersion, sizeof(JournalEvent));
+    for (const JournalEvent& event : events)
+      std::fprintf(file,
+                   "{\"kind\":\"%s\",\"t_ns\":%" PRIu64 ",\"code\":%u,\"a\":%" PRIu64
+                   ",\"b\":%" PRIu64 ",\"v0\":%" PRIu64 ",\"v1\":%" PRIu64
+                   ",\"v2\":%" PRIu64 ",\"v3\":%" PRIu64
+                   ",\"dur_us\":%u,\"flags\":%u}\n",
+                   kind_name(event.kind), event.t_ns, event.code, event.a,
+                   event.b, event.v0, event.v1, event.v2, event.v3,
+                   event.dur_us, event.flags);
+  } else {
     write_binary_header(file);
-  for (const JournalEvent& event : events) {
-    if (jsonl)
-      write_event_jsonl(file, event);
-    else
-      write_event_binary(file, event);
+    for (const JournalEvent& event : events)
+      std::fwrite(&event, sizeof event, 1, file);
   }
-  const bool ok = std::fflush(file) == 0 && std::ferror(file) == 0;
-  std::fclose(file);
-  return ok;
+  return finish_file(file);
 }
 
 }  // namespace simgen::obs

@@ -20,10 +20,10 @@
 ///    straight into the file's stdio buffer. When the journal is closed
 ///    (the default), emitting costs one acquire atomic load (free on x86;
 ///    the acquire publishes the epoch, see journal.cpp).
-///  * Two on-disk formats share one event model: a binary framing (32-byte
-///    file header + raw little-endian event records, the default) and a
-///    JSON-Lines fallback (chosen by a ".jsonl" path suffix) for ad-hoc
-///    tooling. `read_journal_file` auto-detects and parses both.
+///  * One on-disk format: a 32-byte file header, then the raw
+///    little-endian event records. `sweep_inspect --rewrite FILE.jsonl`
+///    exports a journal as JSON Lines for scripts; nothing reads that
+///    export back.
 ///  * With -DSIMGEN_NO_TELEMETRY=ON the writer compiles to nothing
 ///    (`journal_enabled()` is constexpr false and `Journal::open` refuses)
 ///    while the reader and the inspector stay available, so
@@ -229,12 +229,6 @@ static_assert(offsetof(JournalEvent, t_ns) == 0 &&
 // ---------------------------------------------------------------------------
 // Writer
 
-enum class JournalFormat : std::uint8_t {
-  kAuto = 0,    ///< Binary unless the path ends in ".jsonl".
-  kBinary = 1,
-  kJsonl = 2,
-};
-
 #ifdef SIMGEN_NO_TELEMETRY
 [[nodiscard]] constexpr bool journal_enabled() noexcept { return false; }
 #else
@@ -244,9 +238,9 @@ enum class JournalFormat : std::uint8_t {
 #endif
 
 /// Process-wide journal writer. Events from any thread are written into
-/// one file under one mutex: one thread's events keep its emit order, and
-/// the events of different threads interleave in lock order. A killed
-/// run loses at most what still sits in the stdio buffer.
+/// one binary file under one mutex: one thread's events keep its emit
+/// order, and the events of different threads interleave in lock order.
+/// A killed run loses at most what still sits in the stdio buffer.
 class Journal {
  public:
   static Journal& instance();
@@ -254,11 +248,18 @@ class Journal {
   /// Opens \p path and starts recording. Returns false if the file cannot
   /// be created, a journal is already open, or the writer is compiled out
   /// (SIMGEN_NO_TELEMETRY).
-  bool open(const std::string& path, JournalFormat format = JournalFormat::kAuto);
+  bool open(const std::string& path);
 
   /// Stops recording and closes the file; later emits are dropped. Safe
-  /// to call when not open (no-op) and from the watchdog thread.
+  /// to call when not open (no-op) and from the watchdog thread. Records
+  /// for failed() whether every write reached the file.
   void close();
+
+  /// True if the journal closed last is incomplete on disk: a write, a
+  /// flush or the close itself failed (a full disk, /dev/full). stdio's
+  /// error indicator remembers a failed write until close() reads it;
+  /// the next open() resets this.
+  [[nodiscard]] bool failed() const noexcept;
 
   /// Flushes the stdio buffer to the file without closing it. Used by
   /// heartbeats and the watchdog so the on-disk journal is near-complete
@@ -389,18 +390,19 @@ class PatternScope {
 // ---------------------------------------------------------------------------
 // Reader (compiled unconditionally, including SIMGEN_NO_TELEMETRY builds)
 
-/// Parses a journal file (binary or JSONL, auto-detected) into events.
-/// Returns false and fills \p error on malformed input; a trailing
+/// Parses a binary journal file into events. Returns false and fills
+/// \p error on anything else (a JSONL export included); a trailing
 /// partial record (a run killed mid-write) is tolerated and reported via
 /// \p truncated when non-null.
 bool read_journal_file(const std::string& path, std::vector<JournalEvent>& out,
                        std::string* error = nullptr, bool* truncated = nullptr);
 
-/// Serializes events in the binary format (header + records) or JSONL to
-/// an arbitrary file — the reader-side counterpart used by tests and by
-/// `sweep_inspect --rewrite`. Returns false if the file cannot be written.
+/// Serializes events to an arbitrary file — the reader-side counterpart
+/// used by tests and by `sweep_inspect --rewrite`. A path ending in
+/// ".jsonl" gets the JSON-Lines export (a header object, then one object
+/// per event naming its kind); any other path gets the binary format.
+/// Returns false if the file cannot be written completely.
 bool write_journal_file(const std::string& path,
-                        const std::vector<JournalEvent>& events,
-                        JournalFormat format = JournalFormat::kAuto);
+                        const std::vector<JournalEvent>& events);
 
 }  // namespace simgen::obs

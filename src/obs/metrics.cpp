@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -101,44 +100,24 @@ struct Registry {
   // may share a name (e.g. two Solvers); aggregation sums them.
   std::unordered_map<Counter*, std::string> live_counters
       SIMGEN_GUARDED_BY(mutex);
-  std::unordered_map<Histogram*, std::string> live_histograms
-      SIMGEN_GUARDED_BY(mutex);
 
   // Final values of destroyed instruments, accumulated per name.
   std::map<std::string, std::uint64_t> retired_counters
       SIMGEN_GUARDED_BY(mutex);
-  std::map<std::string, HistogramSnapshot> retired_histograms
-      SIMGEN_GUARDED_BY(mutex);
 
   std::map<std::string, double> gauges SIMGEN_GUARDED_BY(mutex);
 
-  // Registry-owned instruments handed out by counter()/histogram().
-  // unique_ptr keeps addresses stable; the objects also appear in the
-  // live maps through their registering constructors.
+  // Registry-owned counters handed out by counter(). unique_ptr keeps
+  // addresses stable; the objects also appear in live_counters through
+  // their registering constructors.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> owned_counters
       SIMGEN_GUARDED_BY(mutex);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
-      owned_histograms SIMGEN_GUARDED_BY(mutex);
 
   static Registry& get() {
     static Registry* instance = new Registry();
     return *instance;
   }
 };
-
-void merge_histogram(HistogramSnapshot& into, const std::uint64_t* buckets,
-                     std::size_t num_buckets, std::uint64_t count,
-                     std::uint64_t sum) {
-  if (into.buckets.size() < num_buckets) into.buckets.resize(num_buckets, 0);
-  for (std::size_t i = 0; i < num_buckets; ++i) into.buckets[i] += buckets[i];
-  into.count += count;
-  into.sum += sum;
-}
-
-void trim_buckets(HistogramSnapshot& snapshot) {
-  while (!snapshot.buckets.empty() && snapshot.buckets.back() == 0)
-    snapshot.buckets.pop_back();
-}
 
 }  // namespace
 
@@ -158,23 +137,6 @@ Counter::~Counter() {
   registry.live_counters.erase(it);
 }
 
-Histogram::Histogram(const char* name) : registered_(true) {
-  Registry& registry = Registry::get();
-  const util::LockGuard lock(registry.mutex);
-  registry.live_histograms.emplace(this, name);
-}
-
-Histogram::~Histogram() {
-  if (!registered_) return;
-  Registry& registry = Registry::get();
-  const util::LockGuard lock(registry.mutex);
-  const auto it = registry.live_histograms.find(this);
-  if (it == registry.live_histograms.end()) return;
-  merge_histogram(registry.retired_histograms[it->second], buckets_.data(),
-                  buckets_.size(), count_, sum_);
-  registry.live_histograms.erase(it);
-}
-
 Counter& counter(std::string_view name) {
   Registry& registry = Registry::get();
   {
@@ -190,30 +152,10 @@ Counter& counter(std::string_view name) {
   return *it->second;
 }
 
-Histogram& histogram(std::string_view name) {
-  Registry& registry = Registry::get();
-  {
-    const util::LockGuard lock(registry.mutex);
-    const auto it = registry.owned_histograms.find(name);
-    if (it != registry.owned_histograms.end()) return *it->second;
-  }
-  auto owned = std::make_unique<Histogram>(std::string(name).c_str());
-  const util::LockGuard lock(registry.mutex);
-  const auto [it, inserted] =
-      registry.owned_histograms.emplace(std::string(name), std::move(owned));
-  return *it->second;
-}
-
 void set_gauge(std::string_view name, double value) {
   Registry& registry = Registry::get();
   const util::LockGuard lock(registry.mutex);
   registry.gauges[std::string(name)] = value;
-}
-
-void add_gauge(std::string_view name, double delta) {
-  Registry& registry = Registry::get();
-  const util::LockGuard lock(registry.mutex);
-  registry.gauges[std::string(name)] += delta;
 }
 
 double gauge_value(std::string_view name) {
@@ -231,12 +173,6 @@ TelemetrySnapshot capture_snapshot() {
   for (const auto& [instance, name] : registry.live_counters)
     snapshot.counters[name] += instance->value();
   snapshot.gauges = registry.gauges;
-  snapshot.histograms = registry.retired_histograms;
-  for (const auto& [instance, name] : registry.live_histograms)
-    merge_histogram(snapshot.histograms[name], instance->buckets().data(),
-                    instance->buckets().size(), instance->count(),
-                    instance->sum());
-  for (auto& [name, histogram] : snapshot.histograms) trim_buckets(histogram);
   return snapshot;
 }
 
@@ -244,10 +180,7 @@ void reset_all_metrics() {
   Registry& registry = Registry::get();
   const util::LockGuard lock(registry.mutex);
   for (const auto& [instance, name] : registry.live_counters) instance->reset();
-  for (const auto& [instance, name] : registry.live_histograms)
-    instance->reset();
   registry.retired_counters.clear();
-  registry.retired_histograms.clear();
   registry.gauges.clear();
 }
 
@@ -255,21 +188,13 @@ void reset_all_metrics() {
 
 Counter::Counter(const char*) {}
 Counter::~Counter() = default;
-Histogram::Histogram(const char*) {}
-Histogram::~Histogram() = default;
 
 Counter& counter(std::string_view) {
   static Counter dummy;
   return dummy;
 }
 
-Histogram& histogram(std::string_view) {
-  static Histogram dummy;
-  return dummy;
-}
-
 void set_gauge(std::string_view, double) {}
-void add_gauge(std::string_view, double) {}
 double gauge_value(std::string_view) { return 0.0; }
 TelemetrySnapshot capture_snapshot() { return {}; }
 void reset_all_metrics() {}
@@ -306,10 +231,6 @@ std::uint64_t bucket_percentile(const std::uint64_t* buckets,
   return 0;  // unreachable: rank <= total
 }
 
-std::uint64_t Histogram::percentile(double q) const noexcept {
-  return bucket_percentile(buckets_.data(), buckets_.size(), q);
-}
-
 TelemetrySnapshot diff_snapshots(const TelemetrySnapshot& before,
                                  const TelemetrySnapshot& after) {
   TelemetrySnapshot delta;
@@ -319,21 +240,6 @@ TelemetrySnapshot diff_snapshots(const TelemetrySnapshot& before,
     delta.counters[name] = value >= base ? value - base : 0;
   }
   delta.gauges = after.gauges;
-  for (const auto& [name, histogram] : after.histograms) {
-    HistogramSnapshot d = histogram;
-    const auto it = before.histograms.find(name);
-    if (it != before.histograms.end()) {
-      const HistogramSnapshot& base = it->second;
-      d.count = d.count >= base.count ? d.count - base.count : 0;
-      d.sum = d.sum >= base.sum ? d.sum - base.sum : 0;
-      for (std::size_t i = 0;
-           i < std::min(d.buckets.size(), base.buckets.size()); ++i)
-        d.buckets[i] =
-            d.buckets[i] >= base.buckets[i] ? d.buckets[i] - base.buckets[i] : 0;
-    }
-    while (!d.buckets.empty() && d.buckets.back() == 0) d.buckets.pop_back();
-    delta.histograms[name] = std::move(d);
-  }
   return delta;
 }
 
@@ -345,16 +251,6 @@ void write_metrics_jsonl(std::ostream& out, const TelemetrySnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.gauges)
     out << "{\"kind\":\"gauge\",\"name\":\"" << detail::json_escape(name)
         << "\",\"value\":" << detail::json_number(value) << "}\n";
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    out << "{\"kind\":\"histogram\",\"name\":\"" << detail::json_escape(name)
-        << "\",\"count\":" << histogram.count << ",\"sum\":" << histogram.sum
-        << ",\"buckets\":[";
-    for (std::size_t i = 0; i < histogram.buckets.size(); ++i) {
-      if (i != 0) out << ',';
-      out << histogram.buckets[i];
-    }
-    out << "]}\n";
-  }
 }
 
 void write_metrics_jsonl(std::ostream& out) {

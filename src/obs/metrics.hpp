@@ -1,35 +1,42 @@
 /// \file metrics.hpp
-/// \brief Global metrics registry: named counters, gauges, and log-scale
-/// histograms.
+/// \brief Global metrics registry: named counters and gauges.
 ///
-/// The observability layer the paper's whole evaluation is written in
-/// terms of — SAT calls avoided, classes split per round, implication vs
-/// decision counts — as first-class, exportable instruments instead of
-/// ad-hoc per-module structs. Design constraints:
+/// The registry answers "how much happened" in one run: the counts the
+/// paper's evaluation is written in (SAT calls, implications, decisions,
+/// targets hit). It holds only two kinds of instrument:
+///
+///  * the counters of the per-instance stats structs (sat::SolverStats,
+///    core::GeneratorStats, core::ReverseSimStats, check::DratStats, and
+///    the simulator's `sim.words`), so `stats()` accessors stay
+///    per-instance views while the registry aggregates by name across
+///    instances;
+///  * the registry-owned names perfbench reads through capture_snapshot/
+///    diff_snapshots: the `eq.refine_calls` and `eq.splits` counters and
+///    the `cec.cost_after_guided` gauge.
+///
+/// A count that a result struct already returns (SweepResult,
+/// CecResult, CampaignResult, ...) is not copied into the registry, and
+/// per-event detail (per-solve LBD, per-call cone sizes) lives in the
+/// decision journal (journal.hpp). Design constraints:
 ///
 ///  * Counter increments are a single relaxed atomic 64-bit add — bench
 ///    cells sharded across threads bump shared registry counters
 ///    concurrently, and relaxed ordering keeps the hot path one lock-free
 ///    instruction (registration, retirement and export are mutex-guarded
-///    cold paths). Histograms stay non-atomic: every histogram lives in a
-///    per-instance stats struct (one solver, one generator) that is only
-///    ever touched by the thread owning the instance.
-///  * Instruments can live inside module stats structs (sat::SolverStats,
-///    core::GeneratorStats, ...) so `stats()` accessors stay per-instance
-///    views while the registry aggregates by name across instances: the
-///    instrument object is the single source of truth, and a destroyed
-///    instrument "retires" its value into the registry so a metrics dump
-///    written after a flow finishes still contains every count.
+///    cold paths).
+///  * The instrument object is the single source of truth, and a
+///    destroyed instrument "retires" its value into the registry so a
+///    metrics dump written after a flow finishes still contains every
+///    count.
 ///  * Copying or moving an instrument produces a *detached* value
 ///    snapshot (never a second registered instance), so stats structs
 ///    keep plain value semantics at call sites.
 ///  * With the CMake option SIMGEN_NO_TELEMETRY=ON, registration, the
-///    registry, and both exporters compile to nothing; instruments still
+///    registry, and the exporter compile to nothing; instruments still
 ///    count (the per-instance stats views keep working) but nothing is
 ///    retained or exportable.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -37,7 +44,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace simgen::obs {
 
@@ -85,94 +91,37 @@ class Counter {
   bool registered_ = false;
 };
 
-/// Log-scale (power-of-two bucket) histogram of non-negative integer
-/// samples. Bucket i counts samples whose bit_width is i: bucket 0 holds
-/// the value 0, bucket i >= 1 holds values in [2^(i-1), 2^i - 1].
-/// Registration/retirement semantics match Counter.
-class Histogram {
- public:
-  /// 0 plus one bucket per possible bit_width of a uint64.
-  static constexpr std::size_t kNumBuckets = 65;
+/// The log2 bucket layout of the SAT hardness report's distributions:
+/// bucket i counts samples whose bit_width is i, so bucket 0 holds the
+/// value 0 and bucket i >= 1 holds values in [2^(i-1), 2^i - 1].
+/// 0 plus one bucket per possible bit_width of a uint64.
+inline constexpr std::size_t kNumLog2Buckets = 65;
+[[nodiscard]] constexpr std::size_t log2_bucket(std::uint64_t value) noexcept {
+  return static_cast<std::size_t>(std::bit_width(value));
+}
 
-  Histogram() = default;
-  explicit Histogram(const char* name);
-  ~Histogram();
-
-  Histogram(const Histogram& other) noexcept
-      : buckets_(other.buckets_), count_(other.count_), sum_(other.sum_) {}
-  Histogram(Histogram&& other) noexcept
-      : buckets_(other.buckets_), count_(other.count_), sum_(other.sum_) {}
-  Histogram& operator=(const Histogram& other) noexcept {
-    buckets_ = other.buckets_;
-    count_ = other.count_;
-    sum_ = other.sum_;
-    return *this;
-  }
-
-  void observe(std::uint64_t value) noexcept {
-    ++buckets_[bucket_of(value)];
-    ++count_;
-    sum_ += value;
-  }
-  void reset() noexcept {
-    buckets_.fill(0);
-    count_ = 0;
-    sum_ = 0;
-  }
-
-  [[nodiscard]] static constexpr std::size_t bucket_of(std::uint64_t value) noexcept {
-    return static_cast<std::size_t>(std::bit_width(value));
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
-  [[nodiscard]] const std::array<std::uint64_t, kNumBuckets>& buckets() const noexcept {
-    return buckets_;
-  }
-
-  /// Estimated value at quantile \p q (see bucket_percentile below).
-  [[nodiscard]] std::uint64_t percentile(double q) const noexcept;
-
- private:
-  std::array<std::uint64_t, kNumBuckets> buckets_{};
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  bool registered_ = false;
-};
-
-/// Estimated value at quantile \p q in (0, 1] of a bucket_of()-layout
-/// log2 bucket distribution: locates the bucket holding the ceil(q*count)-th
-/// sample and interpolates linearly inside its [2^(i-1), 2^i - 1] value
-/// range. Exact for bucket 0 (the value 0); within a factor of 2 above.
-/// Returns 0 for an empty distribution. This is the one percentile
-/// estimator shared by Histogram::percentile and the SAT hardness
-/// report, so p50/p90/p99 mean the same thing everywhere. Available in
-/// every build (the inspector replays foreign journals under
-/// SIMGEN_NO_TELEMETRY too).
+/// Estimated value at quantile \p q in (0, 1] of a log2_bucket()-layout
+/// distribution: locates the bucket holding the ceil(q*count)-th sample
+/// and interpolates linearly inside its [2^(i-1), 2^i - 1] value range.
+/// Exact for bucket 0 (the value 0); within a factor of 2 above. Returns
+/// 0 for an empty distribution. The SAT hardness report quotes every
+/// p50/p90/p99 through it. Available in every build (the inspector
+/// replays foreign journals under SIMGEN_NO_TELEMETRY too).
 [[nodiscard]] std::uint64_t bucket_percentile(const std::uint64_t* buckets,
                                               std::size_t num_buckets,
                                               double q) noexcept;
 
-/// Registry-owned instruments for modules without a per-instance stats
+/// Registry-owned counter for a module without a per-instance stats
 /// struct: find-or-create by name, returning a reference that stays valid
 /// for the process lifetime. Hot paths cache it:
-///   static obs::Counter& words = obs::counter("sim.words");
-/// With SIMGEN_NO_TELEMETRY both return a shared dummy instrument.
+///   static obs::Counter& refines = obs::counter("eq.refine_calls");
+/// With SIMGEN_NO_TELEMETRY it returns a shared dummy counter.
 [[nodiscard]] Counter& counter(std::string_view name);
-[[nodiscard]] Histogram& histogram(std::string_view name);
 
 /// Gauges are registry-owned level values (last write wins). No-ops with
 /// SIMGEN_NO_TELEMETRY.
 void set_gauge(std::string_view name, double value);
-void add_gauge(std::string_view name, double delta);
 [[nodiscard]] double gauge_value(std::string_view name);
-
-/// Aggregated histogram state as exported/snapshotted.
-struct HistogramSnapshot {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::vector<std::uint64_t> buckets;  ///< Trailing zero buckets trimmed.
-};
 
 /// Point-in-time aggregation of every metric: per name, retired values
 /// plus all live instruments. The diffing API lets each sweep round or
@@ -180,24 +129,21 @@ struct HistogramSnapshot {
 struct TelemetrySnapshot {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramSnapshot> histograms;
 
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
 };
 
 [[nodiscard]] TelemetrySnapshot capture_snapshot();
 
-/// Delta from \p before to \p after: counters and histogram buckets are
-/// subtracted (clamped at zero if a name vanished or was reset), gauges
-/// take their \p after value. Names only present in \p before are dropped.
+/// Delta from \p before to \p after: counters are subtracted (clamped at
+/// zero if a name vanished or was reset), gauges take their \p after
+/// value. Names only present in \p before are dropped.
 [[nodiscard]] TelemetrySnapshot diff_snapshots(const TelemetrySnapshot& before,
                                                const TelemetrySnapshot& after);
 
 /// Writes one JSON object per line:
 ///   {"kind":"counter","name":"sat.conflicts","value":123}
-///   {"kind":"gauge","name":"eq.cost","value":17}
-///   {"kind":"histogram","name":"sat.learned_clause_size","count":9,
-///    "sum":41,"buckets":[0,2,3,4]}
+///   {"kind":"gauge","name":"cec.cost_after_guided","value":17}
 void write_metrics_jsonl(std::ostream& out, const TelemetrySnapshot& snapshot);
 void write_metrics_jsonl(std::ostream& out);  ///< Current snapshot.
 /// Convenience file writer; returns false if the file cannot be written.
@@ -212,7 +158,7 @@ namespace detail {
 /// backslashes, and control characters are escaped, and malformed UTF-8
 /// (stray continuation bytes, overlong forms, surrogates) is replaced
 /// with U+FFFD so the output is always valid JSON. Shared by the metrics
-/// and trace exporters.
+/// exporter, the Chrome-trace writer and the bench drivers' JSON records.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 /// Renders a double as a JSON number; non-finite values (which JSON

@@ -10,8 +10,6 @@
 #include <sys/resource.h>
 #endif
 
-#include "obs/metrics.hpp"
-
 namespace {
 
 /// Parses a "VmRSS:     12345 kB" style /proc/self/status line into
@@ -56,15 +54,6 @@ ResourceSample sample_resources() noexcept {
     }
   }
 #endif
-  return sample;
-}
-
-ResourceSample sample_resource_gauges() {
-  const ResourceSample sample = sample_resources();
-  set_gauge("res.current_rss_mb",
-            static_cast<double>(sample.current_rss_kb) / 1024.0);
-  set_gauge("res.peak_rss_mb",
-            static_cast<double>(sample.peak_rss_kb) / 1024.0);
   return sample;
 }
 

@@ -11,7 +11,8 @@
 
 namespace simgen::obs {
 
-TelemetryCli::TelemetryCli(int& argc, char** argv, int usage_status) {
+TelemetryCli::TelemetryCli(int& argc, char** argv, int usage_status)
+    : usage_status_(usage_status) {
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const char* flag = argv[i];
@@ -33,6 +34,17 @@ TelemetryCli::TelemetryCli(int& argc, char** argv, int usage_status) {
     else argv[out++] = argv[i];
   }
   argc = out;
+  if (journal_out_.ends_with(".jsonl")) {
+    // Journals are binary; JSONL is sweep_inspect's export.
+    const std::string binary =
+        journal_out_.substr(0, journal_out_.size() - 6) + ".jrnl";
+    std::fprintf(stderr,
+                 "error: --journal-out writes a binary journal, not JSONL: "
+                 "record %s, then export it with sweep_inspect --rewrite "
+                 "%s %s\n",
+                 binary.c_str(), journal_out_.c_str(), binary.c_str());
+    std::exit(usage_status);
+  }
   if (!journal_out_.empty() && !Journal::instance().open(journal_out_))
     std::fprintf(stderr, "error: cannot open journal file %s%s\n",
                  journal_out_.c_str(),
@@ -54,9 +66,14 @@ TelemetryCli::~TelemetryCli() {
   flush_exit_outputs();
   if (!metrics_out_.empty())
     std::printf("metrics written to %s\n", metrics_out_.c_str());
-  if (journal_open)
-    std::printf("journal written to %s (inspect with sweep_inspect)\n",
-                journal_out_.c_str());
+  if (!journal_open) return;
+  if (Journal::instance().failed()) {
+    std::fprintf(stderr, "error: cannot write journal file %s\n",
+                 journal_out_.c_str());
+    std::exit(usage_status_);
+  }
+  std::printf("journal written to %s (inspect with sweep_inspect)\n",
+              journal_out_.c_str());
 }
 
 }  // namespace simgen::obs

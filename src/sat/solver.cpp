@@ -38,9 +38,7 @@ SolverStats::SolverStats(obs::register_t)
       restarts("sat.restarts"),
       learned_clauses("sat.learned_clauses"),
       deleted_clauses("sat.deleted_clauses"),
-      db_reductions("sat.db_reductions"),
-      learned_clause_size("sat.learned_clause_size"),
-      learned_clause_lbd("sat.learned_clause_lbd") {}
+      db_reductions("sat.db_reductions") {}
 
 Solver::Solver() = default;
 
@@ -533,12 +531,14 @@ Result Solver::search() {
       analyze(conflict, learnt, backtrack_level);
 #ifndef SIMGEN_NO_TELEMETRY
       // level_[] of the learnt literals is still valid here (backtrack
-      // has not run), which is exactly when LBD is defined.
-      const unsigned lbd = compute_introspection_lbd(learnt);
-      stats_.learned_clause_lbd.observe(lbd);
-      ++lbd_count_this_solve_;
-      lbd_sum_this_solve_ += lbd;
-      if (lbd > lbd_max_this_solve_) lbd_max_this_solve_ = lbd;
+      // has not run), which is exactly when LBD is defined. Its only
+      // reader is the journal's kSolverSolveStats rollup.
+      if (probe_active_ && obs::journal_enabled()) {
+        const unsigned lbd = compute_introspection_lbd(learnt);
+        ++lbd_count_this_solve_;
+        lbd_sum_this_solve_ += lbd;
+        if (lbd > lbd_max_this_solve_) lbd_max_this_solve_ = lbd;
+      }
 #endif
       if (proof_) proof_->on_lemma(learnt);
       // Never undo assumption levels beyond what the learnt clause allows:
@@ -553,7 +553,6 @@ Result Solver::search() {
         enqueue(learnt[0], ref);
       }
       stats_.learned_clauses.inc();
-      stats_.learned_clause_size.observe(learnt.size());
       decay_var_activity();
       decay_clause_activity();
       // Budget check on the conflict path too: a chain of consecutive

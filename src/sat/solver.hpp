@@ -45,12 +45,6 @@ struct SolverStats {
   obs::Counter deleted_clauses;
   /// Learnt-clause DB reductions (reduce_learnt_db invocations).
   obs::Counter db_reductions;
-  /// Log2-bucket size distribution of learned clauses.
-  obs::Histogram learned_clause_size;
-  /// Log2-bucket LBD (literal block distance: distinct decision levels in
-  /// a learnt clause) distribution — the standard learnt-quality measure.
-  /// Observed only when telemetry is compiled in.
-  obs::Histogram learned_clause_lbd;
 };
 
 /// Incremental CDCL solver.
@@ -111,12 +105,15 @@ class Solver {
   /// Tags subsequent solves with the identity of the cone being solved —
   /// the same (a, b, output-proof) key the surrounding kSatCall event
   /// carries — so the solver-emitted introspection milestones
-  /// (kSolverRestart / kSolverReduce / kSolverBudget) can be joined to
-  /// their call post-mortem. Milestones are emitted only while a context
-  /// is set and a journal is recording. The whole introspection surface
-  /// (these methods, the emit helpers, the LBD computation) exists only
-  /// in telemetry builds; CI nm-checks that NO_TELEMETRY binaries contain
-  /// no symbol with "introspection" in its name.
+  /// (kSolverRestart / kSolverReduce / kSolverBudget) and the per-solve
+  /// kSolverSolveStats rollup can be joined to their call post-mortem.
+  /// Milestones are emitted, and the LBD of each learnt clause (literal
+  /// block distance: distinct decision levels in it) is computed for the
+  /// rollup, only while a context is set and a journal is recording. The
+  /// whole introspection surface (these methods, the emit helpers, the
+  /// LBD computation) exists only in telemetry builds; CI nm-checks that
+  /// NO_TELEMETRY binaries contain no symbol with "introspection" in its
+  /// name.
   void set_introspection_context(std::uint64_t a, std::uint64_t b,
                                  bool output_proof) noexcept;
   void clear_introspection_context() noexcept;

@@ -82,7 +82,6 @@ std::size_t EquivClasses::refine(std::span<const PatternWord> node_values) {
   static obs::Counter& split_count = obs::counter("eq.splits");
   refine_calls.inc();
   split_count.inc(splits);
-  obs::set_gauge("eq.classes_live", static_cast<double>(classes_.size()));
   if (journal)
     obs::PatternScope::record_refine(splits, classes_.size(), cost());
   return splits;

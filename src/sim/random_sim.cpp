@@ -1,7 +1,6 @@
 #include "sim/random_sim.hpp"
 
 #include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 
 namespace simgen::sim {
 
@@ -35,8 +34,6 @@ RandomSimResult run_random_simulation(Simulator& simulator, EquivClasses& classe
   }
   watch.stop();
   result.runtime_seconds = watch.seconds();
-  static obs::Counter& rounds = obs::counter("sim.random_rounds");
-  rounds.inc(result.rounds_run);
   phase.set_result(classes.cost(), classes.num_classes());
   return result;
 }

@@ -2,19 +2,15 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
-
 namespace simgen::core {
 
 RowDatabase::RowDatabase(const net::Network& network)
     : network_(network), row_begin_(network.num_nodes() + 1, 0),
       mask_begin_(network.num_nodes(), 0) {
-  static obs::Counter& compiled = obs::counter("simgen.rows_computed");
   for (net::NodeId node{0}; node < network.num_nodes(); ++node) {
     row_begin_[node] = rows_.size();
     mask_begin_[node] = masks_.size();
     if (!network.is_lut(node)) continue;
-    compiled.inc();
     const tt::RowSet row_set = tt::compute_rows(network.node(node).function);
     for (const tt::Cube& cube : row_set.on.cubes) rows_.push_back(Row{cube, true});
     for (const tt::Cube& cube : row_set.off.cubes) rows_.push_back(Row{cube, false});

@@ -146,7 +146,6 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
     random_phase.set_result(classes.cost(), classes.num_classes());
   }
 
-  obs::set_gauge("cec.cost_after_random", static_cast<double>(classes.cost()));
   SIMGEN_DEBUG_LINT(classes, miter.network, &simulator,
                     "cec: classes after random simulation");
 
@@ -185,50 +184,10 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   sweeper.solver().set_conflict_limit(
       sweep_options.output_proof_conflict_limit);
   for (net::NodeId po : miter.network.pos()) {
-    const bool journal = obs::journal_enabled();
-    std::uint64_t conflicts0 = 0, props0 = 0, decisions0 = 0, learned0 = 0;
-    std::uint64_t vars0 = 0;
-    if (journal) {
-      const sat::SolverStats& stats = sweeper.solver().stats();
-      conflicts0 = stats.conflicts.value();
-      props0 = stats.propagations.value();
-      decisions0 = stats.decisions.value();
-      learned0 = stats.learned_clauses.value();
-      vars0 = sweeper.solver().num_vars();
-    }
-    const sat::Var po_var = sweeper.encoder().ensure_encoded(po);
-    emit_cone_fingerprint(miter.network, po, net::kNullNode, po, 0,
-                          sweep_options.strategy_code, /*output_proof=*/true);
-#ifndef SIMGEN_NO_TELEMETRY
-    sweeper.solver().set_introspection_context(po, 0, /*output_proof=*/true);
-#endif
-    util::Stopwatch watch;
-    watch.start();
-    const sat::Result verdict = sweeper.solver().solve({sat::pos(po_var)});
-    watch.stop();
-#ifndef SIMGEN_NO_TELEMETRY
-    sweeper.solver().clear_introspection_context();
-#endif
+    const Sweeper::SatCall call = sweeper.solve_call(po, net::kNullNode);
     ++result.output_sat_calls;
-    result.output_sat_seconds += watch.seconds();
-    if (journal) {
-      const sat::SolverStats& stats = sweeper.solver().stats();
-      const std::uint8_t code =
-          verdict == sat::Result::kSat
-              ? static_cast<std::uint8_t>(obs::SatVerdict::kSat)
-              : (verdict == sat::Result::kUnsat
-                     ? static_cast<std::uint8_t>(obs::SatVerdict::kUnsat)
-                     : static_cast<std::uint8_t>(obs::SatVerdict::kUnknown));
-      obs::journal_emit(
-          obs::EventKind::kSatCall, code, po, 0,
-          stats.conflicts.value() - conflicts0,
-          stats.propagations.value() - props0,
-          stats.decisions.value() - decisions0,
-          obs::pack_cone_learned(sweeper.solver().num_vars() - vars0,
-                                 stats.learned_clauses.value() - learned0),
-          obs::saturate_us(watch.seconds()), /*flags=*/1);
-    }
-    if (verdict == sat::Result::kSat) {
+    result.output_sat_seconds += call.seconds;
+    if (call.verdict == sat::Result::kSat) {
       result.counterexample =
           sweeper.last_model_vector(static_cast<std::uint64_t>(po));
       if (!violates(simulator, result.counterexample))
@@ -243,7 +202,7 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
       result.total_seconds = total.seconds();
       return result;
     }
-    if (verdict == sat::Result::kUnknown) {
+    if (call.verdict == sat::Result::kUnknown) {
       // Conflict-limited output proof: record it and keep going — a
       // later output may still yield a counterexample, and a partial
       // verdict with a proper journal run-end beats a crash.
@@ -253,8 +212,8 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
     // Certify the output proof itself: UNSAT under {po} means the logged
     // derivation must entail (~po).
     if (sweeper.certifier() != nullptr) {
-      const sat::Lit assumption = sat::pos(po_var);
-      sweeper.certify_unsat({&assumption, 1}, po, 0, /*output_proof=*/true);
+      sweeper.certify_unsat({&call.assumption, 1}, po, 0,
+                            /*output_proof=*/true);
       ++result.certified_outputs;
     }
     ++result.outputs_proven;

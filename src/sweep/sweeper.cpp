@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/journal.hpp"
-#include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 #include "obs/watchdog.hpp"
 #include "util/logging.hpp"
@@ -54,8 +53,16 @@ std::vector<sim::PatternWord> build_witness_words(const net::Network& network,
   return words;
 }
 
-}  // namespace
+/// Structural fingerprint of the combined transitive-fanin cone of up to
+/// two roots — the shape handed to the SAT solver for one call, journaled
+/// so the hardness report can correlate solve cost with cone structure.
+struct ConeFingerprint {
+  std::uint64_t support = 0;  ///< Distinct PIs in the cone.
+  std::uint64_t nodes = 0;    ///< Distinct internal (LUT) nodes, roots included.
+  std::uint64_t depth = 0;    ///< Max logic level over the roots.
+};
 
+/// Walks the combined fanin cone of \p a (and \p b unless kNullNode).
 ConeFingerprint fingerprint_cone(const net::Network& network, net::NodeId a,
                                  net::NodeId b) {
   ConeFingerprint fp;
@@ -85,16 +92,7 @@ ConeFingerprint fingerprint_cone(const net::Network& network, net::NodeId a,
   return fp;
 }
 
-void emit_cone_fingerprint(const net::Network& network, net::NodeId root_a,
-                           net::NodeId root_b, std::uint64_t journal_a,
-                           std::uint64_t journal_b, std::uint8_t strategy_code,
-                           bool output_proof) {
-  if (!obs::journal_enabled()) return;
-  const ConeFingerprint fp = fingerprint_cone(network, root_a, root_b);
-  obs::journal_emit(obs::EventKind::kConeFingerprint, strategy_code, journal_a,
-                    journal_b, fp.support, fp.nodes, fp.depth, 0, 0,
-                    output_proof ? 1 : 0);
-}
+}  // namespace
 
 Sweeper::Sweeper(const net::Network& network, SweepOptions options)
     : network_(network),
@@ -133,11 +131,11 @@ void Sweeper::certify_unsat(std::span<const sat::Lit> assumptions,
     throw std::logic_error(
         "sweeper: UNSAT verdict failed DRAT certification");
   ++totals_.certified_unsat;
-  static obs::Counter& certified = obs::counter("sweep.certified_unsat");
-  certified.inc();
 }
 
-sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
+Sweeper::SatCall Sweeper::solve_call(net::NodeId a, net::NodeId b) {
+  const bool output_proof = b == net::kNullNode;
+  const std::uint64_t key_b = output_proof ? 0 : b;
   // Solver cost baselines for the journal's per-call deltas; the
   // num_vars delta across encode+solve is the newly encoded cone size.
   const bool journal = obs::journal_enabled();
@@ -152,83 +150,88 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
     vars0 = solver_.num_vars();
   }
 
+  SatCall call;
   const sat::Var var_a = encoder_.ensure_encoded(a);
-  const sat::Var var_b = encoder_.ensure_encoded(b);
+  if (output_proof) {
+    call.assumption = sat::pos(var_a);
+  } else {
+    // Fresh miter variable t <-> (a xor b); one solve call per pair, as
+    // the paper counts SAT calls.
+    const sat::Var var_b = encoder_.ensure_encoded(b);
+    const sat::Var t = solver_.new_var();
+    solver_.add_clause({sat::neg(t), sat::pos(var_a), sat::pos(var_b)});
+    solver_.add_clause({sat::neg(t), sat::neg(var_a), sat::neg(var_b)});
+    solver_.add_clause({sat::pos(t), sat::pos(var_a), sat::neg(var_b)});
+    solver_.add_clause({sat::pos(t), sat::neg(var_a), sat::pos(var_b)});
+    call.assumption = sat::pos(t);
+  }
 
-  // Fresh miter variable t <-> (a xor b); one solve call per pair, as the
-  // paper counts SAT calls.
-  const sat::Var t = solver_.new_var();
-  solver_.add_clause({sat::neg(t), sat::pos(var_a), sat::pos(var_b)});
-  solver_.add_clause({sat::neg(t), sat::neg(var_a), sat::neg(var_b)});
-  solver_.add_clause({sat::pos(t), sat::pos(var_a), sat::neg(var_b)});
-  solver_.add_clause({sat::pos(t), sat::neg(var_a), sat::pos(var_b)});
-
-  emit_cone_fingerprint(network_, a, b, a, b, options_.strategy_code,
-                        /*output_proof=*/false);
+  if (journal) {
+    const ConeFingerprint fp = fingerprint_cone(network_, a, b);
+    obs::journal_emit(obs::EventKind::kConeFingerprint, options_.strategy_code,
+                      a, key_b, fp.support, fp.nodes, fp.depth, 0, 0,
+                      output_proof ? 1 : 0);
+  }
 #ifndef SIMGEN_NO_TELEMETRY
-  solver_.set_introspection_context(a, b, /*output_proof=*/false);
+  solver_.set_introspection_context(a, key_b, output_proof);
 #endif
   util::Stopwatch watch;
   watch.start();
-  const sat::Result verdict = solver_.solve({sat::pos(t)});
+  call.verdict = solver_.solve({call.assumption});
   watch.stop();
 #ifndef SIMGEN_NO_TELEMETRY
   solver_.clear_introspection_context();
 #endif
-  ++totals_.sat_calls;
-  totals_.sat_seconds += watch.seconds();
-  static obs::Counter& sat_calls = obs::counter("sweep.sat_calls");
-  sat_calls.inc();
+  call.seconds = watch.seconds();
 
   if (journal) {
     const sat::SolverStats& stats = solver_.stats();
     obs::journal_emit(
         obs::EventKind::kSatCall,
-        static_cast<std::uint8_t>(to_verdict(verdict)), a, b,
+        static_cast<std::uint8_t>(to_verdict(call.verdict)), a, key_b,
         stats.conflicts.value() - conflicts0,
         stats.propagations.value() - props0,
         stats.decisions.value() - decisions0,
         obs::pack_cone_learned(solver_.num_vars() - vars0,
                                stats.learned_clauses.value() - learned0),
-        obs::saturate_us(watch.seconds()));
+        obs::saturate_us(call.seconds), output_proof ? 1 : 0);
   }
+  return call;
+}
 
-  switch (verdict) {
+sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
+  const SatCall call = solve_call(a, b);
+  ++totals_.sat_calls;
+  totals_.sat_seconds += call.seconds;
+
+  switch (call.verdict) {
     case sat::Result::kUnsat: {
       // Certify before trusting: the merge (and the equality clauses
       // strengthening later proofs, fraig-style) must rest on a checked
       // derivation.
-      const sat::Lit assumption = sat::pos(t);
-      certify_unsat({&assumption, 1}, a, b);
-      if (journal) obs::journal_emit(obs::EventKind::kClassMerged, 0, a, b);
+      certify_unsat({&call.assumption, 1}, a, b);
+      if (obs::journal_enabled())
+        obs::journal_emit(obs::EventKind::kClassMerged, 0, a, b);
       ++totals_.proven_equivalent;
       totals_.proven_pairs.emplace_back(a, b);
-      static obs::Counter& proven = obs::counter("sweep.proven");
-      proven.inc();
+      const sat::Var var_a = encoder_.var_of(a);
+      const sat::Var var_b = encoder_.var_of(b);
       solver_.add_clause({sat::pos(var_a), sat::neg(var_b)});
       solver_.add_clause({sat::neg(var_a), sat::pos(var_b)});
-      static obs::Counter& eq_clauses = obs::counter("sweep.equality_clauses");
-      eq_clauses.inc(2);
       // The t-miter of a proven pair is dead weight; pin it false so the
       // solver never branches on it again.
-      solver_.add_clause({sat::neg(t)});
+      solver_.add_clause({~call.assumption});
       break;
     }
-    case sat::Result::kSat: {
+    case sat::Result::kSat:
       ++totals_.disproven;
-      static obs::Counter& disproven = obs::counter("sweep.disproven");
-      disproven.inc();
       break;
-    }
-    case sat::Result::kUnknown: {
+    case sat::Result::kUnknown:
       ++totals_.unresolved;
-      static obs::Counter& unresolved = obs::counter("sweep.unresolved");
-      unresolved.inc();
-      solver_.add_clause({sat::neg(t)});
+      solver_.add_clause({~call.assumption});
       break;
-    }
   }
-  return verdict;
+  return call.verdict;
 }
 
 std::uint64_t Sweeper::witness_seed(std::uint64_t a,
@@ -259,8 +262,6 @@ void Sweeper::resimulate_counterexample(
     classes.refine(simulator.values());
   }
   ++totals_.resimulations;
-  static obs::Counter& resims = obs::counter("sweep.resimulations");
-  resims.inc();
 }
 
 SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) {
@@ -345,7 +346,7 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
           static_cast<unsigned long long>(totals_.sat_calls - before.sat_calls),
           elapsed, eta);
 #ifndef SIMGEN_NO_TELEMETRY
-      const obs::ResourceSample res = obs::sample_resource_gauges();
+      const obs::ResourceSample res = obs::sample_resources();
       util::infof("sweep: rss %.1f MB (peak %.1f MB)",
                   static_cast<double>(res.current_rss_kb) / 1024.0,
                   static_cast<double>(res.peak_rss_kb) / 1024.0);

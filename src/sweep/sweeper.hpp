@@ -56,32 +56,6 @@ struct SweepOptions {
   std::uint8_t strategy_code = 0;
 };
 
-/// Structural fingerprint of the combined transitive-fanin cone of up to
-/// two roots — the shape handed to the SAT solver for one call, captured
-/// so the hardness report can correlate solve cost with cone structure.
-struct ConeFingerprint {
-  std::uint64_t support = 0;  ///< Distinct PIs in the cone.
-  std::uint64_t nodes = 0;    ///< Distinct internal (LUT) nodes, roots included.
-  std::uint64_t depth = 0;    ///< Max logic level over the roots.
-};
-
-/// Walks the combined fanin cone of \p a (and \p b unless kNullNode).
-[[nodiscard]] ConeFingerprint fingerprint_cone(const net::Network& network,
-                                               net::NodeId a,
-                                               net::NodeId b = net::kNullNode);
-
-/// Journals one kConeFingerprint event for the SAT call keyed by
-/// (\p journal_a, \p journal_b, \p output_proof) — the same key the
-/// adjacent kSatCall event carries, so the inspector joins them without
-/// relying on event adjacency. The cone is fingerprinted from the roots
-/// \p root_a / \p root_b (for candidate pairs these equal the journal
-/// key; for output proofs the key is the PO ordinal while the root is
-/// the miter PO node). No-op when no journal is recording.
-void emit_cone_fingerprint(const net::Network& network, net::NodeId root_a,
-                           net::NodeId root_b, std::uint64_t journal_a,
-                           std::uint64_t journal_b, std::uint8_t strategy_code,
-                           bool output_proof);
-
 struct SweepResult {
   std::uint64_t sat_calls = 0;
   std::uint64_t proven_equivalent = 0;   ///< UNSAT outcomes.
@@ -112,6 +86,26 @@ class Sweeper {
   /// Proves or refutes a single pair. Returns the raw solver verdict and,
   /// for SAT, leaves the counterexample accessible via last_model_vector().
   sat::Result check_pair(net::NodeId a, net::NodeId b);
+
+  /// One SAT call, as solve_call() returns it.
+  struct SatCall {
+    sat::Result verdict = sat::Result::kUnknown;
+    /// The literal the call solved under: the pair's fresh miter
+    /// variable t, or the output's own variable.
+    sat::Lit assumption;
+    double seconds = 0.0;  ///< Time inside Solver::solve.
+  };
+
+  /// Encodes and solves one SAT call and journals it. For a candidate
+  /// pair (\p b != kNullNode) it encodes both cones plus a fresh miter
+  /// variable t <-> (a xor b) and solves under t; for a CEC output proof
+  /// (\p b == kNullNode) it encodes the miter output \p a and solves
+  /// under it. This is the one place a SAT call is journaled: its cone
+  /// fingerprint (kConeFingerprint), the solver's introspection events
+  /// and kSatCall with the call's solver-cost deltas, all keyed by
+  /// (a, b or 0, output proof). It counts nothing: check_pair and the
+  /// CEC output-proof loop total their own calls.
+  SatCall solve_call(net::NodeId a, net::NodeId b);
 
   /// PI vector of the last SAT verdict. PIs outside the solved cone
   /// (unencoded) are filled with random bits drawn from a stream keyed

@@ -1,7 +1,8 @@
 /// \file test_journal.cpp
-/// \brief Sweep journal: round-trips through both on-disk formats, the
-/// live writer, structural validation, report aggregation against the
-/// metrics registry, and the watchdog's flush-on-signal guarantee.
+/// \brief Sweep journal: binary round trips, the JSONL export, the live
+/// writer and its write-error tracking, structural validation, report
+/// aggregation against the metrics registry and the CecResult, and the
+/// watchdog's flush-on-signal guarantee.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +35,31 @@ using obs::SatVerdict;
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::path(::testing::TempDir()) / name).string();
+}
+
+/// Writes \p events through a binary file, checks they read back
+/// exactly, and returns the lines of their JSONL export (header first).
+std::vector<std::string> binary_round_trip_and_export(
+    const std::string& stem, const std::vector<JournalEvent>& events) {
+  const std::string path = temp_path(stem + ".jrnl");
+  EXPECT_TRUE(obs::write_journal_file(path, events));
+  std::vector<JournalEvent> loaded;
+  std::string error;
+  EXPECT_TRUE(obs::read_journal_file(path, loaded, &error)) << error;
+  EXPECT_EQ(loaded, events);
+
+  const std::string export_path = temp_path(stem + ".jsonl");
+  EXPECT_TRUE(obs::write_journal_file(export_path, events));
+  std::ifstream in(export_path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+/// True if \p line is the export of an event of \p kind.
+bool exports_kind(const std::string& line, EventKind kind) {
+  return line.starts_with(std::string("{\"kind\":\"") + obs::kind_name(kind) +
+                          "\",");
 }
 
 /// A small but representative event sequence: valid nesting, every kind.
@@ -111,33 +137,39 @@ TEST(JournalFile, BinaryRoundTripIsExact) {
     EXPECT_EQ(loaded[i], events[i]) << "event " << i;
 }
 
-TEST(JournalFile, JsonlRoundTripIsExact) {
-  const std::string path = temp_path("roundtrip.jsonl");
+TEST(JournalFile, JsonlExportWritesOneObjectPerEvent) {
   const std::vector<JournalEvent> events = sample_events();
-  ASSERT_TRUE(obs::write_journal_file(path, events));
+  const std::vector<std::string> lines =
+      binary_round_trip_and_export("export", events);
+  // The ".jsonl" suffix selects the export: a header object line, then
+  // one JSON object per event, in order, with every field.
+  ASSERT_EQ(lines.size(), events.size() + 1);
+  EXPECT_EQ(lines[0], "{\"simgen_journal\":4,\"event_size\":64}");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const JournalEvent& e = events[i];
+    const std::string expected =
+        std::string("{\"kind\":\"") + obs::kind_name(e.kind) +
+        "\",\"t_ns\":" + std::to_string(e.t_ns) +
+        ",\"code\":" + std::to_string(e.code) +
+        ",\"a\":" + std::to_string(e.a) + ",\"b\":" + std::to_string(e.b) +
+        ",\"v0\":" + std::to_string(e.v0) + ",\"v1\":" + std::to_string(e.v1) +
+        ",\"v2\":" + std::to_string(e.v2) + ",\"v3\":" + std::to_string(e.v3) +
+        ",\"dur_us\":" + std::to_string(e.dur_us) +
+        ",\"flags\":" + std::to_string(e.flags) + "}";
+    EXPECT_EQ(lines[i + 1], expected) << "event " << i;
+  }
 
-  // The ".jsonl" suffix selects the text format: a header object line, then
-  // one JSON object per event.
-  std::ifstream in(path);
-  std::string first_line;
-  ASSERT_TRUE(std::getline(in, first_line));
-  EXPECT_NE(first_line.find("simgen_journal"), std::string::npos);
-
+  // The export is for scripts: the reader takes only the binary journal.
   std::vector<JournalEvent> loaded;
   std::string error;
-  bool truncated = true;
-  ASSERT_TRUE(obs::read_journal_file(path, loaded, &error, &truncated)) << error;
-  EXPECT_FALSE(truncated);
-  ASSERT_EQ(loaded.size(), events.size());
-  for (std::size_t i = 0; i < events.size(); ++i)
-    EXPECT_EQ(loaded[i], events[i]) << "event " << i;
+  EXPECT_FALSE(obs::read_journal_file(temp_path("export.jsonl"), loaded, &error));
+  EXPECT_NE(error.find("JSONL export"), std::string::npos) << error;
 }
 
-TEST(JournalFile, SchedulerKindsRoundTripThroughJsonl) {
-  // The PR-7 scheduler/resource kinds must survive the text format: the
-  // JSONL writer prints kind_name() and the reader maps the string back,
-  // so an exact round trip proves "task_run", "worker_stats", and
-  // "resource_sample" are all registered on both sides.
+TEST(JournalFile, SchedulerKindsRoundTripThroughBinary) {
+  // The scheduler and resource kinds must survive the binary file
+  // exactly, and the export must name each of them: "task_run",
+  // "worker_stats", and "resource_sample".
   std::vector<JournalEvent> events;
   const auto push = [&](EventKind kind, std::uint8_t code, std::uint64_t a,
                         std::uint64_t b, std::uint64_t v0, std::uint64_t v1,
@@ -162,26 +194,22 @@ TEST(JournalFile, SchedulerKindsRoundTripThroughJsonl) {
   push(EventKind::kResourceSample, 0, /*rss kb=*/81234, /*peak kb=*/90111,
        /*allocs=*/0, /*bytes=*/0, 0);
 
-  const std::string path = temp_path("scheduler_kinds.jsonl");
-  ASSERT_TRUE(obs::write_journal_file(path, events));
-  std::vector<JournalEvent> loaded;
-  std::string error;
-  ASSERT_TRUE(obs::read_journal_file(path, loaded, &error)) << error;
-  ASSERT_EQ(loaded.size(), events.size());
+  const std::vector<std::string> lines =
+      binary_round_trip_and_export("scheduler_kinds", events);
+  ASSERT_EQ(lines.size(), events.size() + 1);
   for (std::size_t i = 0; i < events.size(); ++i)
-    EXPECT_EQ(loaded[i], events[i]) << "event " << i;
+    EXPECT_TRUE(exports_kind(lines[i + 1], events[i].kind)) << lines[i + 1];
   EXPECT_STREQ(obs::kind_name(EventKind::kTaskRun), "task_run");
   EXPECT_STREQ(obs::kind_name(EventKind::kWorkerStats), "worker_stats");
   EXPECT_STREQ(obs::kind_name(EventKind::kResourceSample), "resource_sample");
   // The report counts every task_run as one bench cell, whatever its code.
-  EXPECT_EQ(obs::build_report(loaded).task_runs, 3u);
+  EXPECT_EQ(obs::build_report(events).task_runs, 3u);
 }
 
-TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
+TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughBinary) {
   // The format-2 solver-introspection kinds and the format-4 guided
-  // iteration must survive the text format exactly like the scheduler
-  // kinds: kind_name() on the way out, the string registry on the way
-  // back in.
+  // iteration must survive the binary file exactly like the scheduler
+  // kinds, and the export must name each of them.
   std::vector<JournalEvent> events;
   const auto push = [&](EventKind kind, std::uint8_t code, std::uint64_t a,
                         std::uint64_t b, std::uint64_t v0, std::uint64_t v1,
@@ -209,14 +237,11 @@ TEST(JournalFile, SolverIntrospectionKindsRoundTripThroughJsonl) {
        /*generated=*/17, /*cost after=*/212, /*skipped=*/40,
        /*implications=*/9000, /*conflicts=*/61, 0);
 
-  const std::string path = temp_path("introspection_kinds.jsonl");
-  ASSERT_TRUE(obs::write_journal_file(path, events));
-  std::vector<JournalEvent> loaded;
-  std::string error;
-  ASSERT_TRUE(obs::read_journal_file(path, loaded, &error)) << error;
-  ASSERT_EQ(loaded.size(), events.size());
+  const std::vector<std::string> lines =
+      binary_round_trip_and_export("introspection_kinds", events);
+  ASSERT_EQ(lines.size(), events.size() + 1);
   for (std::size_t i = 0; i < events.size(); ++i)
-    EXPECT_EQ(loaded[i], events[i]) << "event " << i;
+    EXPECT_TRUE(exports_kind(lines[i + 1], events[i].kind)) << lines[i + 1];
   EXPECT_STREQ(obs::kind_name(EventKind::kConeFingerprint),
                "cone_fingerprint");
   EXPECT_STREQ(obs::kind_name(EventKind::kSolverRestart), "solver_restart");
@@ -264,17 +289,13 @@ TEST(JournalFile, RetiredInprocessKindStillReads) {
     retired.dur_us = 60;
     events.insert(restart + 1, retired);
 
-    for (const char* name : {"retired_kind.jrnl", "retired_kind.jsonl"}) {
-      SCOPED_TRACE(name);
-      const std::string path = temp_path(name);
-      ASSERT_TRUE(obs::write_journal_file(path, events));
-      std::vector<JournalEvent> loaded;
-      std::string error;
-      ASSERT_TRUE(obs::read_journal_file(path, loaded, &error)) << error;
-      ASSERT_EQ(loaded.size(), events.size());
-      for (std::size_t i = 0; i < events.size(); ++i)
-        EXPECT_EQ(loaded[i], events[i]) << "event " << i;
-    }
+    const std::vector<std::string> lines =
+        binary_round_trip_and_export("retired_kind", events);
+    EXPECT_EQ(std::count_if(lines.begin(), lines.end(),
+                            [&](const std::string& line) {
+                              return exports_kind(line, kind);
+                            }),
+              1);
 
     std::string error;
     EXPECT_TRUE(obs::check_journal(events, &error)) << error;
@@ -309,21 +330,6 @@ TEST(JournalFile, BinaryToleratesTruncatedTail) {
   EXPECT_EQ(loaded[1], events[1]);
 }
 
-TEST(JournalFile, JsonlToleratesUnterminatedTail) {
-  const std::string path = temp_path("tail.jsonl");
-  ASSERT_TRUE(obs::write_journal_file(path, sample_events()));
-  // Drop the final newline and half the last line.
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 25);
-
-  std::vector<JournalEvent> loaded;
-  std::string error;
-  bool truncated = false;
-  ASSERT_TRUE(obs::read_journal_file(path, loaded, &error, &truncated)) << error;
-  EXPECT_TRUE(truncated);
-  EXPECT_EQ(loaded.size(), sample_events().size() - 1);
-}
-
 TEST(JournalFile, RejectsForeignBinary) {
   const std::string path = temp_path("garbage.jrnl");
   std::ofstream(path) << "this is not a journal at all, not even close";
@@ -331,24 +337,6 @@ TEST(JournalFile, RejectsForeignBinary) {
   std::string error;
   EXPECT_FALSE(obs::read_journal_file(path, loaded, &error));
   EXPECT_FALSE(error.empty());
-}
-
-TEST(JournalFile, RejectsMalformedJsonlLine) {
-  const std::string good = temp_path("good.jsonl");
-  ASSERT_TRUE(obs::write_journal_file(good, sample_events()));
-  std::string text;
-  {
-    std::ifstream in(good);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
-  }
-  const std::string bad = temp_path("bad.jsonl");
-  std::ofstream(bad) << text << "{\"kind\":\"sat_call\",,,}\n";
-  std::vector<JournalEvent> loaded;
-  std::string error;
-  EXPECT_FALSE(obs::read_journal_file(bad, loaded, &error));
-  EXPECT_NE(error.find("line"), std::string::npos);
 }
 
 /// Two cells' phases interleaved as a sharded bench run journals them
@@ -620,6 +608,26 @@ TEST(JournalWriter, LiveEmitRoundTrips) {
     EXPECT_EQ(loaded[i], events[i]) << "event " << i;
 }
 
+TEST(JournalWriter, RemembersWriteErrors) {
+  // Every write to /dev/full fails with ENOSPC once stdio flushes its
+  // buffer: the journal must remember it, so the CLI can report an
+  // incomplete file instead of "journal written".
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  obs::Journal& journal = obs::Journal::instance();
+  ASSERT_TRUE(journal.open("/dev/full"));
+  for (std::uint64_t i = 0; i < 1000; ++i)  // 64 kB, past any stdio buffer
+    obs::journal_emit(EventKind::kHeartbeat, 0, i);
+  journal.close();
+  EXPECT_TRUE(journal.failed());
+  EXPECT_FALSE(obs::write_journal_file("/dev/full", sample_events()));
+
+  // The next open starts clean.
+  ASSERT_TRUE(journal.open(temp_path("after_full.jrnl")));
+  EXPECT_FALSE(journal.failed());
+  journal.close();
+  EXPECT_FALSE(journal.failed());
+}
+
 TEST(JournalWriter, EmitStampsMonotonicTimestamps) {
   const std::string path = temp_path("stamped.jrnl");
   ASSERT_TRUE(obs::Journal::instance().open(path));
@@ -712,7 +720,7 @@ TEST(JournalWriter, ConcurrentEmittersLoseNoEvent) {
 
 /// The acceptance bar for the whole subsystem: a certified CEC run's
 /// journal, replayed through build_report, must agree with the metrics
-/// registry and the CecResult for the same run.
+/// registry's solver counters and with the CecResult for the same run.
 TEST(JournalIntegration, CertifiedCecTotalsMatchRegistry) {
   benchgen::CircuitSpec spec;
   spec.name = "journal_cec";
@@ -746,9 +754,6 @@ TEST(JournalIntegration, CertifiedCecTotalsMatchRegistry) {
   EXPECT_EQ(report.decisions, delta.counter_value("sat.decisions"));
   EXPECT_EQ(report.propagations, delta.counter_value("sat.propagations"));
   EXPECT_EQ(report.learned, delta.counter_value("sat.learned_clauses"));
-  EXPECT_EQ(report.class_merged, delta.counter_value("sweep.proven"));
-  EXPECT_EQ(report.sat_sat, delta.counter_value("sweep.disproven"));
-  EXPECT_EQ(report.certified_ok, delta.counter_value("sweep.certified_unsat"));
   EXPECT_EQ(report.class_split, delta.counter_value("eq.splits"));
   EXPECT_EQ(report.pattern_splits, delta.counter_value("eq.splits"));
 
@@ -773,6 +778,8 @@ TEST(JournalIntegration, CertifiedCecTotalsMatchRegistry) {
   // Journal totals == the CecResult the caller saw.
   EXPECT_EQ(report.sat_calls,
             result.sweep_stats.sat_calls + result.output_sat_calls);
+  EXPECT_EQ(report.class_merged, result.sweep_stats.proven_equivalent);
+  EXPECT_EQ(report.sat_sat, result.sweep_stats.disproven);
   EXPECT_EQ(report.output_proofs, result.outputs_proven);
   EXPECT_EQ(report.certified_ok,
             result.sweep_stats.certified_unsat + result.certified_outputs);

@@ -1,5 +1,6 @@
-// Telemetry subsystem tests: counter/gauge/histogram semantics, registry
-// aggregation and retirement, snapshot diffing, the journal's Chrome-trace
+// Telemetry subsystem tests: counter/gauge semantics, the log2 bucket
+// layout and percentile estimator, registry aggregation and retirement,
+// snapshot diffing, the journal's Chrome-trace
 // rendering (validated with a minimal JSON parser), and an end-to-end
 // certified CEC run whose counters must land in the registry.
 #include "obs/metrics.hpp"
@@ -54,56 +55,47 @@ TEST(Counter, CopyIsDetachedValueSnapshot) {
   EXPECT_EQ(original.value(), 8u);
 }
 
-TEST(Histogram, BucketOfIsBitWidth) {
-  EXPECT_EQ(Histogram::bucket_of(0), 0u);
-  EXPECT_EQ(Histogram::bucket_of(1), 1u);
-  EXPECT_EQ(Histogram::bucket_of(2), 2u);
-  EXPECT_EQ(Histogram::bucket_of(3), 2u);
-  EXPECT_EQ(Histogram::bucket_of(4), 3u);
-  EXPECT_EQ(Histogram::bucket_of(255), 8u);
-  EXPECT_EQ(Histogram::bucket_of(256), 9u);
-  EXPECT_EQ(Histogram::bucket_of(~std::uint64_t{0}), 64u);
-}
+// The log2 bucket layout and percentile estimator of the --sat report's
+// distributions.
 
-TEST(Histogram, ObserveTracksCountSumBuckets) {
-  Histogram histogram;
-  histogram.observe(0);
-  histogram.observe(1);
-  histogram.observe(5);
-  histogram.observe(5);
-  EXPECT_EQ(histogram.count(), 4u);
-  EXPECT_EQ(histogram.sum(), 11u);
-  EXPECT_EQ(histogram.buckets()[0], 1u);  // value 0
-  EXPECT_EQ(histogram.buckets()[1], 1u);  // value 1
-  EXPECT_EQ(histogram.buckets()[3], 2u);  // values 4..7
-  histogram.reset();
-  EXPECT_EQ(histogram.count(), 0u);
+TEST(Histogram, BucketOfIsBitWidth) {
+  EXPECT_EQ(log2_bucket(0), 0u);
+  EXPECT_EQ(log2_bucket(1), 1u);
+  EXPECT_EQ(log2_bucket(2), 2u);
+  EXPECT_EQ(log2_bucket(3), 2u);
+  EXPECT_EQ(log2_bucket(4), 3u);
+  EXPECT_EQ(log2_bucket(255), 8u);
+  EXPECT_EQ(log2_bucket(256), 9u);
+  EXPECT_EQ(log2_bucket(~std::uint64_t{0}), 64u);
+  EXPECT_EQ(log2_bucket(~std::uint64_t{0}) + 1, kNumLog2Buckets);
 }
 
 TEST(Histogram, PercentileInterpolatesInsideLog2Buckets) {
-  Histogram histogram;
-  EXPECT_EQ(histogram.percentile(0.5), 0u);  // empty distribution
+  std::array<std::uint64_t, kNumLog2Buckets> buckets{};
+  const auto percentile = [&](double q) {
+    return bucket_percentile(buckets.data(), buckets.size(), q);
+  };
+  EXPECT_EQ(percentile(0.5), 0u);  // empty distribution
 
-  histogram.observe(0);
-  EXPECT_EQ(histogram.percentile(0.5), 0u);  // bucket 0 is exact
-  EXPECT_EQ(histogram.percentile(1.0), 0u);
+  ++buckets[log2_bucket(0)];
+  EXPECT_EQ(percentile(0.5), 0u);  // bucket 0 is exact
+  EXPECT_EQ(percentile(1.0), 0u);
 
-  histogram.reset();
-  for (int i = 0; i < 3; ++i) histogram.observe(10);  // bucket [8, 15]
+  buckets.fill(0);
+  buckets[log2_bucket(10)] += 3;  // bucket [8, 15]
   // Ranks 1..3 spread evenly across the bucket's value range: 8, 10, 12.
-  EXPECT_EQ(histogram.percentile(0.0), 8u);  // q == 0 degenerates to min
-  EXPECT_EQ(histogram.percentile(0.5), 10u);
-  EXPECT_EQ(histogram.percentile(1.0), 12u);
+  EXPECT_EQ(percentile(0.0), 8u);  // q == 0 degenerates to min
+  EXPECT_EQ(percentile(0.5), 10u);
+  EXPECT_EQ(percentile(1.0), 12u);
 }
 
 TEST(Histogram, BucketPercentileIsTheSharedEstimator) {
-  // The free function behind Histogram::percentile and the --sat report
-  // tables; one estimator so p50/p90/p99 mean the same thing everywhere.
-  std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
+  // The one estimator behind every p50/p90/p99 of the --sat report.
+  std::array<std::uint64_t, kNumLog2Buckets> buckets{};
   EXPECT_EQ(bucket_percentile(buckets.data(), buckets.size(), 0.5), 0u);
-  buckets[Histogram::bucket_of(0)] += 1;
-  buckets[Histogram::bucket_of(1)] += 1;
-  buckets[Histogram::bucket_of(1000)] += 1;  // lands in [512, 1023]
+  buckets[log2_bucket(0)] += 1;
+  buckets[log2_bucket(1)] += 1;
+  buckets[log2_bucket(1000)] += 1;  // lands in [512, 1023]
   EXPECT_EQ(bucket_percentile(buckets.data(), buckets.size(), 0.0), 0u);
   EXPECT_EQ(bucket_percentile(buckets.data(), buckets.size(), 0.5), 1u);
   EXPECT_EQ(bucket_percentile(buckets.data(), buckets.size(), 1.0), 512u);
@@ -361,27 +353,10 @@ TEST(Registry, GaugesAreLastWriteWins) {
   reset_all_metrics();
   set_gauge("test_obs.gauge", 1.5);
   set_gauge("test_obs.gauge", 2.5);
-  add_gauge("test_obs.gauge", 0.5);
-  EXPECT_DOUBLE_EQ(gauge_value("test_obs.gauge"), 3.0);
+  EXPECT_DOUBLE_EQ(gauge_value("test_obs.gauge"), 2.5);
   const TelemetrySnapshot snapshot = capture_snapshot();
   ASSERT_TRUE(snapshot.gauges.contains("test_obs.gauge"));
-  EXPECT_DOUBLE_EQ(snapshot.gauges.at("test_obs.gauge"), 3.0);
-}
-
-TEST(Registry, HistogramAggregatesAndSnapshotTrimsBuckets) {
-  reset_all_metrics();
-  Histogram& histogram = obs::histogram("test_obs.hist");
-  histogram.observe(1);
-  histogram.observe(6);
-  const TelemetrySnapshot snapshot = capture_snapshot();
-  ASSERT_TRUE(snapshot.histograms.contains("test_obs.hist"));
-  const HistogramSnapshot& hist = snapshot.histograms.at("test_obs.hist");
-  EXPECT_EQ(hist.count, 2u);
-  EXPECT_EQ(hist.sum, 7u);
-  // Trailing zero buckets trimmed: highest populated bucket is 3 (4..7).
-  ASSERT_EQ(hist.buckets.size(), 4u);
-  EXPECT_EQ(hist.buckets[1], 1u);
-  EXPECT_EQ(hist.buckets[3], 1u);
+  EXPECT_DOUBLE_EQ(snapshot.gauges.at("test_obs.gauge"), 2.5);
 }
 
 TEST(Snapshot, DiffSubtractsCountersAndKeepsAfterGauges) {
@@ -415,7 +390,6 @@ TEST(MetricsJsonl, EmitsOneValidObjectPerLine) {
   reset_all_metrics();
   counter("test_obs.jsonl").inc(3);
   set_gauge("test_obs.jsonl_gauge", 0.5);
-  histogram("test_obs.jsonl_hist").observe(4);
   std::ostringstream out;
   write_metrics_jsonl(out);
   const std::string text = out.str();
@@ -423,7 +397,6 @@ TEST(MetricsJsonl, EmitsOneValidObjectPerLine) {
                       "\"value\":3}"),
             std::string::npos);
   EXPECT_NE(text.find("\"kind\":\"gauge\""), std::string::npos);
-  EXPECT_NE(text.find("\"kind\":\"histogram\""), std::string::npos);
   // Every line is brace-balanced and quote-paired.
   std::istringstream lines(text);
   std::string line;
@@ -434,7 +407,7 @@ TEST(MetricsJsonl, EmitsOneValidObjectPerLine) {
     EXPECT_EQ(line.front(), '{');
     EXPECT_EQ(line.back(), '}');
   }
-  EXPECT_GE(count, 3u);
+  EXPECT_GE(count, 2u);
 }
 
 TEST(MetricsJsonl, EscapesNames) {
@@ -581,25 +554,28 @@ TEST(EndToEnd, CertifiedCecPopulatesRegistry) {
   EXPECT_TRUE(result.equivalent);
 
   const TelemetrySnapshot snapshot = capture_snapshot();
-  // Every layer must have reported: SAT solver, simulator, eqclass
-  // manager, SimGen generator, sweeper, and the DRAT certifier.
+  // Every layer with a stats struct must have reported: SAT solver,
+  // simulator, eqclass manager, SimGen generator, and the DRAT certifier.
   EXPECT_GT(snapshot.counter_value("sat.solve_calls"), 0u);
   EXPECT_GT(snapshot.counter_value("sat.propagations"), 0u);
   EXPECT_GT(snapshot.counter_value("sim.words"), 0u);
   EXPECT_GT(snapshot.counter_value("eq.refine_calls"), 0u);
   EXPECT_GT(snapshot.counter_value("eq.splits"), 0u);
   EXPECT_GT(snapshot.counter_value("simgen.targets_attempted"), 0u);
-  EXPECT_GT(snapshot.counter_value("sweep.sat_calls"), 0u);
   EXPECT_GT(snapshot.counter_value("drat.certified_targets"), 0u);
   EXPECT_GT(snapshot.counter_value("drat.checked_lemmas"), 0u);
 
-  // The sweeper's own totals and the registry view must agree. The
-  // registry counter also covers the post-sweep output-proof
-  // certifications, which the run() delta excludes.
-  EXPECT_EQ(snapshot.counter_value("sweep.sat_calls"),
-            result.sweep_stats.sat_calls);
-  EXPECT_EQ(snapshot.counter_value("sweep.certified_unsat"),
+  // The sweep's counts live in the CecResult, not in registry copies of
+  // them; the registry's solver and certifier counters must agree with
+  // them. Every solve is a sweep pair or an output proof, and every
+  // certified target is a sweep merge or an output proof.
+  EXPECT_GT(result.sweep_stats.sat_calls, 0u);
+  EXPECT_EQ(snapshot.counter_value("sat.solve_calls"),
+            result.sweep_stats.sat_calls + result.output_sat_calls);
+  EXPECT_EQ(snapshot.counter_value("drat.certified_targets"),
             result.sweep_stats.certified_unsat + result.certified_outputs);
+  for (const char* copied : {"sweep.sat_calls", "sweep.certified_unsat"})
+    EXPECT_FALSE(snapshot.counters.contains(copied)) << copied;
 }
 
 TEST(EndToEnd, SolverStatsViewMatchesRegistryDelta) {

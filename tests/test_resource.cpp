@@ -1,9 +1,8 @@
-// Resource-accounting tests: RSS sampling and the res.* gauge export.
+// Resource-accounting tests: RSS sampling.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/resource.hpp"
 
 namespace simgen {
@@ -34,24 +33,12 @@ TEST(Resource, PeakRssIsMonotone) {
 #endif
 }
 
-TEST(Resource, GaugeExportPublishesRss) {
-  const obs::ResourceSample sample = obs::sample_resource_gauges();
-  EXPECT_DOUBLE_EQ(obs::gauge_value("res.peak_rss_mb"),
-                   static_cast<double>(sample.peak_rss_kb) / 1024.0);
-  EXPECT_DOUBLE_EQ(obs::gauge_value("res.current_rss_mb"),
-                   static_cast<double>(sample.current_rss_kb) / 1024.0);
-  const obs::TelemetrySnapshot snapshot = obs::capture_snapshot();
-  EXPECT_TRUE(snapshot.gauges.count("res.peak_rss_mb"))
-      << "resource gauges must ride along in every snapshot";
-}
-
 #else  // SIMGEN_NO_TELEMETRY
 
 TEST(ResourceStubs, ReturnEmptySamples) {
   const obs::ResourceSample sample = obs::sample_resources();
   EXPECT_EQ(sample.current_rss_kb, 0u);
   EXPECT_EQ(sample.peak_rss_kb, 0u);
-  EXPECT_EQ(obs::sample_resource_gauges().peak_rss_kb, 0u);
 }
 
 #endif  // SIMGEN_NO_TELEMETRY

@@ -26,11 +26,14 @@
 ///   --quiet         no per-iteration echo
 ///
 /// Telemetry options (shared with every driver in this repo):
-///   --metrics-out FILE, --journal-out FILE, --progress SECONDS,
-///   --timeout SECONDS
+///   --metrics-out FILE, --journal-out FILE (binary; a ".jsonl" FILE is a
+///   usage error), --progress SECONDS, --timeout SECONDS
+/// The registry holds the engines' counters (sat.*, simgen.*, ...); the
+/// campaign's own totals are the summary line and the verdict log.
 ///
 /// Exit status: 0 = clean, 1 = at least one oracle mismatch (repros
-/// written), 2 = usage or I/O error.
+/// written), 2 = usage or I/O error (including a journal that could not
+/// be written completely).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

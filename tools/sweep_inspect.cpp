@@ -10,7 +10,10 @@
 ///   sweep_inspect --class 1234 run.journal       # one class's lifecycle
 ///   sweep_inspect --sat run.journal              # SAT hardness report
 ///   sweep_inspect --chrome-trace t.json run.journal # Perfetto timeline
-///   sweep_inspect --rewrite copy.jsonl run.journal  # binary <-> JSONL
+///   sweep_inspect --rewrite copy.jsonl run.journal  # JSONL export
+///
+/// Journals are binary; `--rewrite FILE.jsonl` is the one JSON-Lines
+/// writer, an export for scripts that this tool does not read back.
 
 #include <climits>
 #include <cstdint>
@@ -42,8 +45,8 @@ void usage(std::FILE* out) {
                "                    write a Chrome trace-event timeline "
                "(chrome://tracing,\n"
                "                    ui.perfetto.dev)\n"
-               "  --rewrite FILE    re-serialize the journal (.jsonl selects "
-               "JSONL)\n"
+               "  --rewrite FILE    copy the journal; a FILE ending in .jsonl\n"
+               "                    gets a JSON-Lines export for scripts\n"
                "  --quiet           suppress the default text report\n");
 }
 
