@@ -169,14 +169,13 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
   sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
 
   sim::RandomSimOptions random_options;
-  random_options.max_rounds = config.random_rounds;
+  random_options.max_rounds = 1;
   random_options.seed = config.seed;
   sim::run_random_simulation(simulator, classes, random_options);
   metrics.cost_after_random = classes.cost();
 
   core::GuidedSimOptions guided;
   guided.strategy = strategy;
-  guided.iterations = config.guided_iterations;
   guided.seed = config.seed;
   guided.max_targets_per_class = config.max_targets_per_class;
   const core::GuidedSimResult guided_result =
@@ -188,7 +187,6 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
   if (config.run_sweep) {
     sweep::SweepOptions sweep_options;
     sweep_options.seed = config.seed;
-    sweep_options.conflict_limit = config.sat_conflict_limit;
     sweep_options.progress_interval = progress_interval();
     sweep_options.strategy_code = static_cast<std::uint8_t>(strategy);
     // Benches parallelize across cells (see for_each_cell); the sweep

@@ -60,19 +60,16 @@ struct FlowMetrics {
   double peak_rss_mb = 0.0;
 };
 
+/// What a flow run varies. Every flow runs one round of random
+/// simulation (paper Section 6.2) and 20 guided iterations (Section 6.1),
+/// and sweeps without a conflict budget.
 struct FlowConfig {
-  std::size_t random_rounds = 1;     ///< Paper Section 6.2: one round.
-  std::size_t guided_iterations = 20;
   bool run_sweep = false;
   std::uint64_t seed = 1;
   /// Per-class OUTgold target cap forwarded to the guided phase (0 =
   /// whole class). The large stacked circuits use a small cap to bound
   /// vector-generation time; see DESIGN.md.
   std::size_t max_targets_per_class = 0;
-  /// Per-call conflict budget for sweeping SAT calls (0 = unlimited).
-  /// The harnesses cap pathological proofs so a single hard miter cannot
-  /// dominate a 42-benchmark sweep; unresolved pairs are counted.
-  std::uint64_t sat_conflict_limit = 0;
 };
 
 /// Heartbeat interval (seconds) forwarded to every sweep run_strategy_flow

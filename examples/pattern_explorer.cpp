@@ -127,8 +127,7 @@ void decision_demo() {
     for (int trial = 0; trial < 200; ++trial) {
       core::NodeValues values(network.num_nodes());
       values.assign(g, TVal::kOne);
-      core::decide(network, rows, values, g, strategy, core::DecisionWeights{},
-                   &mffc, rng);
+      core::decide(network, rows, values, g, strategy, &mffc, rng);
       if (values.is_assigned(c) && !values.is_assigned(a)) ++chose_c_row;
     }
     std::printf("  %-8s: row {--1} chosen %3d/200, row {11-} %3d/200\n",

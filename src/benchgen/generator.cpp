@@ -299,9 +299,8 @@ Aig generate_circuit(const CircuitSpec& spec) {
   return graph;
 }
 
-net::Network generate_mapped(const CircuitSpec& spec,
-                             const mapping::MapperOptions& mapper) {
-  return mapping::map_to_luts(generate_circuit(spec), mapper);
+net::Network generate_mapped(const CircuitSpec& spec) {
+  return mapping::map_to_luts(generate_circuit(spec));
 }
 
 }  // namespace simgen::benchgen

@@ -65,7 +65,6 @@ struct CircuitSpec {
 
 /// Convenience: generate and LUT-map in one step, mirroring the paper's
 /// "if -K 6" preprocessing.
-[[nodiscard]] net::Network generate_mapped(
-    const CircuitSpec& spec, const mapping::MapperOptions& mapper = {});
+[[nodiscard]] net::Network generate_mapped(const CircuitSpec& spec);
 
 }  // namespace simgen::benchgen

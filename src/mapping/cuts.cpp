@@ -33,9 +33,9 @@ bool Cut::subset_of(const Cut& other) const noexcept {
   return true;
 }
 
-bool merge_cuts(const Cut& a, const Cut& b, unsigned max_size, Cut& out) {
+bool merge_cuts(const Cut& a, const Cut& b, Cut& out) {
   // Merge two sorted leaf arrays, bailing out when the union grows past
-  // max_size.
+  // kLutSize.
   unsigned i = 0, j = 0, n = 0;
   while (i < a.size || j < b.size) {
     std::uint32_t next;
@@ -48,7 +48,7 @@ bool merge_cuts(const Cut& a, const Cut& b, unsigned max_size, Cut& out) {
       ++i;
       ++j;
     }
-    if (n == max_size) return false;
+    if (n == kLutSize) return false;
     out.leaves[n++] = next;
   }
   out.size = static_cast<std::uint8_t>(n);
@@ -59,7 +59,7 @@ bool merge_cuts(const Cut& a, const Cut& b, unsigned max_size, Cut& out) {
 tt::TruthTable expand_cut_function(const tt::TruthTable& function, const Cut& from,
                                    const Cut& to) {
   // Map each variable of `from` to its position in `to`.
-  std::array<unsigned, kMaxCutSize> position{};
+  std::array<unsigned, kLutSize> position{};
   for (unsigned v = 0; v < from.size; ++v) {
     unsigned p = 0;
     while (p < to.size && to.leaves[p] != from.leaves[v]) ++p;
@@ -78,29 +78,12 @@ tt::TruthTable expand_cut_function(const tt::TruthTable& function, const Cut& fr
   return result;
 }
 
-CutSet::CutSet(const aig::Aig& graph, const CutEnumerationOptions& options)
-    : graph_(graph),
-      options_(options),
-      cuts_(graph.num_nodes()),
-      arrival_(graph.num_nodes(), 0),
-      best_(graph.num_nodes(), 0) {
-  if (options_.cut_size > kMaxCutSize)
-    throw std::invalid_argument("CutSet: cut_size exceeds kMaxCutSize");
-  if (options_.cut_size < 2)
-    throw std::invalid_argument("CutSet: cut_size must be at least 2");
+CutSet::CutSet(const aig::Aig& graph)
+    : graph_(graph), cuts_(graph.num_nodes()), arrival_(graph.num_nodes(), 0) {
   enumerate();
 }
 
 void CutSet::enumerate() {
-  // Fanout estimates for area flow: how many readers share a node's cost.
-  std::vector<double> fanout_estimate(graph_.num_nodes(), 1.0);
-  graph_.for_each_and([&](std::uint32_t node) {
-    fanout_estimate[aig::lit_node(graph_.fanin0(node))] += 1.0;
-    fanout_estimate[aig::lit_node(graph_.fanin1(node))] += 1.0;
-  });
-  // Per-node best area flow (PIs and the constant are free).
-  std::vector<double> best_flow(graph_.num_nodes(), 0.0);
-
   // PIs and the constant node get their trivial cut only.
   for (std::size_t i = 0; i < graph_.num_pis(); ++i) {
     const std::uint32_t node = aig::lit_node(graph_.pi_lit(i));
@@ -118,7 +101,7 @@ void CutSet::enumerate() {
     for (const Cut& c0 : cuts0) {
       for (const Cut& c1 : cuts1) {
         Cut merged;
-        if (!merge_cuts(c0, c1, options_.cut_size, merged)) continue;
+        if (!merge_cuts(c0, c1, merged)) continue;
         // Root function: AND of the (possibly complemented) fanin
         // functions re-expressed over the merged leaves.
         tt::TruthTable g0 = expand_cut_function(c0.function, c0, merged);
@@ -127,14 +110,9 @@ void CutSet::enumerate() {
         if (aig::lit_complemented(f1)) g1 = ~g1;
         merged.function = g0 & g1;
         unsigned depth = 0;
-        double flow = 1.0;  // this LUT
-        for (unsigned v = 0; v < merged.size; ++v) {
-          const std::uint32_t leaf = merged.leaves[v];
-          depth = std::max(depth, arrival_[leaf] + 1);
-          flow += best_flow[leaf] / fanout_estimate[leaf];
-        }
+        for (unsigned v = 0; v < merged.size; ++v)
+          depth = std::max(depth, arrival_[merged.leaves[v]] + 1);
         merged.depth = depth;
-        merged.area_flow = flow;
         candidates.push_back(std::move(merged));
       }
     }
@@ -154,25 +132,14 @@ void CutSet::enumerate() {
       kept.push_back(std::move(cut));
     }
 
-    // Priority order per objective: depth-driven (shallow, then small) or
-    // area-driven (lowest area flow, then shallow).
-    if (options_.objective == MapObjective::kDepth) {
-      std::sort(kept.begin(), kept.end(), [](const Cut& a, const Cut& b) {
-        if (a.depth != b.depth) return a.depth < b.depth;
-        return a.size < b.size;
-      });
-    } else {
-      std::sort(kept.begin(), kept.end(), [](const Cut& a, const Cut& b) {
-        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-        if (a.depth != b.depth) return a.depth < b.depth;
-        return a.size < b.size;
-      });
-    }
-    if (kept.size() > options_.cuts_per_node) kept.resize(options_.cuts_per_node);
+    // Priority order: shallow first, then small (timing-driven).
+    std::sort(kept.begin(), kept.end(), [](const Cut& a, const Cut& b) {
+      if (a.depth != b.depth) return a.depth < b.depth;
+      return a.size < b.size;
+    });
+    if (kept.size() > kCutsPerNode) kept.resize(kCutsPerNode);
 
     arrival_[node] = kept.empty() ? 0 : kept.front().depth;
-    best_flow[node] = kept.empty() ? 0.0 : kept.front().area_flow;
-    best_[node] = 0;
 
     // The trivial cut keeps enumeration complete for fanouts.
     kept.push_back(trivial_cut(node, arrival_[node]));

@@ -17,23 +17,19 @@
 
 namespace simgen::mapping {
 
-/// Maximum supported cut size (LUT input count).
-inline constexpr unsigned kMaxCutSize = 8;
-
-/// Mapping objective: what "best cut" means.
-enum class MapObjective : std::uint8_t {
-  kDepth,  ///< Minimize arrival level (then size) — timing-driven.
-  kArea,   ///< Minimize area flow (then depth) — area-driven.
-};
+/// Cut size K: every benchmark is mapped to 6-input LUTs, as by the
+/// paper's "if -K 6".
+inline constexpr unsigned kLutSize = 6;
+/// Priority-list length per node (the trivial cut comes on top).
+inline constexpr unsigned kCutsPerNode = 8;
 
 /// One cut: sorted leaf set plus the root's function over the leaves.
 struct Cut {
-  std::array<std::uint32_t, kMaxCutSize> leaves{};
+  std::array<std::uint32_t, kLutSize> leaves{};
   std::uint8_t size = 0;
   std::uint32_t signature = 0;  ///< Hash-OR of leaves for fast domination tests.
   tt::TruthTable function{0};   ///< Root function; variable i = leaves[i].
   unsigned depth = 0;           ///< Arrival level if this cut is chosen.
-  double area_flow = 0.0;       ///< Estimated LUTs/output charged to this cut.
 
   [[nodiscard]] std::uint32_t leaf(unsigned index) const { return leaves[index]; }
 
@@ -42,45 +38,32 @@ struct Cut {
   [[nodiscard]] bool subset_of(const Cut& other) const noexcept;
 };
 
-struct CutEnumerationOptions {
-  unsigned cut_size = 6;       ///< K.
-  unsigned cuts_per_node = 8;  ///< Priority-list length (plus trivial cut).
-  MapObjective objective = MapObjective::kDepth;
-};
-
-/// Enumerates priority cuts for every node of \p aig. Index into the
-/// result with the AIG node id; PIs carry only their trivial cut.
+/// Enumerates priority cuts for every node of \p aig, ordered by depth
+/// (shallow first, then small). Index into the result with the AIG node
+/// id; PIs carry only their trivial cut.
 class CutSet {
  public:
-  CutSet(const aig::Aig& graph, const CutEnumerationOptions& options);
+  explicit CutSet(const aig::Aig& graph);
 
   [[nodiscard]] const std::vector<Cut>& cuts_of(std::uint32_t node) const {
     return cuts_[node];
   }
-  /// The cut chosen by depth-oriented mapping (filled by the mapper).
-  [[nodiscard]] const CutEnumerationOptions& options() const noexcept {
-    return options_;
+  /// The depth-optimal cut of AND node \p node: the head of its list.
+  [[nodiscard]] const Cut& best_cut(std::uint32_t node) const {
+    return cuts_[node].front();
   }
-  [[nodiscard]] const aig::Aig& graph() const noexcept { return graph_; }
-
-  /// Arrival level of \p node under best-cut selection.
-  [[nodiscard]] unsigned arrival(std::uint32_t node) const { return arrival_[node]; }
-  /// Index of the depth-optimal cut of \p node within cuts_of(node).
-  [[nodiscard]] std::size_t best_cut(std::uint32_t node) const { return best_[node]; }
 
  private:
   void enumerate();
 
   const aig::Aig& graph_;
-  CutEnumerationOptions options_;
   std::vector<std::vector<Cut>> cuts_;
-  std::vector<unsigned> arrival_;
-  std::vector<std::size_t> best_;
+  std::vector<unsigned> arrival_;  ///< Depth of each node's best cut.
 };
 
-/// Merges two cuts; returns false if the union exceeds \p max_size.
+/// Merges two cuts; returns false if the union exceeds kLutSize leaves.
 /// On success fills \p out's leaves/size/signature (not the function).
-[[nodiscard]] bool merge_cuts(const Cut& a, const Cut& b, unsigned max_size, Cut& out);
+[[nodiscard]] bool merge_cuts(const Cut& a, const Cut& b, Cut& out);
 
 /// Re-expresses \p function (over \p from leaves) in terms of \p to leaves
 /// (a superset). Exposed for tests.

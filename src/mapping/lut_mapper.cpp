@@ -30,12 +30,8 @@ struct LutKeyHash {
 
 }  // namespace
 
-net::Network map_to_luts(const aig::Aig& graph, const MapperOptions& options,
-                         MapperStats* stats) {
-  const CutSet cuts(graph,
-                    CutEnumerationOptions{options.lut_size,
-                                          options.cuts_per_node,
-                                          options.objective});
+net::Network map_to_luts(const aig::Aig& graph) {
+  const CutSet cuts(graph);
 
   // Mark the AND nodes whose best cuts form the cover: start from the PO
   // drivers and pull in the best-cut leaves transitively. Track polarity
@@ -58,7 +54,7 @@ net::Network map_to_luts(const aig::Aig& graph, const MapperOptions& options,
   while (!stack.empty()) {
     const std::uint32_t node = stack.back();
     stack.pop_back();
-    const Cut& cut = cuts.cuts_of(node)[cuts.best_cut(node)];
+    const Cut& cut = cuts.best_cut(node);
     // Cut leaves feed the LUT in positive polarity.
     for (unsigned v = 0; v < cut.size; ++v) require(cut.leaf(v), true);
   }
@@ -83,7 +79,7 @@ net::Network map_to_luts(const aig::Aig& graph, const MapperOptions& options,
   // best-cut leaves always precede their root.
   graph.for_each_and([&](std::uint32_t node) {
     if (!required[node] || !used_positive[node]) return;
-    const Cut& cut = cuts.cuts_of(node)[cuts.best_cut(node)];
+    const Cut& cut = cuts.best_cut(node);
     std::vector<net::NodeId> fanins(cut.size);
     for (unsigned v = 0; v < cut.size; ++v) {
       const std::uint32_t leaf = cut.leaf(v);
@@ -112,7 +108,7 @@ net::Network map_to_luts(const aig::Aig& graph, const MapperOptions& options,
       if (it != complemented_cache.end()) {
         driver = it->second;
       } else {
-        const Cut& cut = cuts.cuts_of(node)[cuts.best_cut(node)];
+        const Cut& cut = cuts.best_cut(node);
         std::vector<net::NodeId> fanins(cut.size);
         for (unsigned v = 0; v < cut.size; ++v) fanins[v] = mapped[cut.leaf(v)];
         driver = emit_lut(std::move(fanins), ~cut.function);
@@ -122,10 +118,6 @@ net::Network map_to_luts(const aig::Aig& graph, const MapperOptions& options,
     network.add_po(driver, graph.po_name(i));
   }
 
-  if (stats != nullptr) {
-    stats->num_luts = network.num_luts();
-    stats->depth = network.depth();
-  }
   return network;
 }
 

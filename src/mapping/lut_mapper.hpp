@@ -1,5 +1,5 @@
 /// \file lut_mapper.hpp
-/// \brief Depth-oriented K-LUT technology mapping of AIGs.
+/// \brief Depth-oriented 6-LUT technology mapping of AIGs.
 ///
 /// Reproduces the "if -K 6" step of the paper's methodology (Section 6.1):
 /// every benchmark is LUT-mapped before the sweeping flow sees it. The
@@ -13,24 +13,10 @@
 
 namespace simgen::mapping {
 
-struct MapperOptions {
-  unsigned lut_size = 6;       ///< K ("if -K 6").
-  unsigned cuts_per_node = 8;  ///< Priority-cut list length.
-  /// kDepth reproduces the timing-driven "if -K 6"; kArea selects cuts by
-  /// area flow instead (fewer LUTs, possibly deeper).
-  MapObjective objective = MapObjective::kDepth;
-};
-
-struct MapperStats {
-  std::size_t num_luts = 0;
-  unsigned depth = 0;
-};
-
-/// Maps \p graph to a K-LUT network. The result's PIs/POs correspond to
-/// the AIG's by index; PO complement bits are folded into the driving
-/// LUT functions (or emitted as inverter LUTs for PI/constant drivers).
-[[nodiscard]] net::Network map_to_luts(const aig::Aig& graph,
-                                       const MapperOptions& options = {},
-                                       MapperStats* stats = nullptr);
+/// Maps \p graph to a 6-LUT network (kLutSize) from each node's
+/// depth-optimal cut. The result's PIs/POs correspond to the AIG's by
+/// index; PO complement bits are folded into the driving LUT functions
+/// (or emitted as inverter LUTs for PI/constant drivers).
+[[nodiscard]] net::Network map_to_luts(const aig::Aig& graph);
 
 }  // namespace simgen::mapping

@@ -261,7 +261,10 @@ bool write_metrics_file(const std::string& path) {
   std::ofstream out(path);
   if (!out) return false;
   write_metrics_jsonl(out);
-  return static_cast<bool>(out);
+  // Most of the file is still buffered here; close() writes it out, and a
+  // write that fails (a full disk, /dev/full) fails the close.
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace simgen::obs

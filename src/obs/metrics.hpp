@@ -146,8 +146,9 @@ struct TelemetrySnapshot {
 ///   {"kind":"gauge","name":"cec.cost_after_guided","value":17}
 void write_metrics_jsonl(std::ostream& out, const TelemetrySnapshot& snapshot);
 void write_metrics_jsonl(std::ostream& out);  ///< Current snapshot.
-/// Convenience file writer; returns false if the file cannot be written.
-bool write_metrics_file(const std::string& path);
+/// Convenience file writer; returns false unless the whole file reached
+/// the disk (it cannot be created, or a write or the final flush failed).
+[[nodiscard]] bool write_metrics_file(const std::string& path);
 
 /// Zeroes every live instrument and clears all retired values and gauges.
 /// For tests and benchmark drivers that want per-run metrics.

@@ -45,10 +45,18 @@ TelemetryCli::TelemetryCli(int& argc, char** argv, int usage_status)
                  binary.c_str(), journal_out_.c_str(), binary.c_str());
     std::exit(usage_status);
   }
-  if (!journal_out_.empty() && !Journal::instance().open(journal_out_))
+  if (!journal_out_.empty() && !Journal::instance().open(journal_out_)) {
+    // Asked-for telemetry that cannot be recorded stops the run before it
+    // starts, like a malformed flag.
+#ifdef SIMGEN_NO_TELEMETRY
+    constexpr const char* kWhy = ": this build records no journal (SIMGEN_NO_TELEMETRY)";
+#else
+    constexpr const char* kWhy = "";
+#endif
     std::fprintf(stderr, "error: cannot open journal file %s%s\n",
-                 journal_out_.c_str(),
-                 journal_enabled() ? "" : " (telemetry compiled out)");
+                 journal_out_.c_str(), kWhy);
+    std::exit(usage_status);
+  }
   // Heartbeat lines go through the info log level; --progress implies the
   // user wants to see them.
   if (progress_interval_ > 0.0 && util::log_level() > util::LogLevel::kInfo)
@@ -56,16 +64,20 @@ TelemetryCli::TelemetryCli(int& argc, char** argv, int usage_status)
   // Outputs survive Ctrl-C / --timeout: the finalizer is registered with
   // atexit and also invoked by the watchdog and by our destructor.
   set_exit_outputs(metrics_out_);
-  WatchdogOptions watchdog;
-  watchdog.timeout_seconds = timeout_seconds_;
-  start_watchdog(watchdog);
+  start_watchdog(timeout_seconds_);
 }
 
 TelemetryCli::~TelemetryCli() {
   const bool journal_open = Journal::instance().is_open();
   flush_exit_outputs();
-  if (!metrics_out_.empty())
+  if (!metrics_out_.empty()) {
+    if (metrics_write_failed()) {
+      std::fprintf(stderr, "error: cannot write metrics file %s\n",
+                   metrics_out_.c_str());
+      std::exit(usage_status_);
+    }
     std::printf("metrics written to %s\n", metrics_out_.c_str());
+  }
   if (!journal_open) return;
   if (Journal::instance().failed()) {
     std::fprintf(stderr, "error: cannot write journal file %s\n",

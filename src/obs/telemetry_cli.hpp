@@ -17,12 +17,16 @@
 /// A flag without a value, or a SECONDS value that is not a whole
 /// non-negative decimal number, is a usage error: the program prints
 /// "error: ..." and exits with its usage status.
-/// Construction registers the exit finalizer and (when any output or a
-/// timeout is requested) the signal watchdog, so the requested files are
-/// valid even if the run is interrupted. The destructor writes them on
-/// the normal path; if a journal write failed (a full disk), it prints
-/// "error: cannot write journal file FILE" and exits with the usage
-/// status. A driver needs only
+/// A journal file that cannot be created (or any --journal-out in a
+/// SIMGEN_NO_TELEMETRY build, which records no journal) is a usage error
+/// too, reported before the run starts: "error: cannot open journal file
+/// FILE".
+/// Construction registers the exit finalizer and the signal watchdog, so
+/// the requested files are valid even if the run is interrupted. The
+/// destructor writes them on the normal path; if the metrics file or a
+/// journal write failed (a full disk), it prints "error: cannot write
+/// metrics file FILE" (or journal file) and exits with the usage status.
+/// A driver needs only
 ///   int main(int argc, char** argv) { obs::TelemetryCli telemetry(argc, argv, 1); ... }
 /// Domain-specific wrappers layer extra flags on top: bench::TelemetryCli
 /// adds --bench-json-dir and --threads (bench cell sharding).
@@ -40,7 +44,7 @@ class TelemetryCli {
   /// usage-error code (cec_two_networks uses 2 for UNDECIDED, so 1).
   TelemetryCli(int& argc, char** argv, int usage_status);
   /// Flushes all requested outputs and reports where they were written;
-  /// exits with the usage status if the journal could not be written.
+  /// exits with the usage status if one could not be written.
   ~TelemetryCli();
   TelemetryCli(const TelemetryCli&) = delete;
   TelemetryCli& operator=(const TelemetryCli&) = delete;

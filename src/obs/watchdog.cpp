@@ -9,7 +9,6 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/resource.hpp"
-#include "util/logging.hpp"
 #include "util/mutex.hpp"
 
 #ifdef __unix__
@@ -25,6 +24,7 @@ struct ExitState {
   std::string metrics_path SIMGEN_GUARDED_BY(mutex);
   std::atomic<bool> flushed{false};
   std::atomic<bool> flush_done{false};
+  std::atomic<bool> metrics_failed{false};
   std::atomic<bool> atexit_registered{false};
   std::atomic<bool> watchdog_running{false};
   /// Signal number caught by the async-signal-safe handler; the watchdog
@@ -85,13 +85,27 @@ void dump_progress(const char* why) {
   std::fflush(stderr);
 }
 
-void watchdog_loop(WatchdogOptions options) {
+/// Exit status of a run cut by the watchdog's deadline.
+constexpr int kTimeoutExitCode = 124;
+
+/// The watchdog's exits skip TelemetryCli's teardown report, so it names
+/// a metrics file it could not write itself.
+void flush_before_exit() {
+  flush_exit_outputs();
+  if (!metrics_write_failed()) return;
+  ExitState& state = ExitState::get();
+  const util::LockGuard lock(state.mutex);
+  std::fprintf(stderr, "error: cannot write metrics file %s\n",
+               state.metrics_path.c_str());
+}
+
+void watchdog_loop(double timeout_seconds) {
   ExitState& state = ExitState::get();
   const auto deadline =
-      options.timeout_seconds > 0.0
+      timeout_seconds > 0.0
           ? std::chrono::steady_clock::now() +
                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(options.timeout_seconds))
+                    std::chrono::duration<double>(timeout_seconds))
           : std::chrono::steady_clock::time_point::max();
   while (true) {
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
@@ -99,7 +113,7 @@ void watchdog_loop(WatchdogOptions options) {
     if (sig != 0) {
       journal_emit(EventKind::kWatchdog, 1, static_cast<std::uint64_t>(sig));
       dump_progress(sig == SIGINT ? "caught SIGINT" : "caught signal");
-      flush_exit_outputs();
+      flush_before_exit();
       // Hand the signal back under its default disposition so the exit
       // status says "killed by SIGINT/SIGTERM", as tools expect.
       std::signal(sig, SIG_DFL);
@@ -109,11 +123,11 @@ void watchdog_loop(WatchdogOptions options) {
     if (std::chrono::steady_clock::now() >= deadline) {
       journal_emit(EventKind::kWatchdog, 2, 0);
       dump_progress("timeout expired");
-      flush_exit_outputs();
+      flush_before_exit();
 #ifdef __unix__
-      _exit(options.timeout_exit_code);
+      _exit(kTimeoutExitCode);
 #else
-      std::_Exit(options.timeout_exit_code);
+      std::_Exit(kTimeoutExitCode);
 #endif
     }
   }
@@ -155,7 +169,7 @@ void flush_exit_outputs() {
     metrics_path = state.metrics_path;
   }
   if (!metrics_path.empty() && !write_metrics_file(metrics_path))
-    util::errorf("cannot write metrics file %s", metrics_path.c_str());
+    state.metrics_failed.store(true, std::memory_order_relaxed);
   state.flush_done.store(true, std::memory_order_release);
 }
 
@@ -163,15 +177,18 @@ bool exit_outputs_flushed() noexcept {
   return ExitState::get().flushed.load(std::memory_order_acquire);
 }
 
-bool start_watchdog(const WatchdogOptions& options) {
-  if (!options.handle_signals && options.timeout_seconds <= 0.0) return false;
+bool metrics_write_failed() noexcept {
+  ExitState& state = ExitState::get();
+  return state.flush_done.load(std::memory_order_acquire) &&
+         state.metrics_failed.load(std::memory_order_relaxed);
+}
+
+bool start_watchdog(double timeout_seconds) {
   ExitState& state = ExitState::get();
   if (state.watchdog_running.exchange(true)) return false;
-  if (options.handle_signals) {
-    std::signal(SIGINT, signal_handler);
-    std::signal(SIGTERM, signal_handler);
-  }
-  std::thread(watchdog_loop, options).detach();
+  std::signal(SIGINT, signal_handler);
+  std::signal(SIGTERM, signal_handler);
+  std::thread(watchdog_loop, timeout_seconds).detach();
   return true;
 }
 

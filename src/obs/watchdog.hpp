@@ -72,15 +72,15 @@ void flush_exit_outputs();
 /// True once flush_exit_outputs has run (tests / diagnostics).
 [[nodiscard]] bool exit_outputs_flushed() noexcept;
 
-struct WatchdogOptions {
-  bool handle_signals = true;    ///< Install SIGINT/SIGTERM handlers.
-  double timeout_seconds = 0.0;  ///< 0 = no deadline.
-  int timeout_exit_code = 124;   ///< Matches coreutils `timeout`.
-};
+/// True if flush_exit_outputs finished without writing the registered
+/// metrics file completely (it could not be created, or a write failed).
+[[nodiscard]] bool metrics_write_failed() noexcept;
 
-/// Starts the watchdog thread (idempotent; returns false if it is
-/// already running or nothing was requested). The thread is detached and
-/// runs for the remainder of the process.
-bool start_watchdog(const WatchdogOptions& options = {});
+/// Installs the SIGINT/SIGTERM handlers and starts the watchdog thread,
+/// with a deadline \p timeout_seconds from now (0 = none) after which the
+/// process exits with status 124, as coreutils `timeout` does. Idempotent:
+/// returns false if the watchdog is already running. The thread is
+/// detached and runs for the remainder of the process.
+bool start_watchdog(double timeout_seconds);
 
 }  // namespace simgen::obs

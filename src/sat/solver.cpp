@@ -377,10 +377,6 @@ bool Solver::literal_redundant(Lit lit, std::uint32_t abstract_levels) {
 }
 
 void Solver::backtrack(unsigned target_level) {
-  // Any backtrack below the memoized assumption prefix invalidates the
-  // part above the target (see assumption_prefix_intact_).
-  if (target_level < assumption_prefix_intact_)
-    assumption_prefix_intact_ = target_level;
   if (decision_level() <= target_level) return;
   const std::size_t lim = trail_lim_[target_level];
   for (std::size_t i = trail_.size(); i-- > lim;) {
@@ -614,18 +610,7 @@ Result Solver::solve(std::span<const Lit> assumptions) {
   stats_.solve_calls.inc();
   if (!ok_) return Result::kUnsat;
 
-  // Memoized assumption prefix: keep the already-established leading
-  // decision levels when the new assumption sequence starts the same way,
-  // skipping their re-propagation entirely.
-  unsigned reuse = 0;
-  const auto comparable = static_cast<unsigned>(
-      std::min(assumptions.size(), assumptions_.size()));
-  const unsigned max_reuse = std::min(assumption_prefix_intact_, comparable);
-  while (reuse < max_reuse && assumptions_[reuse] == assumptions[reuse])
-    ++reuse;
-  backtrack(reuse);
-  assumption_prefix_intact_ = reuse;
-
+  backtrack(0);
   assumptions_.assign(assumptions.begin(), assumptions.end());
   conflicts_this_solve_ = 0;
 #ifndef SIMGEN_NO_TELEMETRY
@@ -640,12 +625,14 @@ Result Solver::solve(std::span<const Lit> assumptions) {
 #ifndef SIMGEN_NO_TELEMETRY
   emit_introspection_solve_stats();
 #endif
-  // Keep the established assumption levels on the trail for the next
-  // solve; everything deeper (search decisions) is undone.
+  // Undo the search decisions only. The assumption levels stay on the
+  // trail until the next add_clause or solve backtracks to level 0, which
+  // re-inserts their variables into the VSIDS heap after the variables
+  // the next call creates. Backtracking to 0 here would insert them first
+  // and change the branching order, and with it the sweep's SAT counts.
   const unsigned keep = std::min(
       decision_level(), static_cast<unsigned>(assumptions_.size()));
   backtrack(keep);
-  assumption_prefix_intact_ = keep;
   return result;
 }
 

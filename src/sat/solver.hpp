@@ -8,9 +8,9 @@
 /// over them never touches clause memory), first-UIP conflict analysis
 /// with clause minimization, VSIDS branching with phase saving, Luby
 /// restarts, activity-based learned-clause deletion, and incremental
-/// solving under assumptions with a memoized assumption prefix — the
-/// mode SAT sweeping uses to test one candidate pair of nodes per call
-/// while keeping all previously loaded cone clauses.
+/// solving under assumptions — the mode SAT sweeping uses to test one
+/// candidate pair of nodes per call while keeping all previously loaded
+/// cone clauses.
 #pragma once
 
 #include <cstdint>
@@ -228,14 +228,6 @@ class Solver {
   std::uint64_t conflicts_this_solve_ = 0;
   std::size_t max_learnt_ = 0;
   std::vector<Lit> assumptions_;
-
-  // Memoized assumption prefix: the number of leading decision levels
-  // still on the trail from the previous solve whose decisions are that
-  // solve's assumptions, in order. A later solve with the same leading
-  // assumptions skips re-establishing (and re-propagating) them; any
-  // backtrack below the prefix — add_clause, a restart, conflict
-  // analysis — invalidates the overlap automatically.
-  unsigned assumption_prefix_intact_ = 0;
 
 #ifndef SIMGEN_NO_TELEMETRY
   // Solver introspection (journal milestones + LBD), telemetry-only.

@@ -10,8 +10,6 @@ RandomSimResult run_random_simulation(Simulator& simulator, EquivClasses& classe
   RandomSimResult result;
   util::Stopwatch watch;
   watch.start();
-  std::size_t flat = 0;
-  std::uint64_t last_cost = classes.cost();
   // Round r simulates random word r, keyed only by (seed, pi, r) — see
   // Simulator::random_pattern_word. Downstream consumers (guided
   // simulation's output-goal seeding) read the node values of the last
@@ -23,14 +21,8 @@ RandomSimResult run_random_simulation(Simulator& simulator, EquivClasses& classe
       classes.refine(simulator.values());
     }
     ++result.rounds_run;
-    const std::uint64_t cost = classes.cost();
-    result.cost_per_round.push_back(cost);
+    result.cost_per_round.push_back(classes.cost());
     if (classes.fully_refined()) break;
-    if (options.stagnation_rounds > 0) {
-      flat = (cost == last_cost) ? flat + 1 : 0;
-      if (flat >= options.stagnation_rounds) break;
-    }
-    last_cost = cost;
   }
   watch.stop();
   result.runtime_seconds = watch.seconds();

@@ -26,11 +26,8 @@ struct RandomSimResult {
 
 /// Options for run_random_simulation.
 struct RandomSimOptions {
+  /// Rounds to run; the run stops early only once every class is split.
   std::size_t max_rounds = 16;
-  /// Stop early once the cost has been flat for this many consecutive
-  /// rounds (the paper's Figure 7 switchover criterion uses 3). Zero
-  /// disables early stopping.
-  std::size_t stagnation_rounds = 0;
   std::uint64_t seed = 1;
 };
 

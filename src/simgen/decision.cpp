@@ -18,8 +18,7 @@ double mffc_rank(const net::Network& network, const net::MffcDepthCache& mffc,
 }
 
 double row_priority(const net::Network& network, const net::MffcDepthCache* mffc,
-                    net::NodeId node, const Row& row, DecisionStrategy strategy,
-                    const DecisionWeights& weights) {
+                    net::NodeId node, const Row& row, DecisionStrategy strategy) {
   const auto num_vars = static_cast<unsigned>(network.fanins(node).size());
   const double dc_size = row.cube.num_dcs(num_vars);  // Equation 1
   switch (strategy) {
@@ -27,10 +26,9 @@ double row_priority(const net::Network& network, const net::MffcDepthCache* mffc
       return 1.0;
     case DecisionStrategy::kDontCare:
     case DecisionStrategy::kDontCareScoap:  // SCOAP term added in decide()
-      return weights.alpha * dc_size;
+      return kAlpha * dc_size;
     case DecisionStrategy::kDontCareMffc:
-      return weights.alpha * dc_size +
-             weights.beta * mffc_rank(network, *mffc, node, row);
+      return kAlpha * dc_size + kBeta * mffc_rank(network, *mffc, node, row);
   }
   return 1.0;
 }
@@ -39,7 +37,7 @@ double scoap_row_bonus(const net::Network& network, const net::ScoapCosts& scoap
                        net::NodeId node, const Row& row) {
   // Cheap-to-justify rows score higher: the bonus is 1/(1 + total
   // controllability demanded by the row's literals), in (0, 1] so it acts
-  // as a tie-break under alpha >> gamma-scaled terms.
+  // as a tie-break under kAlpha >> kGamma-scaled terms.
   const auto fanins = network.fanins(node);
   double total = 0.0;
   for (unsigned v = 0; v < fanins.size(); ++v) {
@@ -53,7 +51,6 @@ double scoap_row_bonus(const net::Network& network, const net::ScoapCosts& scoap
 
 DecisionOutcome DecisionEngine::decide(NodeValues& values, net::NodeId node,
                                        DecisionStrategy strategy,
-                                       const DecisionWeights& weights,
                                        const net::MffcDepthCache* mffc,
                                        util::Rng& rng) {
   DecisionOutcome outcome;
@@ -78,11 +75,9 @@ DecisionOutcome DecisionEngine::decide(NodeValues& values, net::NodeId node,
     double total = 0.0;
     cdf_scratch_.clear();
     for (const std::uint32_t m : match_scratch_) {
-      double priority =
-          row_priority(network_, mffc, node, node_rows[m], strategy, weights);
+      double priority = row_priority(network_, mffc, node, node_rows[m], strategy);
       if (strategy == DecisionStrategy::kDontCareScoap && scoap_ != nullptr)
-        priority += weights.gamma *
-                    scoap_row_bonus(network_, *scoap_, node, node_rows[m]);
+        priority += kGamma * scoap_row_bonus(network_, *scoap_, node, node_rows[m]);
       total += kEpsilon + priority;
       cdf_scratch_.push_back(total);
     }
@@ -114,10 +109,10 @@ DecisionOutcome DecisionEngine::decide(NodeValues& values, net::NodeId node,
 
 DecisionOutcome decide(const net::Network& network, const RowDatabase& rows,
                        NodeValues& values, net::NodeId node,
-                       DecisionStrategy strategy, const DecisionWeights& weights,
-                       const net::MffcDepthCache* mffc, util::Rng& rng) {
+                       DecisionStrategy strategy, const net::MffcDepthCache* mffc,
+                       util::Rng& rng) {
   DecisionEngine engine(network, rows);
-  return engine.decide(values, node, strategy, weights, mffc, rng);
+  return engine.decide(values, node, strategy, mffc, rng);
 }
 
 }  // namespace simgen::core

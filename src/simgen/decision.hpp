@@ -36,14 +36,13 @@ enum class DecisionStrategy : std::uint8_t {
   kDontCareScoap,
 };
 
-/// Weights of Equation 4 (alpha, beta) plus the SCOAP term's weight
-/// (gamma, used by kDontCareScoap). The paper requires alpha >> beta so
-/// DC count dominates and the structural term breaks ties.
-struct DecisionWeights {
-  double alpha = 100.0;
-  double beta = 1.0;
-  double gamma = 1.0;
-};
+/// Weights of Equation 4 (alpha on the DC count, beta on the MFFC rank)
+/// and of the SCOAP term (gamma, used by kDontCareScoap). The paper
+/// requires alpha >> beta: the DC count dominates, and the structural
+/// term only breaks ties between rows with equally many DCs.
+inline constexpr double kAlpha = 100.0;
+inline constexpr double kBeta = 1.0;
+inline constexpr double kGamma = 1.0;
 
 /// Outcome of one decision.
 struct DecisionOutcome {
@@ -67,7 +66,6 @@ class DecisionEngine {
   /// \p values. \p mffc may be null for strategies that do not use it.
   DecisionOutcome decide(NodeValues& values, net::NodeId node,
                          DecisionStrategy strategy,
-                         const DecisionWeights& weights,
                          const net::MffcDepthCache* mffc, util::Rng& rng);
 
  private:
@@ -82,8 +80,8 @@ class DecisionEngine {
 /// One-shot convenience wrapper.
 DecisionOutcome decide(const net::Network& network, const RowDatabase& rows,
                        NodeValues& values, net::NodeId node,
-                       DecisionStrategy strategy, const DecisionWeights& weights,
-                       const net::MffcDepthCache* mffc, util::Rng& rng);
+                       DecisionStrategy strategy, const net::MffcDepthCache* mffc,
+                       util::Rng& rng);
 
 /// Equation 3: MFFC rank of a row at \p node — the sum of MFFC depths of
 /// the fanins the row constrains (non-DC positions). Exposed for tests
@@ -95,8 +93,7 @@ DecisionOutcome decide(const net::Network& network, const RowDatabase& rows,
 /// Equation 4: combined row priority.
 [[nodiscard]] double row_priority(const net::Network& network,
                                   const net::MffcDepthCache* mffc, net::NodeId node,
-                                  const Row& row, DecisionStrategy strategy,
-                                  const DecisionWeights& weights);
+                                  const Row& row, DecisionStrategy strategy);
 
 /// SCOAP tie-break term of kDontCareScoap: 1/(1 + sum of controllability
 /// costs demanded by the row's literals). Exposed for tests/ablations.

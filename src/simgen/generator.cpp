@@ -145,8 +145,7 @@ bool PatternGenerator::process_target(const Target& target) {
 
     // Line 16: decision at the candidate.
     const DecisionOutcome outcome =
-        decision_.decide(values_, candidate, options_.decision,
-                         options_.weights, &mffc_, rng_);
+        decision_.decide(values_, candidate, options_.decision, &mffc_, rng_);
     if (!outcome.made) {
       stats_.conflicts.inc();
       values_.rollback_to(init_mark);

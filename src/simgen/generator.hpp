@@ -32,7 +32,6 @@ namespace simgen::core {
 struct GeneratorOptions {
   ImplicationStrategy implication = ImplicationStrategy::kAdvanced;
   DecisionStrategy decision = DecisionStrategy::kDontCareMffc;
-  DecisionWeights weights{};
 };
 
 /// Cumulative counters across generate() calls. Registry-backed view:

@@ -11,13 +11,31 @@ RowDatabase::RowDatabase(const net::Network& network)
     row_begin_[node] = rows_.size();
     mask_begin_[node] = masks_.size();
     if (!network.is_lut(node)) continue;
+    const auto fanins = network.fanins(node);
+    const std::size_t num_fanins = fanins.size();
+    // A cube whose literals disagree on two slots that read the same node
+    // (x2 & !x5 where fanins 2 and 5 are one node) holds under no
+    // assignment. Such a row must never be chosen: deciding it assigns
+    // the shared node once, skips the disagreeing literal, and leaves the
+    // output depending on fanins the vector keeps free.
+    const auto satisfiable = [&](const tt::Cube& cube) {
+      for (unsigned w = 1; w < num_fanins; ++w) {
+        if (!cube.has_literal(w)) continue;
+        for (unsigned v = 0; v < w; ++v)
+          if (fanins[v] == fanins[w] && cube.has_literal(v) &&
+              cube.literal_value(v) != cube.literal_value(w))
+            return false;
+      }
+      return true;
+    };
     const tt::RowSet row_set = tt::compute_rows(network.node(node).function);
-    for (const tt::Cube& cube : row_set.on.cubes) rows_.push_back(Row{cube, true});
-    for (const tt::Cube& cube : row_set.off.cubes) rows_.push_back(Row{cube, false});
+    for (const tt::Cube& cube : row_set.on.cubes)
+      if (satisfiable(cube)) rows_.push_back(Row{cube, true});
+    for (const tt::Cube& cube : row_set.off.cubes)
+      if (satisfiable(cube)) rows_.push_back(Row{cube, false});
 
     const std::size_t num_rows = rows_.size() - row_begin_[node];
     const std::size_t words = (num_rows + 63) / 64;
-    const std::size_t num_fanins = network.fanins(node).size();
     max_mask_words_ = std::max(max_mask_words_, words);
     masks_.resize(masks_.size() + 2 * (num_fanins + 1) * words, 0);
     std::uint64_t* masks = masks_.data() + mask_begin_[node];

@@ -28,6 +28,11 @@ struct Row {
 /// Immutable row tables of every LUT node of a network, compiled once by
 /// the constructor and shared by the implication and decision engines.
 ///
+/// A LUT's rows are the ISOP cubes of its ON and OFF sets, minus every
+/// cube whose literals disagree on two fanin slots that read the same
+/// node: no assignment satisfies such a cube, and a decision that chose it
+/// would report a target satisfied that the vector does not force.
+///
 /// All rows sit in one flat array, each LUT's ON-set cubes first, then its
 /// OFF-set cubes. Row matching is bit-parallel: a node's rows form a bit
 /// set of mask_words(node) 64-bit words (one word for every LUT of at most

@@ -153,7 +153,6 @@ CecResult check_equivalence(const net::Network& a, const net::Network& b,
   if (options.use_guided_simulation && !classes.fully_refined()) {
     core::GuidedSimOptions guided;
     guided.strategy = options.guided_strategy;
-    guided.iterations = options.guided_iterations;
     guided.seed = options.seed;
     run_guided_simulation(simulator, classes, guided);
   }

@@ -32,9 +32,9 @@ struct Miter {
 struct CecOptions {
   std::uint64_t seed = 1;
   std::size_t random_rounds = 8;          ///< Random-simulation prepass.
-  bool use_guided_simulation = true;      ///< Run SimGen before sweeping.
+  /// Run SimGen before sweeping, for the paper's 20 iterations.
+  bool use_guided_simulation = true;
   core::Strategy guided_strategy = core::Strategy::kAiDcMffc;
-  std::size_t guided_iterations = 20;
   bool sweep_internal_nodes = true;       ///< Prove internal equivalences first.
   /// DRAT-certify every UNSAT verdict — internal merges and the final
   /// output proofs — with the in-repo backward checker. Forwarded into

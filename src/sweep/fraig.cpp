@@ -3,35 +3,28 @@
 #include "check/lint.hpp"
 #include "obs/journal.hpp"
 #include "sim/random_sim.hpp"
+#include "simgen/guided_sim.hpp"
 
 namespace simgen::sweep {
 
-FraigResult fraig(const net::Network& network, const FraigOptions& options) {
+FraigResult fraig(const net::Network& network) {
   SIMGEN_DEBUG_LINT(network, "fraig: input network");
   sim::Simulator simulator(network);
   sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
 
   sim::RandomSimOptions random_options;
-  random_options.max_rounds = options.random_rounds;
-  random_options.seed = options.seed;
+  random_options.max_rounds = 8;
   sim::run_random_simulation(simulator, classes, random_options);
   const std::uint64_t cost_after_random = classes.cost();
 
-  if (options.use_guided_simulation && !classes.fully_refined()) {
-    core::GuidedSimOptions guided;
-    guided.strategy = options.guided_strategy;
-    guided.iterations = options.guided_iterations;
-    guided.seed = options.seed;
-    core::run_guided_simulation(simulator, classes, guided);
-  }
+  if (!classes.fully_refined())
+    core::run_guided_simulation(simulator, classes, core::GuidedSimOptions{});
   const std::uint64_t cost_after_guided = classes.cost();
 
   SIMGEN_DEBUG_LINT(classes, network, &simulator,
                     "fraig: classes before sweeping");
 
-  SweepOptions sweep_options = options.sweep;
-  sweep_options.seed = options.seed;
-  Sweeper sweeper(network, sweep_options);
+  Sweeper sweeper(network, SweepOptions{});
   SweepResult sweep_stats = sweeper.run(classes, simulator);
 
   ReductionStats reduction;

@@ -7,24 +7,16 @@
 /// This is the deliverable the surrounding applications (logic
 /// optimization, ECO, mapping with choices; paper Section 2.2) consume:
 /// a functionally reduced netlist plus the full accounting of how it was
-/// obtained.
+/// obtained. The flow runs with fixed settings: seed 1, 8 random rounds,
+/// 20 AI+DC+MFFC guided iterations, and sweeping without a conflict
+/// budget.
 #pragma once
 
 #include "network/network.hpp"
-#include "simgen/guided_sim.hpp"
 #include "sweep/reduce.hpp"
 #include "sweep/sweeper.hpp"
 
 namespace simgen::sweep {
-
-struct FraigOptions {
-  std::uint64_t seed = 1;
-  std::size_t random_rounds = 8;
-  bool use_guided_simulation = true;
-  core::Strategy guided_strategy = core::Strategy::kAiDcMffc;
-  std::size_t guided_iterations = 20;
-  SweepOptions sweep;
-};
 
 struct FraigResult {
   net::Network network;          ///< The functionally reduced network.
@@ -35,7 +27,6 @@ struct FraigResult {
 };
 
 /// Runs the full flow on \p network and returns the reduced equivalent.
-[[nodiscard]] FraigResult fraig(const net::Network& network,
-                                const FraigOptions& options = {});
+[[nodiscard]] FraigResult fraig(const net::Network& network);
 
 }  // namespace simgen::sweep

@@ -1,0 +1,15 @@
+# Runs `EXE` and passes only if it exits 0 and its stdout holds every
+# line of LINES ('|'-separated) verbatim: results a driver prints that
+# EXPERIMENTS.md quotes, so a change that moves them fails here first.
+execute_process(COMMAND "${EXE}" RESULT_VARIABLE status OUTPUT_VARIABLE out
+                ERROR_QUIET TIMEOUT 120)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "exit ${status}")
+endif()
+string(REPLACE "|" ";" lines "${LINES}")
+foreach(line IN LISTS lines)
+  string(FIND "${out}" "${line}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "missing line: ${line}\nstdout: ${out}")
+  endif()
+endforeach()

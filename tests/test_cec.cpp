@@ -56,7 +56,6 @@ TEST(Cec, MappedNetworkEquivalentToDirectTranslation) {
 
   CecOptions options;
   options.random_rounds = 4;
-  options.guided_iterations = 5;
   const CecResult result = check_equivalence(mapped, direct, options);
   EXPECT_TRUE(result.equivalent);
   EXPECT_EQ(result.outputs_proven, mapped.num_pos());

@@ -38,7 +38,7 @@ TEST(Decision, AppliesChosenRowCompletely) {
 
   const DecisionOutcome outcome =
       decide(fx.network, rows, values, fx.g, DecisionStrategy::kRandom,
-             DecisionWeights{}, &mffc, rng);
+             &mffc, rng);
   ASSERT_TRUE(outcome.made);
   EXPECT_GT(outcome.assignments, 0u);
   // Whichever row was chosen, its literals are now assigned and the
@@ -61,7 +61,7 @@ TEST(Decision, NoMatchingRowReportsConflict) {
   values.assign(fx.c, TVal::kZero);  // (0 & b) | 0 can never be 1
   const DecisionOutcome outcome =
       decide(fx.network, rows, values, fx.g, DecisionStrategy::kRandom,
-             DecisionWeights{}, &mffc, rng);
+             &mffc, rng);
   EXPECT_FALSE(outcome.made);
 }
 
@@ -78,11 +78,11 @@ TEST(Decision, DcHeuristicPrefersRowsWithMoreDontCares) {
     values.assign(fx.g, TVal::kOne);
     const DecisionOutcome outcome =
         decide(fx.network, rows, values, fx.g, DecisionStrategy::kDontCare,
-               DecisionWeights{}, &mffc, rng);
+               &mffc, rng);
     ASSERT_TRUE(outcome.made);
     if (values.is_assigned(fx.c) && !values.is_assigned(fx.a)) ++picked_c;
   }
-  // Roulette weights: alpha*2 vs alpha*1 -> the 2-DC row should win about
+  // Roulette weights: kAlpha*2 vs kAlpha*1 -> the 2-DC row should win about
   // 2/3 of the time; demand a clear majority.
   EXPECT_GT(picked_c, trials / 2);
 }
@@ -99,17 +99,20 @@ TEST(Decision, RandomPolicyIsRoughlyUniform) {
     NodeValues values(fx.network.num_nodes());
     values.assign(fx.g, TVal::kOne);
     decide(fx.network, rows, values, fx.g, DecisionStrategy::kRandom,
-           DecisionWeights{}, &mffc, rng);
+           &mffc, rng);
     if (values.is_assigned(fx.c) && !values.is_assigned(fx.a)) ++picked_c;
   }
   EXPECT_GT(picked_c, trials / 4);
   EXPECT_LT(picked_c, 3 * trials / 4);
 }
 
-// MFFC fixture: z = and(x, y) where x has a private chain (deep MFFC) and
-// y's fanins are shared (depth-0 MFFC). Equation 3 must rank the row
-// constraining x above the row constraining y.
+// MFFC fixture: z = and(x, y) where x ends a private chain of inverters
+// (deep MFFC) and y's fanins are shared (depth-0 MFFC). Equation 3 must
+// rank the row constraining x above the row constraining y. The chain is
+// long enough that the beta term visibly tilts decisions under
+// alpha >> beta.
 struct MffcFixture {
+  static constexpr int kChain = 200;
   net::Network network;
   net::NodeId p0, p1, x, y, z;
 
@@ -117,12 +120,11 @@ struct MffcFixture {
     p0 = network.add_pi();
     p1 = network.add_pi();
     const auto nott = tt::TruthTable::not_gate();
-    const std::array<net::NodeId, 1> fc1{p0};
-    const net::NodeId c1 = network.add_lut(fc1, nott);
-    const std::array<net::NodeId, 1> fc2{c1};
-    const net::NodeId c2 = network.add_lut(fc2, nott);
-    const std::array<net::NodeId, 1> fx{c2};
-    x = network.add_lut(fx, nott);  // private chain -> deep MFFC
+    x = p0;
+    for (int i = 0; i < kChain; ++i) {
+      const std::array<net::NodeId, 1> fanin{x};
+      x = network.add_lut(fanin, nott);  // private chain -> deep MFFC
+    }
     const std::array<net::NodeId, 2> fy{p0, p1};
     y = network.add_lut(fy, tt::TruthTable::and_gate(2));
     const std::array<net::NodeId, 2> fz{x, y};
@@ -153,11 +155,11 @@ TEST(Decision, MffcRankFollowsEquation3) {
   EXPECT_GT(rank_x, rank_y);  // deep MFFC -> higher rank -> constrain it
 
   // Equation 4: with equal DC counts the beta term decides.
-  const DecisionWeights weights{100.0, 1.0};
-  const double prio_x = row_priority(fx.network, &mffc, fx.z, row_x,
-                                     DecisionStrategy::kDontCareMffc, weights);
-  const double prio_y = row_priority(fx.network, &mffc, fx.z, row_y,
-                                     DecisionStrategy::kDontCareMffc, weights);
+  const double prio_x =
+      row_priority(fx.network, &mffc, fx.z, row_x, DecisionStrategy::kDontCareMffc);
+  const double prio_y =
+      row_priority(fx.network, &mffc, fx.z, row_y, DecisionStrategy::kDontCareMffc);
+  EXPECT_DOUBLE_EQ(prio_x - prio_y, kBeta * (rank_x - rank_y));
   EXPECT_GT(prio_x, prio_y);
 }
 
@@ -165,8 +167,9 @@ TEST(Decision, MffcHeuristicPrefersConstrainingDeepCones) {
   MffcFixture fx;
   const RowDatabase rows(fx.network);
   const net::MffcDepthCache mffc(fx.network);
-  // Bias the weights so the MFFC term dominates (isolates the effect).
-  const DecisionWeights weights{0.0, 1.0};
+  // Both rows leave one DC, so kAlpha adds the same 100 to each and the
+  // MFFC ranks (199 for x, 0 for y) tilt the roulette about 3:1 toward x.
+  ASSERT_DOUBLE_EQ(mffc.depth(fx.x), MffcFixture::kChain - 1);
   util::Rng rng(5);
 
   int constrained_x = 0;
@@ -176,7 +179,7 @@ TEST(Decision, MffcHeuristicPrefersConstrainingDeepCones) {
     values.assign(fx.z, TVal::kZero);
     const DecisionOutcome outcome =
         decide(fx.network, rows, values, fx.z, DecisionStrategy::kDontCareMffc,
-               weights, &mffc, rng);
+               &mffc, rng);
     ASSERT_TRUE(outcome.made);
     // and(x,y)=0 rows: {x=0, y DC} or {y=0, x DC}.
     if (values.is_assigned(fx.x) && !values.is_assigned(fx.y)) ++constrained_x;
@@ -196,11 +199,10 @@ TEST(Decision, AlphaDominatesBetaInEquation4) {
   one_dc.cube.set_literal(0, true);
   one_dc.cube.set_literal(1, true);
   one_dc.output = true;
-  const DecisionWeights weights{100.0, 1.0};
   EXPECT_GT(row_priority(fx.network, &mffc, fx.g, two_dc,
-                         DecisionStrategy::kDontCareMffc, weights),
+                         DecisionStrategy::kDontCareMffc),
             row_priority(fx.network, &mffc, fx.g, one_dc,
-                         DecisionStrategy::kDontCareMffc, weights));
+                         DecisionStrategy::kDontCareMffc));
 }
 
 }  // namespace

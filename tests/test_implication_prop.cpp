@@ -1,6 +1,7 @@
 // Property tests of the compiled implication and decision engines against
 // a deliberately naive reference that scans every row of a node with
-// row_matches, in row order, on every examination. Networks come from
+// row_matches, in row order, on every examination, and of the targets
+// Algorithm 1 reports satisfied against simulation. Networks come from
 // fuzz::random_lut_network with up to 8 fanins per LUT, so row sets of
 // more than 64 rows (multi-word masks), duplicate fanins and constant
 // drivers all occur.
@@ -15,6 +16,8 @@
 #include "network/scoap.hpp"
 #include "sim/simulator.hpp"
 #include "simgen/decision.hpp"
+#include "simgen/generator.hpp"
+#include "simgen/guided_sim.hpp"
 #include "simgen/implication.hpp"
 #include "util/rng.hpp"
 
@@ -104,8 +107,7 @@ ImplicationOutcome reference_implications(const net::Network& network,
 /// draw over row_priority (plus the SCOAP bonus), then the chosen row.
 DecisionOutcome reference_decide(const net::Network& network, const RowDatabase& rows,
                                  NodeValues& values, net::NodeId node,
-                                 DecisionStrategy strategy, const DecisionWeights& weights,
-                                 const net::MffcDepthCache& mffc,
+                                 DecisionStrategy strategy, const net::MffcDepthCache& mffc,
                                  const net::ScoapCosts& scoap, util::Rng& rng) {
   DecisionOutcome outcome;
   const auto all = rows.rows(node);
@@ -116,9 +118,9 @@ DecisionOutcome reference_decide(const net::Network& network, const RowDatabase&
     std::vector<double> cdf;
     double total = 0.0;
     for (const std::size_t m : matches) {
-      double priority = row_priority(network, &mffc, node, all[m], strategy, weights);
+      double priority = row_priority(network, &mffc, node, all[m], strategy);
       if (strategy == DecisionStrategy::kDontCareScoap)
-        priority += weights.gamma * scoap_row_bonus(network, scoap, node, all[m]);
+        priority += kGamma * scoap_row_bonus(network, scoap, node, all[m]);
       total += 1e-6 + priority;
       cdf.push_back(total);
     }
@@ -164,6 +166,33 @@ std::vector<sim::PatternWord> simulate_random_vectors(const net::Network& networ
   std::vector<sim::PatternWord> truth(network.num_nodes());
   network.for_each_node([&](net::NodeId id) { truth[id] = simulator.value(id); });
   return truth;
+}
+
+/// Bits of values_under_fill: the node was 0, or 1, on some pattern.
+constexpr std::uint8_t kSeenZero = 1;
+constexpr std::uint8_t kSeenOne = 2;
+
+/// Per node, which values it takes over 8 words of patterns in which each
+/// PI \p vector assigns has that value and each PI it leaves free takes
+/// random bits.
+std::vector<std::uint8_t> values_under_fill(const net::Network& network,
+                                            sim::Simulator& simulator,
+                                            const VectorResult& vector, util::Rng& rng) {
+  std::vector<std::uint8_t> seen(network.num_nodes(), 0);
+  std::vector<sim::PatternWord> words(network.num_pis());
+  for (int fill = 0; fill < 8; ++fill) {
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      const TVal value = vector.pi_values[i];
+      words[i] = value == TVal::kUnknown ? rng() : value == TVal::kOne ? ~sim::PatternWord{0} : 0;
+    }
+    simulator.simulate_word(words);
+    network.for_each_node([&](net::NodeId id) {
+      const sim::PatternWord word = simulator.value(id);
+      if (word != 0) seen[id] |= kSeenOne;
+      if (word != ~sim::PatternWord{0}) seen[id] |= kSeenZero;
+    });
+  }
+  return seen;
 }
 
 class ImplicationProp : public ::testing::TestWithParam<std::uint64_t> {
@@ -293,11 +322,10 @@ TEST_P(ImplicationProp, DecisionsMatchTheReference) {
         util::Rng reference_rng(draw_seed);
         NodeValues compiled = start;
         NodeValues reference = start;
-        const DecisionOutcome got = engine.decide(compiled, node, strategy,
-                                                  DecisionWeights{}, &mffc, compiled_rng);
-        const DecisionOutcome want =
-            reference_decide(network, rows, reference, node, strategy,
-                             DecisionWeights{}, mffc, scoap, reference_rng);
+        const DecisionOutcome got =
+            engine.decide(compiled, node, strategy, &mffc, compiled_rng);
+        const DecisionOutcome want = reference_decide(network, rows, reference, node,
+                                                      strategy, mffc, scoap, reference_rng);
         ASSERT_EQ(got.made, want.made) << "network " << index << " node " << node;
         ASSERT_EQ(got.row_index, want.row_index) << "network " << index << " node " << node;
         ASSERT_EQ(got.assignments, want.assignments) << "network " << index;
@@ -310,6 +338,57 @@ TEST_P(ImplicationProp, DecisionsMatchTheReference) {
   });
   EXPECT_GT(made, 0u);
   EXPECT_GT(not_made, 0u);
+}
+
+TEST_P(ImplicationProp, ReportedTargetHitsHoldUnderRandomFill) {
+  // A target generate() reports satisfied must take its gold whatever the
+  // PIs the vector leaves free are filled with: for one target at a time
+  // (every LUT, both golds), and for alternating-gold target sets of
+  // random LUTs, where at least as many targets of each gold must hold as
+  // were reported.
+  constexpr Strategy kSimGenArms[] = {Strategy::kSiRd, Strategy::kAiRd, Strategy::kAiDc,
+                                      Strategy::kAiDcMffc, Strategy::kAiDcScoap};
+  std::size_t single_hits = 0;
+  std::size_t set_hits = 0;
+  for_each_network([&](std::uint64_t index, const net::Network& network, const RowDatabase&) {
+    std::vector<net::NodeId> luts;
+    network.for_each_lut([&](net::NodeId id) { luts.push_back(id); });
+    sim::Simulator simulator(network);
+    util::Rng rng(index * 31 + 7);
+    for (const Strategy arm : kSimGenArms) {
+      PatternGenerator generator(network, generator_options_for(arm), index);
+      for (const net::NodeId node : luts) {
+        for (const bool gold : {false, true}) {
+          const Target target{node, gold};
+          const VectorResult vector = generator.generate({&target, 1});
+          if (vector.satisfied_zero + vector.satisfied_one == 0) continue;
+          ++single_hits;
+          const auto seen = values_under_fill(network, simulator, vector, rng);
+          ASSERT_EQ(seen[node], gold ? kSeenOne : kSeenZero)
+              << "network " << index << ", " << strategy_name(arm) << ": target node "
+              << node << " = " << gold << " reported satisfied but misses";
+        }
+      }
+      for (int set = 0; set < 8; ++set) {
+        std::vector<net::NodeId> members;
+        for (const net::NodeId node : luts)
+          if (rng.chance(0.3)) members.push_back(node);
+        const std::vector<Target> targets = make_outgold(members, rng.flip());
+        const VectorResult vector = generator.generate(targets);
+        const auto seen = values_under_fill(network, simulator, vector, rng);
+        std::size_t held[2] = {0, 0};
+        for (const Target& target : targets)
+          if (seen[target.node] == (target.gold ? kSeenOne : kSeenZero)) ++held[target.gold];
+        ASSERT_GE(held[0], vector.satisfied_zero)
+            << "network " << index << ", " << strategy_name(arm) << ", set " << set;
+        ASSERT_GE(held[1], vector.satisfied_one)
+            << "network " << index << ", " << strategy_name(arm) << ", set " << set;
+        set_hits += vector.satisfied_zero + vector.satisfied_one;
+      }
+    }
+  });
+  EXPECT_GT(single_hits, 0u);
+  EXPECT_GT(set_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ImplicationProp, ::testing::Range<std::uint64_t>(0, kShards));

@@ -120,9 +120,9 @@ TEST(Integration, HybridRandomThenSimGenMatchesFigure7Dynamic) {
 
   sim::Simulator simulator(network);
   sim::EquivClasses classes = sim::EquivClasses::over_luts(network);
+  // The cost is flat from round 3 on; 6 rounds leave it stuck at 58.
   sim::RandomSimOptions random_options;
-  random_options.max_rounds = 40;
-  random_options.stagnation_rounds = 3;
+  random_options.max_rounds = 6;
   sim::run_random_simulation(simulator, classes, random_options);
   const std::uint64_t stuck = classes.cost();
 

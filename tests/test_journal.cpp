@@ -811,8 +811,7 @@ TEST(JournalWatchdog, SigintFlushLeavesValidFiles) {
     alarm(30);
     if (!obs::Journal::instance().open(journal_path)) _exit(10);
     obs::set_exit_outputs(metrics_path);
-    obs::WatchdogOptions watchdog;
-    if (!obs::start_watchdog(watchdog)) _exit(11);
+    if (!obs::start_watchdog(0.0)) _exit(11);
     obs::sweep_progress().begin(1000, 100);
     obs::counter("watchdog_test.child_events").inc(5000);
     for (int i = 0; i < 5000; ++i)

@@ -15,16 +15,18 @@ namespace simgen::mapping {
 namespace {
 
 TEST(Cuts, MergeRespectsSizeBound) {
-  Cut a, b, out;
+  Cut a, b, c, out;
   a.leaves = {1, 3, 5};
   a.size = 3;
   b.leaves = {2, 3, 7, 9};
   b.size = 4;
-  ASSERT_TRUE(merge_cuts(a, b, 6, out));
-  EXPECT_EQ(out.size, 6u);  // union {1,2,3,5,7,9}
+  ASSERT_TRUE(merge_cuts(a, b, out));
+  EXPECT_EQ(out.size, kLutSize);  // union {1,2,3,5,7,9}
   EXPECT_EQ(out.leaves[0], 1u);
   EXPECT_EQ(out.leaves[5], 9u);
-  EXPECT_FALSE(merge_cuts(a, b, 5, out));
+  c.leaves = {2, 4, 7, 9};
+  c.size = 4;
+  EXPECT_FALSE(merge_cuts(a, c, out));  // union of 7 leaves
 }
 
 TEST(Cuts, SubsetDomination) {
@@ -58,20 +60,13 @@ TEST(Cuts, ExpandCutFunctionRemapsVariables) {
                           tt::TruthTable::projection(3, 2));
 }
 
-TEST(Cuts, EnumerationOptionsValidated) {
-  aig::Aig graph;
-  graph.add_pi();
-  EXPECT_THROW(CutSet(graph, CutEnumerationOptions{9, 8}), std::invalid_argument);
-  EXPECT_THROW(CutSet(graph, CutEnumerationOptions{1, 8}), std::invalid_argument);
-}
-
 TEST(Cuts, TrivialCutAlwaysPresent) {
   aig::Aig graph;
   const aig::Lit a = graph.add_pi();
   const aig::Lit b = graph.add_pi();
   const aig::Lit g = graph.and2(a, b);
   graph.add_po(g);
-  const CutSet cuts(graph, CutEnumerationOptions{6, 4});
+  const CutSet cuts(graph);
   const auto& list = cuts.cuts_of(aig::lit_node(g));
   bool has_trivial = false;
   for (const Cut& cut : list)
@@ -88,10 +83,9 @@ TEST(Mapper, TinyCircuitExact) {
   const aig::Lit c = graph.add_pi();
   graph.add_po(graph.xor2(graph.and2(a, b), c));
 
-  MapperStats stats;
-  const net::Network network = map_to_luts(graph, MapperOptions{}, &stats);
-  EXPECT_EQ(stats.num_luts, 1u);
-  EXPECT_EQ(stats.depth, 1u);
+  const net::Network network = map_to_luts(graph);
+  EXPECT_EQ(network.num_luts(), 1u);
+  EXPECT_EQ(network.depth(), 1u);
   network.check_invariants();
 }
 
@@ -99,31 +93,10 @@ TEST(Mapper, RespectsLutSizeBound) {
   benchgen::CircuitSpec spec;
   spec.name = "mapper_bound";
   spec.num_gates = 600;
-  const aig::Aig graph = benchgen::generate_circuit(spec);
-  for (unsigned k : {3u, 4u, 6u}) {
-    MapperOptions options;
-    options.lut_size = k;
-    const net::Network network = map_to_luts(graph, options);
-    network.for_each_lut([&](net::NodeId id) {
-      EXPECT_LE(network.fanins(id).size(), k);
-    });
-  }
-}
-
-TEST(Mapper, SmallerKMoreLuts) {
-  benchgen::CircuitSpec spec;
-  spec.name = "mapper_k_compare";
-  spec.num_gates = 500;
-  const aig::Aig graph = benchgen::generate_circuit(spec);
-  MapperOptions k3;
-  k3.lut_size = 3;
-  MapperOptions k6;
-  k6.lut_size = 6;
-  MapperStats s3, s6;
-  (void)map_to_luts(graph, k3, &s3);
-  (void)map_to_luts(graph, k6, &s6);
-  EXPECT_GT(s3.num_luts, s6.num_luts);
-  EXPECT_GE(s3.depth, s6.depth);
+  const net::Network network = map_to_luts(benchgen::generate_circuit(spec));
+  network.for_each_lut([&](net::NodeId id) {
+    EXPECT_LE(network.fanins(id).size(), kLutSize);
+  });
 }
 
 TEST(Mapper, ComplementedAndConstantPos) {
@@ -212,70 +185,8 @@ TEST(Mapper, ReassociatedExpressionsShareOneLut) {
   EXPECT_NE(left, right);  // strash alone cannot merge them
   graph.add_po(left);
   graph.add_po(right);
-  MapperStats stats;
-  (void)map_to_luts(graph, MapperOptions{}, &stats);
-  EXPECT_EQ(stats.num_luts, 1u);
+  EXPECT_EQ(map_to_luts(graph).num_luts(), 1u);
 }
-
-}  // namespace
-}  // namespace simgen::mapping
-
-namespace simgen::mapping {
-namespace {
-
-TEST(Mapper, AreaModeSavesLutsDepthModeSavesDepth) {
-  // On a batch of generated circuits the two objectives must realize
-  // their namesakes on average: area mode no more LUTs, depth mode no
-  // more depth.
-  std::size_t area_luts = 0, depth_luts = 0;
-  unsigned area_depth = 0, depth_depth = 0;
-  for (unsigned seed = 0; seed < 4; ++seed) {
-    benchgen::CircuitSpec spec;
-    spec.name = "mapper_objective_" + std::to_string(seed);
-    spec.num_gates = 500;
-    const aig::Aig graph = benchgen::generate_circuit(spec);
-    MapperOptions depth_options;
-    MapperOptions area_options;
-    area_options.objective = MapObjective::kArea;
-    MapperStats ds, as;
-    (void)map_to_luts(graph, depth_options, &ds);
-    (void)map_to_luts(graph, area_options, &as);
-    depth_luts += ds.num_luts;
-    area_luts += as.num_luts;
-    depth_depth += ds.depth;
-    area_depth += as.depth;
-  }
-  EXPECT_LE(area_luts, depth_luts);
-  EXPECT_LE(depth_depth, area_depth);
-}
-
-class AreaMapperEquivalence : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(AreaMapperEquivalence, AreaMappedNetworkMatchesAig) {
-  benchgen::CircuitSpec spec;
-  spec.name = "area_equiv_" + std::to_string(GetParam());
-  spec.num_gates = 400;
-  spec.style = static_cast<benchgen::CircuitStyle>(GetParam() % 3);
-  const aig::Aig graph = benchgen::generate_circuit(spec);
-  MapperOptions options;
-  options.objective = MapObjective::kArea;
-  const net::Network network = map_to_luts(graph, options);
-  network.check_invariants();
-
-  sim::Simulator sim(network);
-  util::Rng rng(500 + GetParam());
-  for (int round = 0; round < 12; ++round) {
-    std::vector<std::uint64_t> words(graph.num_pis());
-    for (auto& w : words) w = rng();
-    const auto aig_out = graph.simulate_words(words);
-    sim.simulate_word(words);
-    for (std::size_t i = 0; i < network.num_pos(); ++i)
-      ASSERT_EQ(sim.value(network.pos()[i]), aig_out[i]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, AreaMapperEquivalence,
-                         ::testing::Values(0u, 1u, 2u, 3u));
 
 }  // namespace
 }  // namespace simgen::mapping

@@ -1,5 +1,5 @@
 // CDCL solver tests: propagation, conflicts, assumptions, incrementality,
-// the memoized assumption prefix, known-hard UNSAT families, a brute-force
+// clauses added between solves, known-hard UNSAT families, a brute-force
 // cross-check property, and a DRAT-certified random-CNF property.
 #include "sat/solver.hpp"
 
@@ -249,30 +249,10 @@ TEST(Solver, StatsAreCounted) {
   EXPECT_GT(solver.stats().propagations.value() + solver.stats().decisions.value(), 0u);
 }
 
-TEST(Solver, MemoizedAssumptionPrefixSkipsRepropagation) {
-  // Regression: a repeated solve under identical assumptions must not
-  // redo the assumption-prefix propagation. The chain makes the single
-  // assumption force every variable, so a memoized second call has
-  // literally nothing to propagate or decide.
-  Solver solver;
-  std::vector<Var> vars;
-  for (int i = 0; i < 200; ++i) vars.push_back(solver.new_var());
-  for (int i = 0; i + 1 < 200; ++i)
-    solver.add_clause({neg(vars[i]), pos(vars[i + 1])});
-  ASSERT_EQ(solver.solve({pos(vars[0])}), Result::kSat);
-  const std::uint64_t propagations = solver.stats().propagations.value();
-  const std::uint64_t decisions = solver.stats().decisions.value();
-  ASSERT_EQ(solver.solve({pos(vars[0])}), Result::kSat);
-  EXPECT_EQ(solver.stats().propagations.value(), propagations)
-      << "identical repeated solve repropagated the assumption prefix";
-  EXPECT_EQ(solver.stats().decisions.value(), decisions);
-  ASSERT_EQ(solver.solve({pos(vars[0])}), Result::kSat);
-  EXPECT_EQ(solver.stats().propagations.value(), propagations);
-}
-
-TEST(Solver, MemoizedPrefixInvalidatedByNewClause) {
-  // The memo must not survive database changes: adding a clause that
-  // flips the verdict under the same assumptions has to take effect.
+TEST(Solver, ClauseAddedBetweenSolvesFlipsTheVerdict) {
+  // The assumption levels a solve leaves on the trail must not outlive a
+  // database change: a clause that flips the verdict under the same
+  // assumptions has to take effect.
   Solver solver;
   const Var x = solver.new_var();
   const Var y = solver.new_var();
