@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +43,9 @@ unsigned& num_threads_storage() {
   static unsigned threads = 1;
   return threads;
 }
+
+/// Set by any cell whose BENCH record could not be written.
+std::atomic<bool> bench_json_failed{false};
 
 }  // namespace
 
@@ -116,7 +120,7 @@ bool write_flow_metrics_json(const FlowMetrics& metrics) {
 }
 
 TelemetryCli::TelemetryCli(int& argc, char** argv)
-    : cli_(argc, argv, /*usage_status=*/2) {
+    : cli_(std::in_place, argc, argv, kUsageStatus) {
   // The generic flags are already stripped; pick off --bench-json-dir and
   // --threads, reject any other option, and forward the heartbeat
   // interval into the flow runner.
@@ -154,7 +158,13 @@ TelemetryCli::TelemetryCli(int& argc, char** argv)
     argv[out++] = argv[i];
   }
   argc = out;
-  set_progress_interval(cli_.progress_interval());
+  set_progress_interval(cli_->progress_interval());
+}
+
+TelemetryCli::~TelemetryCli() {
+  // The journal and metrics file are reported (or fail the run) first.
+  cli_.reset();
+  if (bench_json_failed.load()) std::exit(kUsageStatus);
 }
 
 FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strategy,
@@ -215,9 +225,11 @@ FlowMetrics run_strategy_flow(const net::Network& network, core::Strategy strate
   // in both builds.
   metrics.peak_rss_mb =
       static_cast<double>(obs::sample_resources().peak_rss_kb) / 1024.0;
-  if (!write_flow_metrics_json(metrics))
-    std::fprintf(stderr, "warning: cannot write BENCH json for %s\n",
+  if (!write_flow_metrics_json(metrics)) {
+    std::fprintf(stderr, "error: cannot write BENCH json for %s\n",
                  metrics.benchmark.c_str());
+    bench_json_failed = true;
+  }
   return metrics;
 }
 

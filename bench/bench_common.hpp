@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -144,6 +145,9 @@ void set_bench_json_dir(std::string dir);
 
 /// Writes \p metrics as BENCH_<benchmark>__<strategy>.json under
 /// bench_json_dir(); no-op (returning true) when the dir is unset.
+/// run_strategy_flow reports a record it could not write as "error:
+/// cannot write BENCH json for <benchmark>", and TelemetryCli's
+/// teardown then exits 2.
 bool write_flow_metrics_json(const FlowMetrics& metrics);
 
 /// Shared telemetry command-line handling for the bench drivers: the
@@ -170,11 +174,15 @@ bool write_flow_metrics_json(const FlowMetrics& metrics);
 class TelemetryCli {
  public:
   TelemetryCli(int& argc, char** argv);
+  /// Reports the generic outputs, then exits 2 if a BENCH record could
+  /// not be written, as a failed journal or metrics write does.
+  ~TelemetryCli();
   TelemetryCli(const TelemetryCli&) = delete;
   TelemetryCli& operator=(const TelemetryCli&) = delete;
 
  private:
-  obs::TelemetryCli cli_;
+  static constexpr int kUsageStatus = 2;
+  std::optional<obs::TelemetryCli> cli_;  ///< Reset first by the destructor.
 };
 
 }  // namespace simgen::bench

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace simgen::io {
@@ -86,6 +87,67 @@ void read_symbols(std::istream& in, SetInputName&& set_input,
   }
 }
 
+/// Reads the AND section of an ASCII file and calls \p define(lhs, rhs0,
+/// rhs1) for each AND after the ANDs its fanins name. ASCII AIGER, unlike
+/// the binary format, does not promise that order, so every line is read
+/// and checked first. Rejected: an lhs that is odd, above 2M, or names an
+/// input or a constant; a variable defined twice; a literal above 2M + 1;
+/// and a cycle. Header M = I + A, so once no variable is defined twice,
+/// every AND variable is defined.
+template <typename Define>
+void read_ascii_ands(std::istream& in, const Header& header, Define&& define) {
+  struct And {
+    std::uint64_t lhs = 0, rhs0 = 0, rhs1 = 0;
+  };
+  std::vector<And> ands;
+  constexpr std::uint32_t kUndefined = ~std::uint32_t{0};
+  std::vector<std::uint32_t> and_of_var(header.max_var + 1, kUndefined);
+  for (std::uint64_t k = 0; k < header.ands; ++k) {
+    And a;
+    if (!(in >> a.lhs >> a.rhs0 >> a.rhs1)) fail("truncated and section");
+    if (a.lhs & 1) fail("and lhs must be even");
+    const std::uint64_t var = a.lhs / 2;
+    if (var <= header.inputs || var > header.max_var)
+      fail("and lhs " + std::to_string(a.lhs) + " does not name an AND variable");
+    if (and_of_var[var] != kUndefined)
+      fail("variable " + std::to_string(var) + " is defined twice");
+    if (a.rhs0 / 2 > header.max_var || a.rhs1 / 2 > header.max_var)
+      fail("literal out of range");
+    and_of_var[var] = static_cast<std::uint32_t>(k);
+    ands.push_back(a);
+  }
+  // Depth first from each AND in file order, so a file already in order
+  // is built in its own order. An AND is on the walk (kOnPath) from its
+  // first visit until it is defined; meeting it again there is a cycle.
+  enum : std::uint8_t { kNew, kOnPath, kDefined };
+  std::vector<std::uint8_t> state(ands.size(), kNew);
+  std::vector<std::uint32_t> path;
+  for (std::uint32_t root = 0; root < ands.size(); ++root) {
+    if (state[root] != kNew) continue;
+    path.push_back(root);
+    state[root] = kOnPath;
+    while (!path.empty()) {
+      const And& a = ands[path.back()];
+      bool descended = false;
+      for (const std::uint64_t rhs : {a.rhs0, a.rhs1}) {
+        if (rhs / 2 <= header.inputs) continue;  // a constant or an input
+        const std::uint32_t fanin = and_of_var[rhs / 2];
+        if (state[fanin] == kOnPath)
+          fail("cycle through AND variable " + std::to_string(rhs / 2));
+        if (state[fanin] == kDefined) continue;
+        path.push_back(fanin);
+        state[fanin] = kOnPath;
+        descended = true;
+        break;
+      }
+      if (descended) continue;
+      define(a.lhs, a.rhs0, a.rhs1);
+      state[path.back()] = kDefined;
+      path.pop_back();
+    }
+  }
+}
+
 }  // namespace
 
 aig::Aig read_aiger(std::istream& in) {
@@ -130,13 +192,9 @@ aig::Aig read_aiger(std::istream& in) {
       lit_map[lhs] = graph.and2(map_lit(rhs0), map_lit(rhs1));
     }
   } else {
-    for (std::uint64_t k = 0; k < header.ands; ++k) {
-      std::uint64_t lhs = 0, rhs0 = 0, rhs1 = 0;
-      if (!(in >> lhs >> rhs0 >> rhs1)) fail("truncated and section");
-      if (lhs & 1) fail("and lhs must be even");
-      if (rhs0 >= lhs || rhs1 >= lhs) fail("and rhs must precede lhs");
+    read_ascii_ands(in, header, [&](std::uint64_t lhs, std::uint64_t rhs0, std::uint64_t rhs1) {
       lit_map[lhs] = graph.and2(map_lit(rhs0), map_lit(rhs1));
-    }
+    });
     std::string newline;
     std::getline(in, newline);
   }

@@ -53,13 +53,13 @@ void signal_handler(int sig) SIMGEN_EXCLUDES(ExitState::get().mutex) {
 
 void dump_progress(const char* why) {
   SweepProgress& progress = sweep_progress();
+  const std::uint64_t running = progress.active.load(std::memory_order_acquire);
   std::fprintf(stderr,
-               "[simgen watchdog] %s: sweep %s — classes live %llu, nodes "
-               "live %llu / resolved %llu, proved %llu, disproved %llu, "
-               "unresolved %llu, SAT calls %llu, journal events %llu\n",
-               why,
-               progress.active.load(std::memory_order_acquire) ? "RUNNING"
-                                                               : "idle",
+               "[simgen watchdog] %s: sweep %s (%llu running) — classes live "
+               "%llu, nodes live %llu / resolved %llu, proved %llu, disproved "
+               "%llu, unresolved %llu, SAT calls %llu, journal events %llu\n",
+               why, running > 0 ? "RUNNING" : "idle",
+               static_cast<unsigned long long>(running),
                static_cast<unsigned long long>(
                    progress.classes_live.load(std::memory_order_relaxed)),
                static_cast<unsigned long long>(

@@ -9,9 +9,9 @@
 ///    called by the CLI teardown paths and by the watchdog) writes it
 ///    exactly once and closes the journal, so an interrupted run still
 ///    leaves a valid journal and metrics file on disk.
-///  * SweepProgress: a struct of atomics the sweep loop updates in place;
-///    the heartbeat printer and the watchdog's state dump read it from
-///    another thread without synchronization beyond the atomics.
+///  * SweepProgress: a struct of atomics to which each running sweep loop
+///    adds the change of its counts; the watchdog's state dump reads the
+///    sums from another thread without synchronization beyond the atomics.
 ///  * Watchdog: a background thread that polls a signal flag set by
 ///    async-signal-safe SIGINT/SIGTERM handlers and an optional deadline.
 ///    On either trigger it journals a kWatchdog event, dumps the current
@@ -31,30 +31,54 @@
 
 namespace simgen::obs {
 
-/// Live progress of the current sweep, shared between the sweep loop
-/// (single writer) and the heartbeat/watchdog readers.
+/// One sweep's share of SweepProgress: its own counts, as it last added
+/// them.
+struct SweepCounts {
+  std::uint64_t live_nodes = 0;      ///< Nodes still in classes.
+  std::uint64_t resolved_nodes = 0;  ///< Proved + disproved + given up.
+  std::uint64_t classes_live = 0;
+  std::uint64_t proved = 0;
+  std::uint64_t disproved = 0;
+  std::uint64_t unresolved = 0;
+  std::uint64_t sat_calls = 0;
+};
+
+/// Live progress of the running sweeps, written by the sweep loops (one
+/// per bench cell under --threads N) and read by the watchdog's state dump
+/// from another thread. Each count is the sum over the running sweeps:
+/// every sweep adds the change of its own counts, never overwrites them.
 struct SweepProgress {
-  std::atomic<bool> active{false};         ///< A sweep loop is running.
-  std::atomic<std::uint64_t> live_nodes{0};      ///< Nodes still in classes.
-  std::atomic<std::uint64_t> resolved_nodes{0};  ///< Proved + disproved + given up.
+  std::atomic<std::uint64_t> active{0};  ///< Sweep loops running now.
+  std::atomic<std::uint64_t> live_nodes{0};
+  std::atomic<std::uint64_t> resolved_nodes{0};
   std::atomic<std::uint64_t> classes_live{0};
   std::atomic<std::uint64_t> proved{0};
   std::atomic<std::uint64_t> disproved{0};
   std::atomic<std::uint64_t> unresolved{0};
   std::atomic<std::uint64_t> sat_calls{0};
 
-  /// Resets counts at sweep entry (single writer, relaxed is enough).
-  void begin(std::uint64_t initial_live_nodes, std::uint64_t initial_classes) noexcept {
-    live_nodes.store(initial_live_nodes, std::memory_order_relaxed);
-    classes_live.store(initial_classes, std::memory_order_relaxed);
-    resolved_nodes.store(0, std::memory_order_relaxed);
-    proved.store(0, std::memory_order_relaxed);
-    disproved.store(0, std::memory_order_relaxed);
-    unresolved.store(0, std::memory_order_relaxed);
-    sat_calls.store(0, std::memory_order_relaxed);
-    active.store(true, std::memory_order_release);
+  /// Counts a sweep as running and adds its first counts.
+  void begin(const SweepCounts& first) noexcept {
+    update(SweepCounts{}, first);
+    active.fetch_add(1, std::memory_order_release);
   }
-  void end() noexcept { active.store(false, std::memory_order_release); }
+  /// Replaces a running sweep's share \p was with \p now. Unsigned
+  /// wrap-around makes a falling count add its (negative) change.
+  void update(const SweepCounts& was, const SweepCounts& now) noexcept {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    live_nodes.fetch_add(now.live_nodes - was.live_nodes, kRelaxed);
+    resolved_nodes.fetch_add(now.resolved_nodes - was.resolved_nodes, kRelaxed);
+    classes_live.fetch_add(now.classes_live - was.classes_live, kRelaxed);
+    proved.fetch_add(now.proved - was.proved, kRelaxed);
+    disproved.fetch_add(now.disproved - was.disproved, kRelaxed);
+    unresolved.fetch_add(now.unresolved - was.unresolved, kRelaxed);
+    sat_calls.fetch_add(now.sat_calls - was.sat_calls, kRelaxed);
+  }
+  /// Takes a sweep's share \p last out and counts the sweep as ended.
+  void end(const SweepCounts& last) noexcept {
+    update(last, SweepCounts{});
+    active.fetch_sub(1, std::memory_order_release);
+  }
 };
 
 [[nodiscard]] SweepProgress& sweep_progress() noexcept;

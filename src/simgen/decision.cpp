@@ -96,7 +96,7 @@ DecisionOutcome DecisionEngine::decide(NodeValues& values, net::NodeId node,
     values.assign(node, tval_of(row.output));
     ++outcome.assignments;
   }
-  const auto fanins = network_.fanins(node);
+  const auto fanins = rows_.fanins(node);
   for (unsigned v = 0; v < fanins.size(); ++v) {
     if (!row.cube.has_literal(v)) continue;
     if (!values.is_assigned(fanins[v])) {

@@ -36,7 +36,7 @@ void PatternGenerator::mark_cone(net::NodeId root) {
   while (!cone_stack_.empty()) {
     const net::NodeId node = cone_stack_.back();
     cone_stack_.pop_back();
-    for (net::NodeId fanin : network_.fanins(node)) {
+    for (const net::NodeId fanin : rows_.fanins(node)) {
       if (in_cone_stamp_[fanin] == stamp_) continue;
       in_cone_stamp_[fanin] = stamp_;
       cone_stack_.push_back(fanin);
@@ -114,7 +114,7 @@ bool PatternGenerator::process_target(const Target& target) {
     // pushed once.
     for (std::size_t i = seed_start; i < trail.size(); ++i) {
       const net::NodeId node = trail[i];
-      if (in_cone_stamp_[node] == stamp_ && network_.is_lut(node))
+      if (in_cone_stamp_[node] == stamp_ && rows_.is_lut(node))
         candidates_.push_back(node);
     }
     seed_start = trail.size();
@@ -130,7 +130,7 @@ bool PatternGenerator::process_target(const Target& target) {
       const net::NodeId node = candidates_.back();
       candidates_.pop_back();  // visited either way
       bool has_open_fanin = false;
-      for (net::NodeId fanin : network_.fanins(node)) {
+      for (const net::NodeId fanin : rows_.fanins(node)) {
         if (!values_.is_assigned(fanin)) {
           has_open_fanin = true;
           break;

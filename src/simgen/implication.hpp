@@ -18,6 +18,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "network/network.hpp"
 #include "simgen/rows.hpp"
@@ -42,14 +45,11 @@ struct ImplicationOutcome {
 /// Implication engine with persistent scratch buffers. Algorithm 1 calls
 /// implication once per decision, thousands of times per vector batch;
 /// reusing the worklist storage keeps that loop allocation-free. Each
-/// examined node's matching rows come from the RowDatabase masks.
+/// examination reads the RowDatabase's flat view: the fanins' values, the
+/// matching rows from the row masks, and the LUT fanouts to schedule.
 class ImplicationEngine {
  public:
-  ImplicationEngine(const net::Network& network, const RowDatabase& rows)
-      : network_(network),
-        rows_(rows),
-        queued_(network.num_nodes(), false),
-        match_(rows.max_mask_words()) {}
+  ImplicationEngine(const net::Network& network, const RowDatabase& rows);
 
   /// Runs implications to fixpoint starting from \p seeds (nodes whose
   /// value or surroundings just changed). Propagation spreads to fanins
@@ -60,11 +60,15 @@ class ImplicationEngine {
                          ImplicationStrategy strategy);
 
  private:
-  const net::Network& network_;
   const RowDatabase& rows_;
-  std::vector<bool> queued_;
-  std::vector<net::NodeId> queue_;
-  std::vector<std::uint64_t> match_;  ///< Matching-row mask of the examined node.
+  /// The worklist: a FIFO ring of bit_ceil(num_nodes + 1) entries, so it
+  /// holds every node at once and still has a free slot at the tail.
+  std::vector<net::NodeId> ring_;
+  /// True while a LUT is in the ring, and always for a node that is not a
+  /// LUT, so a push never queues one. (bool, unlike a byte type, lets the
+  /// compiler keep the ring's indices in registers across the stores.)
+  std::unique_ptr<bool[]> queued_;
+  std::vector<std::uint64_t> match_;  ///< Multi-word matching rows of the examined node.
 };
 
 /// One-shot convenience wrappers (tests, small callers).

@@ -1,17 +1,30 @@
 #include "simgen/rows.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace simgen::core {
 
 RowDatabase::RowDatabase(const net::Network& network)
-    : network_(network), row_begin_(network.num_nodes() + 1, 0),
-      mask_begin_(network.num_nodes(), 0) {
+    : begin_(network.num_nodes() + 1) {
+  // Offsets are 32-bit to keep a node's begin entry in 16 bytes.
+  const auto offset = [](std::size_t size) {
+    if (size > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("RowDatabase: network too large for 32-bit offsets");
+    return static_cast<std::uint32_t>(size);
+  };
   for (net::NodeId node{0}; node < network.num_nodes(); ++node) {
-    row_begin_[node] = rows_.size();
-    mask_begin_[node] = masks_.size();
-    if (!network.is_lut(node)) continue;
+    Begin& begin = begin_[node];
+    begin.fanin = offset(fanins_.size());
+    begin.fanout = offset(lut_fanouts_.size());
+    begin.row = offset(rows_.size());
+    begin.mask = offset(masks_.size());
     const auto fanins = network.fanins(node);
+    fanins_.insert(fanins_.end(), fanins.begin(), fanins.end());
+    for (const net::NodeId fanout : network.fanouts(node))
+      if (network.is_lut(fanout)) lut_fanouts_.push_back(fanout);
+    if (!network.is_lut(node)) continue;
     const std::size_t num_fanins = fanins.size();
     // A cube whose literals disagree on two slots that read the same node
     // (x2 & !x5 where fanins 2 and 5 are one node) holds under no
@@ -34,17 +47,18 @@ RowDatabase::RowDatabase(const net::Network& network)
     for (const tt::Cube& cube : row_set.off.cubes)
       if (satisfiable(cube)) rows_.push_back(Row{cube, false});
 
-    const std::size_t num_rows = rows_.size() - row_begin_[node];
+    const std::size_t num_rows = rows_.size() - begin.row;
+    SIMGEN_DCHECK(num_rows > 0, "a LUT without rows would not read as a LUT");
     const std::size_t words = (num_rows + 63) / 64;
     max_mask_words_ = std::max(max_mask_words_, words);
     masks_.resize(masks_.size() + 2 * (num_fanins + 1) * words, 0);
-    std::uint64_t* masks = masks_.data() + mask_begin_[node];
+    std::uint64_t* masks = masks_.data() + begin.mask;
     const auto set_bit = [&](std::size_t slot, bool value, std::size_t row) {
       masks[(2 * slot + (value ? 1 : 0)) * words + row / 64] |= std::uint64_t{1}
                                                                 << (row % 64);
     };
     for (std::size_t r = 0; r < num_rows; ++r) {
-      const Row& row = rows_[row_begin_[node] + r];
+      const Row& row = rows_[begin.row + r];
       // The output value opposite to the row's plane contradicts it, and
       // so does the value opposite to each literal on that fanin slot.
       set_bit(num_fanins, !row.output, r);
@@ -52,7 +66,8 @@ RowDatabase::RowDatabase(const net::Network& network)
         if (row.cube.has_literal(v)) set_bit(v, !row.cube.literal_value(v), r);
     }
   }
-  row_begin_[network.num_nodes()] = rows_.size();
+  begin_[network.num_nodes()] = Begin{offset(fanins_.size()), offset(lut_fanouts_.size()),
+                                      offset(rows_.size()), offset(masks_.size())};
 }
 
 bool row_matches(const net::Network& network, const NodeValues& values,

@@ -268,11 +268,14 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
   obs::PhaseScope phase(obs::PhaseId::kSweep);
   const SweepResult before = totals_;
 
-  // Live progress, readable by the heartbeat below and by the watchdog
-  // thread's state dump.
+  // This sweep's share of the live progress the watchdog thread's state
+  // dump reads: sums over every sweep running in the process.
   obs::SweepProgress& progress = obs::sweep_progress();
   const std::uint64_t initial_live = classes.num_live_nodes();
-  progress.begin(initial_live, classes.num_classes());
+  obs::SweepCounts shown;
+  shown.live_nodes = initial_live;
+  shown.classes_live = classes.num_classes();
+  progress.begin(shown);
   util::Stopwatch watch;
   watch.start();
   double next_heartbeat = options_.progress_interval;
@@ -316,17 +319,16 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
 
     const std::uint64_t live = classes.num_live_nodes();
     const std::uint64_t resolved = initial_live - live;
-    progress.live_nodes.store(live, std::memory_order_relaxed);
-    progress.classes_live.store(classes.num_classes(), std::memory_order_relaxed);
-    progress.resolved_nodes.store(resolved, std::memory_order_relaxed);
-    progress.proved.store(totals_.proven_equivalent - before.proven_equivalent,
-                          std::memory_order_relaxed);
-    progress.disproved.store(totals_.disproven - before.disproven,
-                             std::memory_order_relaxed);
-    progress.unresolved.store(totals_.unresolved - before.unresolved,
-                              std::memory_order_relaxed);
-    progress.sat_calls.store(totals_.sat_calls - before.sat_calls,
-                             std::memory_order_relaxed);
+    const obs::SweepCounts now{
+        .live_nodes = live,
+        .resolved_nodes = resolved,
+        .classes_live = classes.num_classes(),
+        .proved = totals_.proven_equivalent - before.proven_equivalent,
+        .disproved = totals_.disproven - before.disproven,
+        .unresolved = totals_.unresolved - before.unresolved,
+        .sat_calls = totals_.sat_calls - before.sat_calls};
+    progress.update(shown, now);
+    shown = now;
 
     if (options_.progress_interval > 0.0 &&
         watch.seconds() >= next_heartbeat) {
@@ -369,7 +371,7 @@ SweepResult Sweeper::run(sim::EquivClasses& classes, sim::Simulator& simulator) 
     }
   }
 
-  progress.end();
+  progress.end(shown);
   phase.set_result(classes.cost(), classes.num_classes());
   return delta_since(before);
 }

@@ -1,7 +1,9 @@
-# Runs `EXE` and passes only if it exits 0 and its stdout holds every
-# line of LINES ('|'-separated) verbatim: results a driver prints that
-# EXPERIMENTS.md quotes, so a change that moves them fails here first.
-execute_process(COMMAND "${EXE}" RESULT_VARIABLE status OUTPUT_VARIABLE out
+# Runs `EXE ARGS...` (ARGS, optional, is one space-separated string) and
+# passes only if it exits 0 and its stdout holds every line of LINES
+# ('|'-separated) verbatim: results a program prints that EXPERIMENTS.md
+# or a repro quotes, so a change that moves them fails here first.
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${EXE}" ${args} RESULT_VARIABLE status OUTPUT_VARIABLE out
                 ERROR_QUIET TIMEOUT 120)
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "exit ${status}")

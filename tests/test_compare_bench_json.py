@@ -97,11 +97,23 @@ class CompareBenchJsonTest(unittest.TestCase):
         self.assertIn("MISMATCH", output)
         self.assertIn("sat_calls", output)
 
-    def test_tolerance_allows_small_count_drift(self):
+    def test_sat_work_counts_gate_exactly(self):
+        # One propagation more is a changed solver path, not noise.
+        for field in ("sat_conflicts", "sat_propagations", "sat_restarts"):
+            with self.subTest(field=field):
+                write_cell(self.baseline, **{field: 1000})
+                write_cell(self.candidate, **{field: 1001})
+                code, output = run_compare(self.baseline, self.candidate)
+                self.assertEqual(code, 1, output)
+                self.assertIn(f"{field} 1001 vs baseline 1000", output)
+
+    def test_there_is_no_count_tolerance(self):
+        # The gate is exact; a tolerance option is a usage error.
         write_cell(self.baseline)
         write_cell(self.candidate, sat_calls=121)
         code, output = run_compare(self.baseline, self.candidate, "--atol", "2")
-        self.assertEqual(code, 0, output)
+        self.assertEqual(code, 2, output)
+        self.assertIn("unrecognized arguments", output)
 
     def test_new_observability_fields_do_not_affect_the_gate(self):
         # Runs add wall_seconds / peak_rss_mb / num_threads fields; the

@@ -287,6 +287,8 @@ TEST_P(ImplicationProp, CompiledEngineMatchesTheReference) {
         ASSERT_EQ(got.conflict, want.conflict) << "network " << index;
         ASSERT_EQ(got.conflict_node, want.conflict_node) << "network " << index;
         ASSERT_EQ(got.assignments, want.assignments) << "network " << index;
+        // The same visit sequence, not only the same trail.
+        ASSERT_EQ(got.nodes_examined, want.nodes_examined) << "network " << index;
         conflicts += got.conflict ? 1 : 0;
       }
     }

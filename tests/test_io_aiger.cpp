@@ -96,12 +96,41 @@ TEST(Aiger, Errors) {
   // Truncated and section.
   EXPECT_THROW(read_aiger_string("aag 3 2 0 1 1\n2\n4\n6\n"),
                std::runtime_error);
-  // rhs after lhs.
-  EXPECT_THROW(read_aiger_string("aag 4 2 0 1 2\n2\n4\n6\n6 8 4\n8 2 4\n"),
+  // Two ANDs that read each other.
+  EXPECT_THROW(read_aiger_string("aag 4 2 0 1 2\n2\n4\n6\n6 8 4\n8 2 6\n"),
                std::runtime_error);
   // Odd lhs.
   EXPECT_THROW(read_aiger_string("aag 3 2 0 1 1\n2\n4\n7\n7 2 4\n"),
                std::runtime_error);
+}
+
+// ASCII AIGER does not promise topological order: an AND may precede the
+// ANDs it reads. The file must describe the same function as the ordered
+// one, not read the later fanin as constant 0.
+TEST(Aiger, AsciiDefinitionsInAnyOrder) {
+  const aig::Aig ordered = read_aiger_string("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\n");
+  expect_same_function(ordered,
+                       read_aiger_string("aag 4 2 0 1 2\n2\n4\n8\n8 6 2\n6 2 4\n"));
+  expect_same_function(
+      ordered, read_aiger_string("aag 5 2 0 1 3\n2\n4\n10\n10 8 6\n8 2 4\n6 4 2\n"));
+}
+
+// A malformed AND section is a reader error, never a crash or a function
+// with an undefined variable read as 0.
+TEST(Aiger, RejectsMalformedAndSection) {
+  const char* const bad[] = {
+      "aag 3 2 0 1 1\n2\n4\n6\n1099511627776 2 4\n",  // lhs far above 2M
+      "aag 3 2 0 1 1\n2\n4\n6\n8 2 4\n",              // lhs just above 2M
+      "aag 3 2 0 1 1\n2\n4\n6\n4 2 2\n",              // lhs names an input
+      "aag 3 2 0 1 1\n2\n4\n6\n0 2 4\n",              // lhs names the constant
+      "aag 4 2 0 1 2\n2\n4\n8\n6 2 4\n6 4 2\n",       // 6 defined twice, 8 never
+      "aag 3 2 0 1 1\n2\n4\n6\n6 6 4\n",              // an AND reading itself
+      "aag 3 2 0 1 1\n2\n4\n6\n6 2 9\n",              // fanin literal above 2M + 1
+  };
+  for (const char* text : bad) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW(read_aiger_string(text), std::runtime_error);
+  }
 }
 
 TEST(Aiger, FileRoundTrip) {

@@ -812,7 +812,10 @@ TEST(JournalWatchdog, SigintFlushLeavesValidFiles) {
     if (!obs::Journal::instance().open(journal_path)) _exit(10);
     obs::set_exit_outputs(metrics_path);
     if (!obs::start_watchdog(0.0)) _exit(11);
-    obs::sweep_progress().begin(1000, 100);
+    obs::SweepCounts counts;
+    counts.live_nodes = 1000;
+    counts.classes_live = 100;
+    obs::sweep_progress().begin(counts);
     obs::counter("watchdog_test.child_events").inc(5000);
     for (int i = 0; i < 5000; ++i)
       obs::journal_emit(EventKind::kHeartbeat, 0,

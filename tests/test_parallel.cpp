@@ -16,6 +16,7 @@
 
 #include "benchgen/generator.hpp"
 #include "obs/journal.hpp"
+#include "obs/watchdog.hpp"
 #include "sat/solver.hpp"
 #include "sim/random_sim.hpp"
 #include "sim/simulator.hpp"
@@ -113,6 +114,67 @@ sweep::SweepResult run_sweep(const net::Network& network) {
   sweep::SweepResult result = sweeper.run(classes, simulator);
   EXPECT_TRUE(classes.fully_refined());
   return result;
+}
+
+// Two bench cells sweeping at once on two threads: the watchdog's
+// progress must show both running, then the one left, summing their
+// counts, until the last one ends.
+TEST(ParallelSweep, ProgressSumsOverlappingSweepsUntilTheLastEnds) {
+  obs::SweepProgress progress;
+  std::atomic<int> step{0};
+  const auto wait_for = [&](int value) {
+    while (step.load() < value) std::this_thread::yield();
+  };
+  // live nodes, resolved nodes, live classes, proved, disproved,
+  // unresolved, SAT calls
+  const obs::SweepCounts a0{10, 0, 4, 0, 0, 0, 0};
+  const obs::SweepCounts a1{6, 4, 2, 3, 1, 0, 4};
+  const obs::SweepCounts b0{20, 0, 5, 0, 0, 0, 0};
+  const obs::SweepCounts b1{15, 5, 5, 4, 0, 1, 5};
+  std::thread first([&] {
+    progress.begin(a0);
+    step = 1;
+    wait_for(3);
+    progress.update(a0, a1);
+    progress.end(a1);
+    step = 4;
+  });
+  std::thread second([&] {
+    wait_for(1);
+    progress.begin(b0);
+    progress.update(b0, b1);
+    step = 2;
+    wait_for(5);
+    progress.end(b1);
+    step = 6;
+  });
+
+  wait_for(2);
+  EXPECT_EQ(progress.active.load(), 2u);
+  EXPECT_EQ(progress.live_nodes.load(), a0.live_nodes + b1.live_nodes);
+  EXPECT_EQ(progress.classes_live.load(), a0.classes_live + b1.classes_live);
+  EXPECT_EQ(progress.sat_calls.load(), b1.sat_calls);
+  step = 3;
+
+  wait_for(4);  // the first sweep has ended; the second still runs
+  EXPECT_EQ(progress.active.load(), 1u);
+  EXPECT_EQ(progress.live_nodes.load(), b1.live_nodes);
+  EXPECT_EQ(progress.resolved_nodes.load(), b1.resolved_nodes);
+  EXPECT_EQ(progress.classes_live.load(), b1.classes_live);
+  EXPECT_EQ(progress.proved.load(), b1.proved);
+  EXPECT_EQ(progress.disproved.load(), 0u);
+  EXPECT_EQ(progress.unresolved.load(), b1.unresolved);
+  EXPECT_EQ(progress.sat_calls.load(), b1.sat_calls);
+  step = 5;
+
+  wait_for(6);
+  first.join();
+  second.join();
+  EXPECT_EQ(progress.active.load(), 0u);
+  EXPECT_EQ(progress.live_nodes.load(), 0u);
+  EXPECT_EQ(progress.classes_live.load(), 0u);
+  EXPECT_EQ(progress.proved.load(), 0u);
+  EXPECT_EQ(progress.sat_calls.load(), 0u);
 }
 
 TEST(ParallelSweep, ProvenPairsAreSound) {

@@ -2,14 +2,17 @@
 """Compare per-run BENCH_*.json files against a committed baseline.
 
 Usage:
-  compare_bench_json.py BASELINE_DIR CANDIDATE_DIR [--rtol R] [--atol A]
+  compare_bench_json.py BASELINE_DIR CANDIDATE_DIR
 
 Every BENCH_<benchmark>__<strategy>.json in BASELINE_DIR must exist in
 CANDIDATE_DIR with the same "benchmark" and "strategy" keys and with every
-*count* field (cost_after_random, cost, sat_calls, proven, disproven,
-unresolved) within the given relative/absolute tolerance. Timing fields
-(sim_seconds, sat_seconds) are machine-dependent and ignored. Extra
-candidate files are ignored, so the baseline can cover a subset.
+*count* field (cost_after_random, cost, sat_calls, sat_conflicts,
+sat_propagations, sat_restarts, proven, disproven, unresolved) equal.
+Counts are deterministic, so there is no tolerance: a count that moves by
+one is a changed vector or a changed solver path, and needs a re-baseline.
+Timing fields (sim_seconds, sat_seconds, wall_seconds, ...) are
+machine-dependent and ignored. Extra candidate files are ignored, so the
+baseline can cover a subset.
 
 Multithreaded runs gate with the same strictness: bench drivers
 parallelize across whole (benchmark, strategy) cells while each flow
@@ -35,14 +38,13 @@ COUNT_FIELDS = (
     "cost_after_random",
     "cost",
     "sat_calls",
+    "sat_conflicts",
+    "sat_propagations",
+    "sat_restarts",
     "proven",
     "disproven",
     "unresolved",
 )
-
-
-def within(value, base, rtol, atol):
-    return abs(value - base) <= atol + rtol * abs(base)
 
 
 def load_json(path, role):
@@ -59,10 +61,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline_dir", type=Path)
     parser.add_argument("candidate_dir", type=Path)
-    parser.add_argument("--rtol", type=float, default=0.0,
-                        help="relative tolerance on count fields (default: exact)")
-    parser.add_argument("--atol", type=float, default=0.0,
-                        help="absolute tolerance on count fields (default: 0)")
     args = parser.parse_args()
 
     if not args.baseline_dir.is_dir():
@@ -113,11 +111,9 @@ def main():
                 print(f"MISMATCH {baseline_path.name}: {field} missing")
                 failures += 1
                 continue
-            if not within(candidate[field], baseline[field], args.rtol,
-                          args.atol):
+            if candidate[field] != baseline[field]:
                 print(f"MISMATCH {baseline_path.name}: {field} "
-                      f"{candidate[field]} vs baseline {baseline[field]} "
-                      f"(rtol={args.rtol}, atol={args.atol})")
+                      f"{candidate[field]} vs baseline {baseline[field]}")
                 failures += 1
 
     if failures:
