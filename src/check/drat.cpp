@@ -66,7 +66,10 @@ void DratChecker::ensure_var(Var var) {
   if (watches_.size() < 2 * values_.size()) watches_.resize(2 * values_.size());
 }
 
-DratChecker::ClauseId DratChecker::store(std::vector<Lit> lits, bool tautology) {
+DratChecker::ClauseId DratChecker::store(std::span<const Lit> clause) {
+  // normalize() sets the flag, so it must run before the flag is read.
+  bool tautology = false;
+  std::vector<Lit> lits = normalize(clause, tautology);
   const auto id = static_cast<ClauseId>(db_.size());
   for (Lit lit : lits) ensure_var(lit.var());
   db_.push_back(Clause{std::move(lits), /*active=*/false, tautology});
@@ -80,12 +83,9 @@ void DratChecker::activate(ClauseId id) {
   index_.emplace(hash_lits(clause.lits), id);
   if (clause.lits.empty()) {
     ++empty_active_;
-  } else if (clause.lits.size() == 1) {
-    units_.push_back(id);
-  } else {
-    watches_[clause.lits[0].code()].push_back(id);
-    watches_[clause.lits[1].code()].push_back(id);
+    return;
   }
+  attach(id);
 }
 
 void DratChecker::deactivate(ClauseId id) {
@@ -101,32 +101,48 @@ void DratChecker::deactivate(ClauseId id) {
   }
   if (clause.lits.empty()) {
     --empty_active_;
-  } else if (clause.lits.size() == 1) {
-    // Lazily removed: unit scans skip inactive entries.
-  } else {
-    for (int w = 0; w < 2; ++w) {
-      auto& list = watches_[clause.lits[w].code()];
-      const auto it = std::find(list.begin(), list.end(), id);
-      if (it != list.end()) {
-        *it = list.back();
-        list.pop_back();
-      }
+    return;
+  }
+  // The root may rest on this clause. Units and seeds are removed lazily:
+  // their scans skip inactive entries.
+  if (clause.trusted) root_stale_ = true;
+  detach(id);
+}
+
+void DratChecker::attach(ClauseId id) {
+  auto& lits = db_[id].lits;
+  std::size_t open = 0;
+  for (std::size_t k = 0; k < lits.size() && open < 2; ++k)
+    if (lit_value(lits[k]) != LValue::kFalse) std::swap(lits[open++], lits[k]);
+  if (open < 2) seeds_.push_back(id);
+  if (lits.size() < 2) return;
+  watches_[lits[0].code()].push_back(id);
+  watches_[lits[1].code()].push_back(id);
+}
+
+void DratChecker::detach(ClauseId id) {
+  const auto& lits = db_[id].lits;
+  if (lits.size() < 2) return;
+  for (int w = 0; w < 2; ++w) {
+    auto& list = watches_[lits[w].code()];
+    const auto it = std::find(list.begin(), list.end(), id);
+    if (it != list.end()) {
+      *it = list.back();
+      list.pop_back();
     }
   }
 }
 
 void DratChecker::add_axiom(std::span<const Lit> clause) {
   stats_.axioms.inc();
-  bool tautology = false;
-  const ClauseId id = store(normalize(clause, tautology), tautology);
+  const ClauseId id = store(clause);
   activate(id);
   journal_.push_back({JournalEntry::Kind::kAxiom, id});
 }
 
 void DratChecker::add_lemma(std::span<const Lit> clause) {
   stats_.lemmas.inc();
-  bool tautology = false;
-  const ClauseId id = store(normalize(clause, tautology), tautology);
+  const ClauseId id = store(clause);
   activate(id);
   journal_.push_back({JournalEntry::Kind::kLemma, id});
 }
@@ -205,37 +221,87 @@ bool DratChecker::propagate_to_conflict() {
   return false;
 }
 
-void DratChecker::undo_assignment() {
-  for (Lit lit : trail_) values_[lit.var()] = LValue::kUndef;
+void DratChecker::undo_to_root() {
+  for (std::size_t i = root_size_; i < trail_.size(); ++i)
+    values_[trail_[i].var()] = LValue::kUndef;
+  trail_.resize(root_size_);
+  propagate_head_ = root_size_;
+}
+
+bool DratChecker::assign_seeds() {
+  for (const ClauseId id : seeds_)
+    if (db_[id].active && !assign(db_[id].lits[0])) return true;
+  return false;
+}
+
+void DratChecker::recompute_root() {
+  // Every clause that is not trusted is a pending addition; none of them
+  // may propagate into the root.
+  std::vector<ClauseId> pending;
+  for (const JournalEntry entry : journal_)
+    if (entry.kind != JournalEntry::Kind::kDelete && db_[entry.clause].active)
+      pending.push_back(entry.clause);
+  for (const ClauseId id : pending) detach(id);
+  seeds_.clear();
+
+  for (const Lit lit : trail_) values_[lit.var()] = LValue::kUndef;
   trail_.clear();
   propagate_head_ = 0;
+  root_conflict_ = false;
+  for (const ClauseId id : units_) {
+    if (db_[id].active && !assign(db_[id].lits[0])) {
+      root_conflict_ = true;
+      break;
+    }
+  }
+  if (!root_conflict_) root_conflict_ = propagate_to_conflict();
+  root_size_ = trail_.size();
+  root_stale_ = false;
+  for (const ClauseId id : pending) attach(id);
+}
+
+void DratChecker::commit() {
+  for (const JournalEntry entry : journal_) {
+    if (entry.kind == JournalEntry::Kind::kDelete) continue;
+    Clause& clause = db_[entry.clause];
+    clause.trusted = true;
+    if (clause.active && clause.lits.size() == 1) units_.push_back(entry.clause);
+  }
+  journal_.clear();
+
+  // The newly trusted clauses were attached against the current root:
+  // asserting the seeds restores the watch invariant, and propagation
+  // closes the root over them. A stale root is rebuilt before the next
+  // check instead, with these clauses among the trusted ones; the units
+  // deleted since, now for good, leave units_ here.
+  if (root_stale_) {
+    std::erase_if(units_, [&](ClauseId id) { return !db_[id].active; });
+  } else if (!root_conflict_) {
+    root_conflict_ = assign_seeds() || propagate_to_conflict();
+    root_size_ = trail_.size();
+  }
+  seeds_.clear();
 }
 
 bool DratChecker::rup(std::span<const Lit> lits) {
   stats_.rup_checks.inc();
   // An active empty clause refutes everything.
   if (empty_active_ > 0) return true;
+  if (root_stale_) recompute_root();
+  if (root_conflict_) return true;
 
+  // Assert the negation of the candidate clause. A literal that is
+  // already true (under the root, or because its complement is also in
+  // the clause) gives the conflict at once.
   bool conflict = false;
-  // Assert the negation of the candidate clause.
-  for (Lit lit : lits) {
+  for (const Lit lit : lits) {
     if (!assign(~lit)) {
-      // ~lit already false means lit and ~lit both occur: tautology,
-      // trivially entailed.
-      undo_assignment();
-      return true;
-    }
-  }
-  // Seed with the active unit clauses, then propagate.
-  for (const ClauseId id : units_) {
-    if (!db_[id].active) continue;
-    if (!assign(db_[id].lits[0])) {
       conflict = true;
       break;
     }
   }
-  if (!conflict) conflict = propagate_to_conflict();
-  undo_assignment();
+  if (!conflict) conflict = assign_seeds() || propagate_to_conflict();
+  undo_to_root();
   return conflict;
 }
 
@@ -293,12 +359,7 @@ bool DratChecker::certify(std::span<const Lit> target) {
         break;
     }
   }
-  journal_.clear();
-
-  // Compact the lazily maintained unit list.
-  std::erase_if(units_, [&](ClauseId id) { return !db_[id].active; });
-  std::sort(units_.begin(), units_.end());
-  units_.erase(std::unique(units_.begin(), units_.end()), units_.end());
+  commit();
 
   if (ok)
     stats_.certified_targets.inc();

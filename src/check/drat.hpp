@@ -20,6 +20,18 @@
 /// must be verified exactly once — which also keeps the certification
 /// cost of a whole sweeping run linear in the total proof size rather
 /// than quadratic in the number of SAT calls.
+///
+/// Like drat-trim, the checker keeps top-level propagation between
+/// checks. The *root* is the unit-propagation closure of the trusted
+/// clauses (those committed by an earlier certify()), held at the bottom
+/// of the trail. A RUP check asserts only the negated clause and the
+/// pending clauses that are unit under the root, propagates, and undoes
+/// back to the root. Pending clauses never extend the root: each is
+/// attached with two watches not false under it, or, with fewer such
+/// literals, listed as a *seed* that every check asserts explicitly.
+/// certify() extends the root with the clauses it commits; deleting a
+/// trusted clause makes the root stale, and it is rebuilt from the
+/// trusted units before the next check.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +60,7 @@ struct DratStats {
   obs::Counter skipped_lemmas;    ///< Trivial lemmas (tautologies).
   obs::Counter checkpointed_lemmas; ///< Lemmas committed as trusted axioms.
   obs::Counter rup_checks;        ///< Individual RUP derivations run.
-  obs::Counter propagations;      ///< Literals propagated in checks.
+  obs::Counter propagations;      ///< Literals propagated: root upkeep and checks.
 };
 
 /// Clause database + RUP engine + backward proof checker.
@@ -68,11 +80,11 @@ class DratChecker {
 
   /// Verifies that \p target is entailed by the axioms: checks the
   /// target clause is RUP over the current database, then backward-checks
-  /// every pending lemma the derivation (transitively) depends on. On
-  /// success the pending derivations become trusted and later certify()
-  /// calls only examine newer lemmas. Returns false if any required RUP
-  /// check fails or the event stream was inconsistent (e.g. a deletion
-  /// of an unknown clause — a corrupted proof).
+  /// every pending lemma the derivation (transitively) depends on. The
+  /// pending derivations then become trusted, on failure too, and later
+  /// certify() calls only examine newer lemmas. Returns false if any
+  /// required RUP check fails or the event stream was inconsistent (e.g.
+  /// a deletion of an unknown clause — a corrupted proof).
   [[nodiscard]] bool certify(std::span<const sat::Lit> target);
 
   [[nodiscard]] const DratStats& stats() const noexcept { return stats_; }
@@ -87,9 +99,10 @@ class DratChecker {
   static constexpr ClauseId kNoClause = ~ClauseId{0};
 
   struct Clause {
-    std::vector<sat::Lit> lits;  ///< Sorted, duplicate-free.
+    std::vector<sat::Lit> lits;  ///< Duplicate-free; watches at [0] and [1].
     bool active = false;
     bool tautology = false;   ///< Never activated; trivially redundant.
+    bool trusted = false;     ///< Committed by certify(); feeds the root.
   };
 
   struct JournalEntry {
@@ -109,34 +122,56 @@ class DratChecker {
   [[nodiscard]] static bool same_clause(std::span<const sat::Lit> stored,
                                         std::span<const sat::Lit> sorted_lits);
 
-  ClauseId store(std::vector<sat::Lit> lits, bool tautology);
+  ClauseId store(std::span<const sat::Lit> clause);
   void activate(ClauseId id);
   void deactivate(ClauseId id);
+  /// Moves up to two literals that are not false under the root to the
+  /// watch positions and watches them; a clause left with fewer is a
+  /// seed, its one such literal (if any) at lits[0].
+  void attach(ClauseId id);
+  void detach(ClauseId id);
   void ensure_var(sat::Var var);
 
   [[nodiscard]] LValue lit_value(sat::Lit lit) const;
   /// Asserts \p lit true; false on conflict with the current assignment.
   bool assign(sat::Lit lit);
+  /// Asserts every active seed's lits[0]; true iff one is false, which
+  /// (all its other literals being false under the root) is a conflict.
+  bool assign_seeds();
   /// Unit-propagates to fixpoint; true iff a conflict was reached.
   bool propagate_to_conflict();
-  /// Full RUP check of \p lits: assert the negation, propagate, demand a
-  /// conflict. The scratch assignment is fully undone before returning.
+  /// RUP check of \p lits against the active clauses: assert the
+  /// negation over the root, propagate, demand a conflict. The
+  /// assignment is undone to the root before returning.
   [[nodiscard]] bool rup(std::span<const sat::Lit> lits);
-  void undo_assignment();
+  void undo_to_root();
+  /// Rebuilds the root from the active trusted units with the pending
+  /// clauses detached, then attaches them against the new root.
+  void recompute_root();
+  /// Makes the pending additions trusted and extends the root over them.
+  void commit();
 
   std::vector<Clause> db_;
   std::unordered_multimap<std::uint64_t, ClauseId> index_;  ///< Active only.
   std::vector<std::vector<ClauseId>> watches_;  ///< By literal code.
-  std::vector<ClauseId> units_;  ///< Active unit clauses (lazily compacted).
+  /// Trusted unit clauses, each listed once; deleted ones are skipped,
+  /// and dropped at the next commit.
+  std::vector<ClauseId> units_;
+  /// Pending clauses attached as seeds; inactive entries are skipped.
+  std::vector<ClauseId> seeds_;
   std::size_t empty_active_ = 0;
   bool corrupt_ = false;
 
   std::vector<JournalEntry> journal_;  ///< Pending, already applied to db_.
 
-  // Scratch assignment for RUP checks.
+  // The assignment: the root at trail_[0, root_size_), then the literals
+  // of the RUP check in progress.
   std::vector<LValue> values_;  // per var
   std::vector<sat::Lit> trail_;
   std::size_t propagate_head_ = 0;
+  std::size_t root_size_ = 0;
+  bool root_conflict_ = false;  ///< The trusted clauses refute by propagation.
+  bool root_stale_ = false;     ///< A trusted clause was deleted since.
 
   DratStats stats_{obs::kRegister};
 };

@@ -33,9 +33,17 @@ Examination examine(const RowDatabase& rows, const NodeValues& values, net::Node
     result.conflict = true;
     return result;
   }
-  // Definition 2.2: simple implication fires only on a unique match.
-  if (strategy == ImplicationStrategy::kSimple && count_rows({matched, words}) != 1)
-    return result;
+  // Definition 2.2: simple implication fires only on a unique match. In
+  // one word (any != 0) the match is unique iff clearing its lowest row
+  // leaves none, which needs no population count: without POPCNT in the
+  // target that count is a library call.
+  if (strategy == ImplicationStrategy::kSimple) {
+    if constexpr (kWords == 1) {
+      if ((matched[0] & (matched[0] - 1)) != 0) return result;
+    } else if (count_rows({matched, words}) != 1) {
+      return result;
+    }
+  }
 
   // Definition 4.1: every value all matching rows agree on is forced —
   // slot s is forced to b when the value !b contradicts every matching

@@ -227,8 +227,11 @@ sat::Result Sweeper::check_pair(net::NodeId a, net::NodeId b) {
       ++totals_.disproven;
       break;
     case sat::Result::kUnknown:
+      // Nothing is learned: the miter variable t stays free. Pinning it
+      // false, as for a proven pair, would assert a == b for a pair
+      // nobody proved, and as an axiom of the DRAT log it would certify
+      // every later proof that used it.
       ++totals_.unresolved;
-      solver_.add_clause({~call.assumption});
       break;
   }
   return call.verdict;

@@ -32,7 +32,9 @@ namespace simgen::sweep {
 struct SweepOptions {
   std::uint64_t seed = 1;
   /// Per-call conflict budget; 0 = unlimited. Pairs hitting the budget are
-  /// dropped from their class and counted as unresolved.
+  /// dropped from their class and counted as unresolved. The solver
+  /// learns nothing from such a pair: no equality clause is added, and
+  /// its miter variable stays free.
   std::uint64_t conflict_limit = 0;
   /// Conflict budget for the CEC output proofs, separate from
   /// conflict_limit: output proofs are must-decide, so 0 (unlimited) is

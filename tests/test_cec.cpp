@@ -8,6 +8,8 @@
 
 #include "aig/aig_to_network.hpp"
 #include "benchgen/generator.hpp"
+#include "fuzz/gen.hpp"
+#include "fuzz/mutate.hpp"
 #include "mapping/lut_mapper.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -239,6 +241,34 @@ TEST_P(CecFuzz, VerdictMatchesExhaustiveSimulation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CecFuzz,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
                                            10u, 11u, 12u));
+
+// Regression: a sweep pair that hit its conflict budget used to be
+// pinned with the clause (~t), which with the miter clauses t <-> (a xor
+// b) asserts a == b. The solver then proved inequivalent outputs equal,
+// and the DRAT log, holding the clause as an axiom, certified the proof.
+// Seed 1 at a budget of 1 conflict was such a case.
+TEST(Cec, BudgetedSweepPairsNeverMakeAFaultyMutantEquivalent) {
+  std::uint64_t unresolved = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    for (std::uint64_t limit = 1; limit <= 3; ++limit) {
+      util::Rng rng(util::splitmix64(seed));
+      const net::Network base = fuzz::random_lut_network(
+          rng, fuzz::random_lut_options(rng, fuzz::GenProfile{}));
+      const fuzz::Mutant mutant = fuzz::inject_fault(base, rng);
+      ASSERT_FALSE(mutant.equivalent);
+      CecOptions options;
+      options.random_rounds = 0;
+      options.use_guided_simulation = false;
+      options.certify = true;
+      options.sweep.conflict_limit = limit;
+      const CecResult result = check_equivalence(base, mutant.network, options);
+      EXPECT_FALSE(result.equivalent) << "seed " << seed << ", budget " << limit;
+      EXPECT_FALSE(result.counterexample.empty()) << "seed " << seed << ", budget " << limit;
+      unresolved += result.sweep_stats.unresolved;
+    }
+  }
+  EXPECT_GT(unresolved, 0u) << "no pair hit its budget";
+}
 
 }  // namespace
 }  // namespace simgen::sweep
