@@ -6,7 +6,7 @@
 /// as ground-truth circuits for tests (the AIG must compute word
 /// arithmetic exactly), and as natural CEC workloads — two structurally
 /// different implementations of the same arithmetic function are the
-/// textbook equivalence-checking problem (see examples/adder_cec.cpp).
+/// textbook equivalence-checking problem (see bench/ablation_bdd_vs_sat.cpp).
 #pragma once
 
 #include <cstdint>

@@ -312,12 +312,15 @@ bool DratChecker::certify(std::span<const Lit> target) {
   }
   bool tautology = false;
   const std::vector<Lit> target_lits = normalize(target, tautology);
-  bool ok = tautology || rup(target_lits);
+  const bool target_ok = tautology || rup(target_lits);
 
   // Backward pass: undo each pending step in reverse so every lemma is
   // RUP-checked against exactly the database it was derived from. All
-  // lemmas are checked (not only a marked core) because on success they
-  // are committed as trusted axioms for later incremental certify calls.
+  // lemmas are checked (not only a marked core), whether or not the
+  // target passed, because all of them are committed as trusted axioms
+  // for later incremental certify calls. A lemma that fails corrupts the
+  // checker, so no later certify() can rest on it; after it, the pass
+  // only unwinds state.
   for (std::size_t i = journal_.size(); i-- > 0;) {
     const JournalEntry entry = journal_[i];
     switch (entry.kind) {
@@ -329,11 +332,11 @@ bool DratChecker::certify(std::span<const Lit> target) {
         const Clause& clause = db_[entry.clause];
         if (clause.tautology) {
           stats_.skipped_lemmas.inc();
-        } else if (ok) {  // after a failure, only unwind state
+        } else if (!corrupt_) {
           if (rup(clause.lits)) {
             stats_.checked_lemmas.inc();
           } else {
-            ok = false;
+            corrupt_ = true;
           }
         }
         break;
@@ -349,7 +352,7 @@ bool DratChecker::certify(std::span<const Lit> target) {
   for (const JournalEntry entry : journal_) {
     switch (entry.kind) {
       case JournalEntry::Kind::kLemma:
-        if (ok) stats_.checkpointed_lemmas.inc();
+        if (!corrupt_) stats_.checkpointed_lemmas.inc();
         [[fallthrough]];
       case JournalEntry::Kind::kAxiom:
         activate(entry.clause);
@@ -361,6 +364,7 @@ bool DratChecker::certify(std::span<const Lit> target) {
   }
   commit();
 
+  const bool ok = target_ok && !corrupt_;
   if (ok)
     stats_.certified_targets.inc();
   else

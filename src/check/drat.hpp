@@ -80,11 +80,13 @@ class DratChecker {
 
   /// Verifies that \p target is entailed by the axioms: checks the
   /// target clause is RUP over the current database, then backward-checks
-  /// every pending lemma the derivation (transitively) depends on. The
-  /// pending derivations then become trusted, on failure too, and later
-  /// certify() calls only examine newer lemmas. Returns false if any
-  /// required RUP check fails or the event stream was inconsistent (e.g.
-  /// a deletion of an unknown clause — a corrupted proof).
+  /// every pending lemma, whether or not the target passed. The pending
+  /// derivations then become trusted, and later certify() calls only
+  /// examine newer lemmas. Returns false if any RUP check fails or the
+  /// event stream was inconsistent (e.g. a deletion of an unknown clause
+  /// — a corrupted proof). A failed lemma, like an inconsistent stream,
+  /// fails every later call too; a target that fails alone leaves the
+  /// checker usable, since every lemma it commits was checked.
   [[nodiscard]] bool certify(std::span<const sat::Lit> target);
 
   [[nodiscard]] const DratStats& stats() const noexcept { return stats_; }
@@ -160,7 +162,7 @@ class DratChecker {
   /// Pending clauses attached as seeds; inactive entries are skipped.
   std::vector<ClauseId> seeds_;
   std::size_t empty_active_ = 0;
-  bool corrupt_ = false;
+  bool corrupt_ = false;  ///< A bad deletion or a failed lemma was seen.
 
   std::vector<JournalEntry> journal_;  ///< Pending, already applied to db_.
 

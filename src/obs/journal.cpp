@@ -97,7 +97,6 @@ const char* phase_name(PhaseId phase) noexcept {
     case PhaseId::kGuidedSim: return "guided_sim";
     case PhaseId::kSweep: return "sweep";
     case PhaseId::kOutputProofs: return "output_proofs";
-    case PhaseId::kReduce: return "reduce";
   }
   return "?";
 }

@@ -157,9 +157,8 @@ enum class PhaseId : std::uint8_t {
   kGuidedSim = 2,
   kSweep = 3,
   kOutputProofs = 4,
-  kReduce = 5,
 };
-inline constexpr std::size_t kNumPhases = 6;
+inline constexpr std::size_t kNumPhases = 5;
 
 [[nodiscard]] const char* kind_name(EventKind kind) noexcept;
 [[nodiscard]] const char* source_name(PatternSource source) noexcept;

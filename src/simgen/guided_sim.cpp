@@ -215,8 +215,7 @@ GuidedSimResult run_guided_simulation(sim::Simulator& simulator,
           ++result.vectors_skipped;
         }
       } else {
-        std::vector<Target> targets = make_outgold_with_policy(
-            network, members, options.outgold_policy, simulator.values());
+        std::vector<Target> targets = make_outgold(members);
         const std::size_t cap = options.max_targets_per_class;
         if (cap >= 2 && targets.size() > cap) {
           // Evenly spaced subsample keeps the gold alternation (and thus

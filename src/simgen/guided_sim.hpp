@@ -46,10 +46,6 @@ struct GuidedSimOptions {
   Strategy strategy = Strategy::kAiDcMffc;
   std::size_t iterations = 20;  ///< Paper Section 6.1: 20 iterations.
   std::uint64_t seed = 1;
-  /// OUTgold selection policy for the SimGen arms (kAlternating is the
-  /// paper's published default; the others are its named future-work
-  /// extensions). Ignored by the RevS arm.
-  OutGoldPolicy outgold_policy = OutGoldPolicy::kAlternating;
   /// Upper bound on OUTgold targets taken from one class per iteration
   /// (an evenly spaced subsample that preserves the 0/1 alternation).
   /// 0 = whole class, the paper's letter; a small cap (16) bounds the

@@ -87,8 +87,6 @@ ImplicationOutcome ImplicationEngine::run(NodeValues& values,
                                           std::span<const net::NodeId> seeds,
                                           ImplicationStrategy strategy) {
   ImplicationOutcome outcome;
-  if (strategy == ImplicationStrategy::kNone) return outcome;
-
   // The ring's state lives in locals so that it stays in registers.
   net::NodeId* const ring = ring_.data();
   bool* const queued = queued_.get();

@@ -28,10 +28,10 @@
 
 namespace simgen::core {
 
+/// The codes are fixed: parameterized tests print them in their names.
 enum class ImplicationStrategy : std::uint8_t {
-  kNone,      ///< Do not imply at all (used by ablations).
-  kSimple,    ///< Definition 2.2: single-matching-row implication.
-  kAdvanced,  ///< Definition 4.1: agreed-value implication.
+  kSimple = 1,    ///< Definition 2.2: single-matching-row implication.
+  kAdvanced = 2,  ///< Definition 4.1: agreed-value implication.
 };
 
 /// Outcome of an implication fixpoint run.

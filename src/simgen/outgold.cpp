@@ -18,54 +18,6 @@ std::vector<Target> make_outgold(std::span<const net::NodeId> class_members,
   return targets;
 }
 
-std::string_view outgold_policy_name(OutGoldPolicy policy) {
-  switch (policy) {
-    case OutGoldPolicy::kAlternating: return "alternating";
-    case OutGoldPolicy::kDepthAlternating: return "depth-alternating";
-    case OutGoldPolicy::kAdaptiveComplement: return "adaptive-complement";
-  }
-  return "?";
-}
-
-std::vector<Target> make_outgold_with_policy(
-    const net::Network& network, std::span<const net::NodeId> class_members,
-    OutGoldPolicy policy, std::span<const std::uint64_t> observed_values) {
-  switch (policy) {
-    case OutGoldPolicy::kAlternating:
-      return make_outgold(class_members);
-
-    case OutGoldPolicy::kDepthAlternating: {
-      // Alternate along the depth ordering instead of the id ordering:
-      // the deepest member (processed first by Algorithm 1, with a fully
-      // free network) anchors gold 0, its depth-neighbour gold 1, etc.
-      std::vector<net::NodeId> ordered(class_members.begin(), class_members.end());
-      std::stable_sort(ordered.begin(), ordered.end(),
-                       [&](net::NodeId a, net::NodeId b) {
-                         return network.level(a) > network.level(b);
-                       });
-      std::vector<Target> targets;
-      targets.reserve(ordered.size());
-      bool value = false;
-      for (net::NodeId node : ordered) {
-        targets.push_back(Target{node, value});
-        value = !value;
-      }
-      return targets;
-    }
-
-    case OutGoldPolicy::kAdaptiveComplement: {
-      if (observed_values.empty()) return make_outgold(class_members);
-      // All members share their signature; start the alternation from the
-      // complement of the observed value so the first (deepest-priority)
-      // half of the targets demands the never-seen polarity.
-      const bool observed =
-          (observed_values[class_members.front()] & 1u) != 0;
-      return make_outgold(class_members, !observed);
-    }
-  }
-  return make_outgold(class_members);
-}
-
 void order_targets_by_depth(const net::Network& network,
                             std::vector<Target>& targets) {
   std::stable_sort(targets.begin(), targets.end(),

@@ -2,16 +2,13 @@
 /// \brief OUTgold target generation (paper Section 3, step 1).
 ///
 /// OUTgold values are the desired output values for the target nodes of an
-/// equivalence class. SimGen's default policy is the paper's: alternate
-/// zeros and ones across the class members ordered by node ID, so that a
-/// vector satisfying any 0-target and any 1-target is guaranteed to split
-/// the class. The policy is a free function so alternative OUTgold
-/// strategies (topology-aware, runtime-adaptive) can be slotted in.
+/// equivalence class. SimGen uses the paper's policy: alternate zeros and
+/// ones across the class members ordered by node ID, so that a vector
+/// satisfying any 0-target and any 1-target is guaranteed to split the
+/// class.
 #pragma once
 
-#include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "network/network.hpp"
@@ -30,35 +27,6 @@ struct Target {
 /// prescribes.
 [[nodiscard]] std::vector<Target> make_outgold(
     std::span<const net::NodeId> class_members, bool first_value = false);
-
-/// OUTgold selection policies. kAlternating is the paper's published
-/// default; the other two implement the extensions its Section 3 names
-/// as future work ("circuit topology-aware methods or runtime-adaptive
-/// OUTgold generation ... effortlessly integrated into SimGen").
-enum class OutGoldPolicy : std::uint8_t {
-  /// Alternate 0/1 by node ID (paper Section 3).
-  kAlternating,
-  /// Topology-aware: order members by decreasing level and alternate, so
-  /// adjacent golds land on structurally distant nodes and the deepest
-  /// member anchors the first (unconstrained) justification.
-  kDepthAlternating,
-  /// Runtime-adaptive: alternate starting from the *complement* of the
-  /// class's observed simulation value (all members share it — that is
-  /// what made them a class). Half the targets then demand the value the
-  /// class has never shown, steering vectors toward the unexplored
-  /// polarity of biased signals.
-  kAdaptiveComplement,
-};
-
-[[nodiscard]] std::string_view outgold_policy_name(OutGoldPolicy policy);
-
-/// Policy-dispatching OUTgold generation. \p observed_values is the node
-/// value array of the last simulation batch (indexed by NodeId); only
-/// kAdaptiveComplement reads it and it may be empty for the other
-/// policies (falls back to kAlternating if empty).
-[[nodiscard]] std::vector<Target> make_outgold_with_policy(
-    const net::Network& network, std::span<const net::NodeId> class_members,
-    OutGoldPolicy policy, std::span<const std::uint64_t> observed_values = {});
 
 /// Orders targets by decreasing network level (Algorithm 1 line 2:
 /// nodes furthest from the PIs are processed first). Stable, so equal

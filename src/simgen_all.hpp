@@ -1,7 +1,7 @@
 /// \file simgen_all.hpp
 /// \brief Umbrella header: the complete public API of the SimGen library.
 ///
-/// Typical flow (see examples/quickstart.cpp):
+/// Typical flow (sweep::check_equivalence runs it for two networks):
 ///   1. Obtain a LUT network — parse BLIF/BENCH, map an AIGER file, or
 ///      generate a benchmark (simgen::benchgen).
 ///   2. Build a sim::Simulator and sim::EquivClasses, run random rounds.
@@ -30,7 +30,6 @@
 #include "io/aiger.hpp"
 #include "io/bench.hpp"
 #include "io/blif.hpp"
-#include "io/verilog.hpp"
 #include "mapping/cuts.hpp"
 #include "mapping/lut_mapper.hpp"
 #include "network/analysis.hpp"
@@ -58,8 +57,6 @@
 #include "simgen/rows.hpp"
 #include "simgen/tval.hpp"
 #include "sweep/cec.hpp"
-#include "sweep/fraig.hpp"
-#include "sweep/reduce.hpp"
 #include "sweep/sweeper.hpp"
 #include "tt/cube.hpp"
 #include "tt/isop.hpp"

@@ -210,6 +210,36 @@ TEST(Drat, CertifierRejectsUnentailedTarget) {
   EXPECT_EQ(certifier.stats().failed_targets.value(), 1u);
 }
 
+TEST(Drat, FailedLemmaIsNeverTrustedLater) {
+  // Lemma (x1) does not follow from axiom (x1 | x2). Whether the lemma's
+  // own check fails or the target fails first, a later certify() must
+  // not rest on the lemma.
+  const sat::Lit x1 = sat::pos(sat::Var{0});
+  const sat::Lit x2 = sat::pos(sat::Var{1});
+  const sat::Lit x3 = sat::pos(sat::Var{2});
+  const sat::Lit axiom[] = {x1, x2};
+  const sat::Lit lemma[] = {x1};
+  const sat::Lit other[] = {x3};
+  {
+    // The target (x1) holds given the lemma; the lemma does not.
+    check::DratChecker checker;
+    checker.add_axiom(axiom);
+    checker.add_lemma(lemma);
+    EXPECT_FALSE(checker.certify(lemma));
+    EXPECT_FALSE(checker.certify(lemma));
+    EXPECT_EQ(checker.stats().certified_targets.value(), 0u);
+  }
+  {
+    // The target (x3) fails before any lemma is checked.
+    check::DratChecker checker;
+    checker.add_axiom(axiom);
+    checker.add_lemma(lemma);
+    EXPECT_FALSE(checker.certify(other));
+    EXPECT_FALSE(checker.certify(lemma));
+    EXPECT_EQ(checker.stats().certified_targets.value(), 0u);
+  }
+}
+
 TEST(Drat, IncrementalCertificationAcrossSolveCalls) {
   // The sweeping pattern: many solve(assumptions) calls against one
   // growing formula, each UNSAT certified incrementally. Chain
@@ -312,7 +342,9 @@ struct Coverage {
 /// propagates by scanning all active clauses until nothing changes. The
 /// stream semantics are check::DratChecker's: a journal of pending steps,
 /// a backward pass that checks every lemma against the database it was
-/// derived from, and a commit of the pending steps after each certify().
+/// derived from, whether or not the target passed, and a commit of the
+/// pending steps after each certify(). A failed lemma fails every later
+/// certify().
 class ReferenceChecker {
  public:
   void add_axiom(std::span<const sat::Lit> clause) { add(Event::Kind::kAxiom, clause); }
@@ -342,7 +374,7 @@ class ReferenceChecker {
     if (corrupt_) return false;
     bool tautology = false;
     const std::vector<sat::Lit> target_lits = normalize(target, tautology);
-    bool ok = tautology || rup(target_lits);
+    const bool target_ok = tautology || rup(target_lits);
 
     std::vector<std::size_t> restored;
     for (std::size_t i = journal_.size(); i-- > 0;) {
@@ -354,9 +386,9 @@ class ReferenceChecker {
         continue;
       }
       clause.active = false;
-      if (kind == Event::Kind::kLemma && !clause.tautology && ok) {
-        ok = rup(clause.lits);
-        if (ok) count_restored_use(restored, clause.lits);
+      if (kind == Event::Kind::kLemma && !clause.tautology && !corrupt_) {
+        corrupt_ = !rup(clause.lits);
+        if (!corrupt_) count_restored_use(restored, clause.lits);
       }
     }
     for (const auto& [kind, id] : journal_)
@@ -364,7 +396,7 @@ class ReferenceChecker {
     for (const auto& [kind, id] : journal_)
       if (kind != Event::Kind::kDelete) db_[id].trusted = true;
     journal_.clear();
-    return ok;
+    return target_ok && !corrupt_;
   }
 
   [[nodiscard]] std::uint64_t rup_checks() const { return rup_checks_; }

@@ -60,17 +60,6 @@ TEST(Implication, PaperFigure1ResolvesWithoutConflict) {
   EXPECT_EQ(values.get(fx.C), TVal::kZero);
 }
 
-TEST(Implication, NoneStrategyAssignsNothing) {
-  Figure1 fx;
-  const RowDatabase rows(fx.network);
-  NodeValues values(fx.network.num_nodes());
-  values.assign(fx.z, TVal::kOne);
-  const ImplicationOutcome outcome = run_implications(
-      fx.network, rows, values, fx.z, ImplicationStrategy::kNone);
-  EXPECT_EQ(outcome.assignments, 0u);
-  EXPECT_FALSE(values.is_assigned(fx.x));
-}
-
 TEST(Implication, ConflictDetectedAtContradictedNode) {
   // and(a, b) with a=0 and output 1: zero matching rows -> conflict.
   net::Network network;

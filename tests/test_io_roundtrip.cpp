@@ -8,9 +8,16 @@
 /// constants, LUTs ignoring fanins, duplicate fanin references, name
 /// collisions with generated fallback names), which is precisely where
 /// fuzzing found the first serializer bugs (see tests/repros/).
+/// The readers must also accept the definitions in any order, so one
+/// test shuffles them between the write and the read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "aig/aig_to_network.hpp"
 #include "benchgen/generator.hpp"
@@ -85,6 +92,82 @@ TEST(IoRoundtrip, AigerAsciiAndBinaryOnRandomAigs) {
                             std::to_string(i));
     }
   }
+}
+
+/// \p text with its definitions in a random order. The definitions take
+/// up the lines from the first one for which \p starts_definition holds
+/// to \p trailer_lines before the end, and each runs up to the next line
+/// that starts one. The lines before and after them keep their place.
+std::string shuffle_definitions(
+    const std::string& text, std::size_t trailer_lines,
+    const std::function<bool(const std::string&)>& starts_definition,
+    util::Rng& rng) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line + "\n");
+  const std::size_t end = lines.size() - trailer_lines;
+  std::size_t begin = 0;
+  while (begin < end && !starts_definition(lines[begin])) ++begin;
+  std::vector<std::string> definitions;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (i == begin || starts_definition(lines[i])) definitions.emplace_back();
+    definitions.back() += lines[i];
+  }
+  for (std::size_t i = definitions.size(); i > 1; --i)
+    std::swap(definitions[i - 1], definitions[rng.below(i)]);
+  std::string shuffled;
+  for (std::size_t i = 0; i < begin; ++i) shuffled += lines[i];
+  for (const std::string& definition : definitions) shuffled += definition;
+  for (std::size_t i = end; i < lines.size(); ++i) shuffled += lines[i];
+  return shuffled;
+}
+
+// A definition may use a signal that a later one defines: the readers
+// must return the written network's function whatever the order of the
+// BLIF .names blocks, the BENCH gate lines and the ASCII AIGER AND lines.
+TEST(IoRoundtrip, ReadersAcceptAnyDefinitionOrder) {
+  util::Rng rng(15);
+  int reordered = 0;
+  const auto shuffle = [&](const std::string& text, std::size_t trailer_lines,
+                           const std::function<bool(const std::string&)>& starts) {
+    std::string shuffled = shuffle_definitions(text, trailer_lines, starts, rng);
+    reordered += shuffled != text ? 1 : 0;
+    return shuffled;
+  };
+  const auto blif_names = [](const std::string& line) {
+    return line.starts_with(".names");
+  };
+  const auto bench_gate = [](const std::string& line) {
+    return line.find(" = ") != std::string::npos;
+  };
+  // "lhs rhs0 rhs1"; the header also has spaces, the input and output
+  // lines have none.
+  const auto aiger_and = [](const std::string& line) {
+    return !line.starts_with("aag") && std::count(line.begin(), line.end(), ' ') == 2;
+  };
+  for (int i = 0; i < 40; ++i) {
+    const fuzz::LutGenOptions options =
+        fuzz::random_lut_options(rng, fuzz::GenProfile{});
+    const net::Network network = fuzz::random_lut_network(rng, options);
+    expect_equivalent(network,
+                      io::read_blif_string(shuffle(io::write_blif_string(network),
+                                                   /*.end*/ 1, blif_names)),
+                      "shuffled blif #" + std::to_string(i));
+    expect_equivalent(network,
+                      io::read_bench_string(
+                          shuffle(io::write_bench_string(network), 0, bench_gate)),
+                      "shuffled bench #" + std::to_string(i));
+  }
+  for (int i = 0; i < 20; ++i) {
+    const aig::Aig graph =
+        benchgen::generate_circuit(fuzz::random_spec(rng, fuzz::GenProfile{}));
+    const aig::Aig parsed = io::read_aiger_string(
+        shuffle(io::write_aiger_string(graph, /*binary=*/false), 0, aiger_and));
+    ASSERT_FALSE(check::lint_aig(parsed).has_errors());
+    expect_equivalent(aig::to_network(graph), aig::to_network(parsed),
+                      "shuffled aag #" + std::to_string(i));
+  }
+  EXPECT_EQ(reordered, 100);
 }
 
 TEST(IoRoundtrip, MappedAigsThroughBlifAndBench) {

@@ -70,104 +70,3 @@ TEST(OutGold, OrderTargetsByDepthIsDescendingAndStable) {
 
 }  // namespace
 }  // namespace simgen::core
-
-namespace simgen::core {
-namespace {
-
-// Fixture with known levels and a PI to observe.
-struct PolicyFixture {
-  net::Network network;
-  net::NodeId g_l1, g_l2, g_l3;
-
-  PolicyFixture() {
-    const net::NodeId a = network.add_pi();
-    const std::array<net::NodeId, 1> f1{a};
-    g_l1 = network.add_lut(f1, tt::TruthTable::buffer());
-    const std::array<net::NodeId, 1> f2{g_l1};
-    g_l2 = network.add_lut(f2, tt::TruthTable::not_gate());
-    const std::array<net::NodeId, 1> f3{g_l2};
-    g_l3 = network.add_lut(f3, tt::TruthTable::not_gate());
-    network.add_po(g_l3);
-  }
-};
-
-TEST(OutGoldPolicy, Names) {
-  EXPECT_EQ(outgold_policy_name(OutGoldPolicy::kAlternating), "alternating");
-  EXPECT_EQ(outgold_policy_name(OutGoldPolicy::kDepthAlternating),
-            "depth-alternating");
-  EXPECT_EQ(outgold_policy_name(OutGoldPolicy::kAdaptiveComplement),
-            "adaptive-complement");
-}
-
-TEST(OutGoldPolicy, AlternatingMatchesLegacyFunction) {
-  const PolicyFixture fx;
-  const std::array<net::NodeId, 3> members{fx.g_l3, fx.g_l1, fx.g_l2};
-  const auto via_policy = make_outgold_with_policy(
-      fx.network, members, OutGoldPolicy::kAlternating);
-  const auto legacy = make_outgold(members);
-  ASSERT_EQ(via_policy.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(via_policy[i].node, legacy[i].node);
-    EXPECT_EQ(via_policy[i].gold, legacy[i].gold);
-  }
-}
-
-TEST(OutGoldPolicy, DepthAlternatingOrdersByLevel) {
-  const PolicyFixture fx;
-  const std::array<net::NodeId, 3> members{fx.g_l1, fx.g_l2, fx.g_l3};
-  const auto targets = make_outgold_with_policy(
-      fx.network, members, OutGoldPolicy::kDepthAlternating);
-  ASSERT_EQ(targets.size(), 3u);
-  EXPECT_EQ(targets[0].node, fx.g_l3);  // deepest first
-  EXPECT_FALSE(targets[0].gold);
-  EXPECT_EQ(targets[1].node, fx.g_l2);
-  EXPECT_TRUE(targets[1].gold);
-  EXPECT_EQ(targets[2].node, fx.g_l1);
-  EXPECT_FALSE(targets[2].gold);
-}
-
-TEST(OutGoldPolicy, AdaptiveComplementStartsFromObservedComplement) {
-  const PolicyFixture fx;
-  const std::array<net::NodeId, 2> members{fx.g_l1, fx.g_l2};
-  // Observed values: bit 0 of each node's last word; make both 1.
-  std::vector<std::uint64_t> observed(fx.network.num_nodes(), ~0ull);
-  const auto targets = make_outgold_with_policy(
-      fx.network, members, OutGoldPolicy::kAdaptiveComplement, observed);
-  // First (lowest-id) member demands the complement of the observed 1.
-  ASSERT_EQ(targets.size(), 2u);
-  EXPECT_EQ(targets[0].node, fx.g_l1);
-  EXPECT_FALSE(targets[0].gold);
-  EXPECT_TRUE(targets[1].gold);
-
-  // Observed 0 flips the anchor.
-  std::vector<std::uint64_t> observed0(fx.network.num_nodes(), 0);
-  const auto flipped = make_outgold_with_policy(
-      fx.network, members, OutGoldPolicy::kAdaptiveComplement, observed0);
-  EXPECT_TRUE(flipped[0].gold);
-}
-
-TEST(OutGoldPolicy, AdaptiveWithoutObservationsFallsBack) {
-  const PolicyFixture fx;
-  const std::array<net::NodeId, 2> members{fx.g_l1, fx.g_l2};
-  const auto targets = make_outgold_with_policy(
-      fx.network, members, OutGoldPolicy::kAdaptiveComplement);
-  EXPECT_FALSE(targets[0].gold);  // kAlternating default
-}
-
-TEST(OutGoldPolicy, AllPoliciesBalanceGolds) {
-  const PolicyFixture fx;
-  const std::array<net::NodeId, 3> members{fx.g_l1, fx.g_l2, fx.g_l3};
-  std::vector<std::uint64_t> observed(fx.network.num_nodes(), ~0ull);
-  for (const auto policy :
-       {OutGoldPolicy::kAlternating, OutGoldPolicy::kDepthAlternating,
-        OutGoldPolicy::kAdaptiveComplement}) {
-    const auto targets =
-        make_outgold_with_policy(fx.network, members, policy, observed);
-    int ones = 0;
-    for (const Target& target : targets) ones += target.gold ? 1 : 0;
-    EXPECT_TRUE(ones == 1 || ones == 2) << outgold_policy_name(policy);
-  }
-}
-
-}  // namespace
-}  // namespace simgen::core
