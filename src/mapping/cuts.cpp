@@ -1,7 +1,10 @@
 #include "mapping/cuts.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
+
+#include "tt/truth_table.hpp"
 
 namespace simgen::mapping {
 namespace {
@@ -15,7 +18,7 @@ Cut trivial_cut(std::uint32_t node, unsigned arrival) {
   cut.leaves[0] = node;
   cut.size = 1;
   cut.signature = leaf_signature_bit(node);
-  cut.function = tt::TruthTable::projection(1, 0);
+  cut.function = tt::kVarMask[0];
   cut.depth = arrival;
   return cut;
 }
@@ -34,6 +37,10 @@ bool Cut::subset_of(const Cut& other) const noexcept {
 }
 
 bool merge_cuts(const Cut& a, const Cut& b, Cut& out) {
+  // Distinct signature bits are distinct leaves, so a signature union of
+  // more than kLutSize bits is a leaf union that large.
+  const std::uint32_t signature = a.signature | b.signature;
+  if (std::popcount(signature) > static_cast<int>(kLutSize)) return false;
   // Merge two sorted leaf arrays, bailing out when the union grows past
   // kLutSize.
   unsigned i = 0, j = 0, n = 0;
@@ -52,30 +59,24 @@ bool merge_cuts(const Cut& a, const Cut& b, Cut& out) {
     out.leaves[n++] = next;
   }
   out.size = static_cast<std::uint8_t>(n);
-  out.signature = a.signature | b.signature;
+  out.signature = signature;
   return true;
 }
 
-tt::TruthTable expand_cut_function(const tt::TruthTable& function, const Cut& from,
-                                   const Cut& to) {
-  // Map each variable of `from` to its position in `to`.
-  std::array<unsigned, kLutSize> position{};
-  for (unsigned v = 0; v < from.size; ++v) {
-    unsigned p = 0;
-    while (p < to.size && to.leaves[p] != from.leaves[v]) ++p;
-    if (p == to.size)
-      throw std::logic_error("expand_cut_function: `to` is not a superset");
-    position[v] = p;
+std::uint64_t expand_cut_function(std::uint64_t function, const Cut& from,
+                                  const Cut& to) {
+  // Both leaf lists are sorted, so leaf v of `from` sits at a position
+  // p >= v of `to`. Moving the variables from the top down, position p is
+  // still a don't-care when variable v is swapped into it.
+  unsigned p = to.size;
+  for (unsigned v = from.size; v-- > 0;) {
+    do {
+      if (p == v) throw std::logic_error("expand_cut_function: `to` is not a superset");
+      --p;
+    } while (to.leaves[p] != from.leaves[v]);
+    if (p != v) function = tt::swap_vars(function, v, p);
   }
-  tt::TruthTable result(to.size);
-  const auto num_minterms = static_cast<std::uint32_t>(result.num_bits());
-  for (std::uint32_t m = 0; m < num_minterms; ++m) {
-    std::uint32_t from_minterm = 0;
-    for (unsigned v = 0; v < from.size; ++v)
-      if ((m >> position[v]) & 1u) from_minterm |= 1u << v;
-    if (function.get_bit(from_minterm)) result.set_bit(m, true);
-  }
-  return result;
+  return function;
 }
 
 CutSet::CutSet(const aig::Aig& graph)
@@ -91,35 +92,37 @@ void CutSet::enumerate() {
   }
   cuts_[0].push_back(trivial_cut(0, 0));  // constant node
 
+  // Scratch lists, reused across nodes.
+  std::vector<Cut> candidates;
+  std::vector<Cut> kept;
   graph_.for_each_and([&](std::uint32_t node) {
     const aig::Lit f0 = graph_.fanin0(node);
     const aig::Lit f1 = graph_.fanin1(node);
     const auto& cuts0 = cuts_[aig::lit_node(f0)];
     const auto& cuts1 = cuts_[aig::lit_node(f1)];
+    const std::uint64_t flip0 = aig::lit_complemented(f0) ? ~0ull : 0;
+    const std::uint64_t flip1 = aig::lit_complemented(f1) ? ~0ull : 0;
 
-    std::vector<Cut> candidates;
+    candidates.clear();
     for (const Cut& c0 : cuts0) {
       for (const Cut& c1 : cuts1) {
         Cut merged;
         if (!merge_cuts(c0, c1, merged)) continue;
         // Root function: AND of the (possibly complemented) fanin
         // functions re-expressed over the merged leaves.
-        tt::TruthTable g0 = expand_cut_function(c0.function, c0, merged);
-        tt::TruthTable g1 = expand_cut_function(c1.function, c1, merged);
-        if (aig::lit_complemented(f0)) g0 = ~g0;
-        if (aig::lit_complemented(f1)) g1 = ~g1;
-        merged.function = g0 & g1;
+        merged.function = (expand_cut_function(c0.function, c0, merged) ^ flip0) &
+                          (expand_cut_function(c1.function, c1, merged) ^ flip1);
         unsigned depth = 0;
         for (unsigned v = 0; v < merged.size; ++v)
           depth = std::max(depth, arrival_[merged.leaves[v]] + 1);
         merged.depth = depth;
-        candidates.push_back(std::move(merged));
+        candidates.push_back(merged);
       }
     }
 
     // Drop dominated cuts (a cut whose leaves include another cut's).
-    std::vector<Cut> kept;
-    for (Cut& cut : candidates) {
+    kept.clear();
+    for (const Cut& cut : candidates) {
       bool dominated = false;
       for (const Cut& other : kept) {
         if (other.subset_of(cut)) {
@@ -129,7 +132,7 @@ void CutSet::enumerate() {
       }
       if (dominated) continue;
       std::erase_if(kept, [&](const Cut& other) { return cut.subset_of(other); });
-      kept.push_back(std::move(cut));
+      kept.push_back(cut);
     }
 
     // Priority order: shallow first, then small (timing-driven).
@@ -143,7 +146,7 @@ void CutSet::enumerate() {
 
     // The trivial cut keeps enumeration complete for fanouts.
     kept.push_back(trivial_cut(node, arrival_[node]));
-    cuts_[node] = std::move(kept);
+    cuts_[node].assign(kept.begin(), kept.end());
   });
 }
 

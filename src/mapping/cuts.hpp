@@ -10,10 +10,10 @@
 
 #include <array>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "aig/aig.hpp"
-#include "tt/truth_table.hpp"
 
 namespace simgen::mapping {
 
@@ -24,11 +24,16 @@ inline constexpr unsigned kLutSize = 6;
 inline constexpr unsigned kCutsPerNode = 8;
 
 /// One cut: sorted leaf set plus the root's function over the leaves.
+///
+/// The function is one 6-input truth-table word (tt's layout): variable i
+/// is leaves[i], and the function does not depend on the variables from
+/// `size` up, so the word repeats its low 2^size bits. A Cut owns no heap
+/// block; the mapper builds a tt::TruthTable only for the LUTs it emits.
 struct Cut {
   std::array<std::uint32_t, kLutSize> leaves{};
   std::uint8_t size = 0;
   std::uint32_t signature = 0;  ///< Hash-OR of leaves for fast domination tests.
-  tt::TruthTable function{0};   ///< Root function; variable i = leaves[i].
+  std::uint64_t function = 0;   ///< Root function; variable i = leaves[i].
   unsigned depth = 0;           ///< Arrival level if this cut is chosen.
 
   [[nodiscard]] std::uint32_t leaf(unsigned index) const { return leaves[index]; }
@@ -37,6 +42,7 @@ struct Cut {
   /// is dominated and can be discarded).
   [[nodiscard]] bool subset_of(const Cut& other) const noexcept;
 };
+static_assert(std::is_trivially_copyable_v<Cut>);
 
 /// Enumerates priority cuts for every node of \p aig, ordered by depth
 /// (shallow first, then small). Index into the result with the AIG node
@@ -65,9 +71,10 @@ class CutSet {
 /// On success fills \p out's leaves/size/signature (not the function).
 [[nodiscard]] bool merge_cuts(const Cut& a, const Cut& b, Cut& out);
 
-/// Re-expresses \p function (over \p from leaves) in terms of \p to leaves
-/// (a superset). Exposed for tests.
-[[nodiscard]] tt::TruthTable expand_cut_function(
-    const tt::TruthTable& function, const Cut& from, const Cut& to);
+/// Re-expresses \p function (a Cut::function word over \p from's leaves)
+/// over \p to's leaves, a superset; both leaf lists are sorted. Throws
+/// std::logic_error if \p to is not a superset. Exposed for tests.
+[[nodiscard]] std::uint64_t expand_cut_function(std::uint64_t function,
+                                                const Cut& from, const Cut& to);
 
 }  // namespace simgen::mapping

@@ -65,12 +65,11 @@ net::Network map_to_luts(const aig::Aig& graph) {
     mapped[aig::lit_node(graph.pi_lit(i))] = network.add_pi(graph.pi_name(i));
 
   std::unordered_map<LutKey, net::NodeId, LutKeyHash> strash;
-  const auto emit_lut = [&](std::vector<net::NodeId> fanins,
-                            const tt::TruthTable& function) {
+  const auto emit_lut = [&](std::vector<net::NodeId> fanins, tt::TruthTable function) {
     LutKey key{fanins, function.hash()};
     const auto it = strash.find(key);
     if (it != strash.end()) return it->second;
-    const net::NodeId id = network.add_lut(fanins, function);
+    const net::NodeId id = network.add_lut(fanins, std::move(function));
     strash.emplace(std::move(key), id);
     return id;
   };
@@ -87,7 +86,8 @@ net::Network map_to_luts(const aig::Aig& graph) {
         mapped[leaf] = network.add_constant(false);
       fanins[v] = mapped[leaf];
     }
-    mapped[node] = emit_lut(std::move(fanins), cut.function);
+    mapped[node] =
+        emit_lut(std::move(fanins), tt::TruthTable::from_word(cut.size, cut.function));
   });
 
   // POs: complemented literals get a dedicated complement LUT over the
@@ -111,7 +111,8 @@ net::Network map_to_luts(const aig::Aig& graph) {
         const Cut& cut = cuts.best_cut(node);
         std::vector<net::NodeId> fanins(cut.size);
         for (unsigned v = 0; v < cut.size; ++v) fanins[v] = mapped[cut.leaf(v)];
-        driver = emit_lut(std::move(fanins), ~cut.function);
+        driver = emit_lut(std::move(fanins),
+                          tt::TruthTable::from_word(cut.size, ~cut.function));
         complemented_cache.emplace(node, driver);
       }
     }

@@ -13,13 +13,6 @@ constexpr std::size_t words_for(unsigned num_vars) noexcept {
   return num_vars <= 6 ? 1u : (std::size_t{1} << (num_vars - 6));
 }
 
-// Magic masks for variables 0..5 within a single 64-bit word: bit m of
-// kVarMask[v] is 1 iff minterm m has input v set.
-constexpr std::uint64_t kVarMask[6] = {
-    0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
-    0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
-};
-
 }  // namespace
 
 TruthTable::TruthTable(unsigned num_vars)

@@ -18,6 +18,25 @@ namespace simgen::tt {
 /// Maximum supported number of truth-table variables.
 inline constexpr unsigned kMaxVars = 16;
 
+/// One-word masks for variables 0..5: bit m of kVarMask[v] is 1 iff
+/// minterm m has input v set. kVarMask[v] is also the projection x_v as a
+/// 6-input table.
+inline constexpr std::uint64_t kVarMask[6] = {
+    0xaaaaaaaaaaaaaaaaull, 0xccccccccccccccccull, 0xf0f0f0f0f0f0f0f0ull,
+    0xff00ff00ff00ff00ull, 0xffff0000ffff0000ull, 0xffffffff00000000ull,
+};
+
+/// Swaps inputs \p i < \p j (both < 6) of a one-word 6-input table: the
+/// minterms with x_i = 1, x_j = 0 trade places with those with x_i = 0,
+/// x_j = 1 in one mask-and-shift step.
+[[nodiscard]] constexpr std::uint64_t swap_vars(std::uint64_t word, unsigned i,
+                                                unsigned j) noexcept {
+  const unsigned shift = (1u << j) - (1u << i);
+  const std::uint64_t low = kVarMask[i] & ~kVarMask[j];
+  return (word & ~(low | (low << shift))) | ((word & low) << shift) |
+         ((word >> shift) & low);
+}
+
 /// Complete Boolean function of `num_vars()` inputs.
 ///
 /// Bit `m` of the table is the function value on the minterm whose binary

@@ -167,6 +167,26 @@ TEST(TruthTable, ExtendedToPreservesFunction) {
   EXPECT_THROW(g.extended_to(3), std::invalid_argument);
 }
 
+TEST(TruthTable, SwapVarsExchangesTwoInputs) {
+  util::Rng rng(37);
+  for (unsigned i = 0; i < 6; ++i) {
+    EXPECT_EQ(TruthTable::from_word(6, kVarMask[i]), TruthTable::projection(6, i));
+    for (unsigned j = i + 1; j < 6; ++j) {
+      EXPECT_EQ(swap_vars(kVarMask[i], i, j), kVarMask[j]);
+      const std::uint64_t word = rng();
+      const std::uint64_t swapped = swap_vars(word, i, j);
+      for (unsigned m = 0; m < 64; ++m) {
+        // Minterm m of the result reads the input minterm with bits i and
+        // j of m exchanged.
+        const unsigned bi = (m >> i) & 1u, bj = (m >> j) & 1u;
+        const unsigned source = (m & ~((1u << i) | (1u << j))) | (bi << j) | (bj << i);
+        ASSERT_EQ((swapped >> m) & 1u, (word >> source) & 1u)
+            << "swap " << i << "," << j << " minterm " << m;
+      }
+    }
+  }
+}
+
 TEST(TruthTable, HashDistinguishes) {
   const auto a = TruthTable::and_gate(2);
   const auto b = TruthTable::or_gate(2);
